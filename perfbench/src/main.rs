@@ -27,8 +27,8 @@ use dp_data::DatasetSpec;
 use svt_experiments::runner::PreparedDataset;
 use svt_server::{SessionStore, TenantId};
 
-use inputs::{shuffled_scores, InputSize, ScratchDir};
-use serve::{Budget, Durability, Mix, Op, Plan, Window};
+use inputs::{shuffled_scores, InputSize, ScratchDir, SplitMix};
+use serve::{Budget, Durability, Mix, Op, Plan, Tally, Window};
 use stats::{median, Latencies, Metrics};
 use sweep::Regime;
 
@@ -43,7 +43,9 @@ const WORKLOADS: [&str; 4] = [
 /// VM the benchmark was made on.
 const THREADS: usize = 2;
 /// Set-ups per run; `setup_s` is their median.
-const SETUPS: usize = 5;
+const SETUPS: usize = 9;
+/// How long the sweeps' store probe runs its traced window.
+const PROBE_SLICE: Duration = Duration::from_millis(500);
 
 #[derive(Clone, Copy)]
 struct Run {
@@ -65,6 +67,9 @@ struct Report {
     /// Deterministic counts, which must repeat exactly across runs,
     /// thread counts and the traced/untraced modes.
     counts: BTreeMap<String, u64>,
+    /// Spans of the workload's own traced window; the self-check holds
+    /// `trace.spans` to it.
+    own_spans: Option<f64>,
 }
 
 impl Report {
@@ -72,6 +77,25 @@ impl Report {
         self.attempted += attempted;
         self.failed += problems.len() as u64;
         self.problems.extend(problems);
+    }
+
+    fn tally(&mut self, t: &Tally) {
+        self.attempted += t.attempted;
+        self.failed += t.failed;
+        self.problems.extend(t.errors.iter().cloned());
+    }
+
+    /// The tracing overhead between the workload's own untraced and
+    /// traced windows, and the traced window's span count.
+    fn trace_overhead(&mut self, plain_rate: f64, traced_rate: f64, spans: &[Vec<trace::Span>]) {
+        let n = spans.iter().map(Vec::len).sum::<usize>() as f64;
+        self.metrics.set(
+            "trace.overhead_share",
+            1.0 - traced_rate / plain_rate,
+            "ratio",
+        );
+        self.metrics.set("trace.spans", n, "count");
+        self.own_spans = Some(n);
     }
 }
 
@@ -97,19 +121,16 @@ fn input_sizes(m: &mut Metrics, name: &str, items: usize, groups: usize) {
     m.set("machine.llc_bytes", llc as f64, "B");
 }
 
-fn print_profile(spans: &[Vec<trace::Span>], file: &Path) {
+/// Prints the self-time profile and writes the spans to
+/// `.perfbench/spans-<workload>-<seed>.csv`.
+fn print_profile(spans: &[Vec<trace::Span>], name: &str, seed: u64) {
     println!("{}", trace::render_profile(&trace::profile(spans)));
-    if let Some(parent) = file.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    match std::fs::write(file, trace::to_csv(spans)) {
+    let file = Path::new(".perfbench").join(format!("spans-{name}-{seed}.csv"));
+    let _ = std::fs::create_dir_all(".perfbench");
+    match std::fs::write(&file, trace::to_csv(spans)) {
         Ok(()) => println!("spans written to {}", file.display()),
         Err(e) => println!("spans not written ({e})"),
     }
-}
-
-fn span_count(spans: &[Vec<trace::Span>]) -> f64 {
-    spans.iter().map(Vec::len).sum::<usize>() as f64
 }
 
 /// The end-to-end metrics from an untraced window.
@@ -155,50 +176,53 @@ fn sweep_workload(run: Run, regime: Regime, name: &str) -> Report {
         DatasetSpec::aol()
     };
     let scores = shuffled_scores(&spec, run.seed);
-    let (prepared, setup_s) = sweep::setup(spec.name, &scores, SETUPS);
+    let (prepared, first_setup_s) = sweep::setup(spec.name, &scores);
     let groups = prepared.n_groups();
     let window = Duration::from_secs_f64(run.seconds);
     let timed = if run.trace {
         input_sizes(&mut r.metrics, spec.name, scores.len(), groups);
+        // Each traced-run window makes at least 8 passes, so its median
+        // pass rate rests on more than one pass (a scan pass of five
+        // calls takes ~0.8 s on AOL).
         let quarter = window / 4;
-        let plain = sweep::timed(&prepared, regime, run.seed, run.threads, quarter, false);
+        let mut timed = sweep::timed(&prepared, regime, run.seed, run.threads, quarter, 8, false);
         let traced = sweep::timed(
             &prepared,
             regime,
             run.seed ^ 0x7ace,
             run.threads,
             quarter,
+            8,
             true,
         );
-        let overhead = 1.0 - median(&traced.pass_rates) / median(&plain.pass_rates);
-        r.metrics.set("trace.overhead_share", overhead, "ratio");
-        r.metrics
-            .set("trace.spans", traced.spans.len() as f64, "count");
-        print_profile(
-            std::slice::from_ref(&traced.spans),
-            &Path::new(".perfbench").join(format!("spans-{name}-{}.csv", run.seed)),
-        );
+        let spans = std::slice::from_ref(&traced.spans);
+        r.trace_overhead(median(&timed.pass_rates), median(&traced.pass_rates), spans);
+        print_profile(spans, name, run.seed);
         layers::engine_table(&mut r.metrics, &prepared, regime, run.seed);
-        let store_spec = if run.small {
-            DatasetSpec::bms_pos()
-        } else {
-            DatasetSpec::kosarak()
-        };
-        let store_scores = shuffled_scores(&store_spec, run.seed);
-        let plan = Plan {
-            mix: Mix::Sessions,
-            tenants: 2,
-            items: store_scores.len(),
-        };
-        serving_layers(&mut r, run, plan, store_scores.as_slice(), name, None);
-        let mut checked = plain;
-        checked.ser.merge(traced.ser);
-        checked.calls += traced.calls;
-        checked.failed += traced.failed;
-        checked.errors.extend(traced.errors);
-        checked
+        store_probe(&mut r, run, name);
+        timed.merge(traced);
+        timed
     } else {
-        let t = sweep::timed(&prepared, regime, run.seed, run.threads, window, false);
+        // A cold set-up before each of SETUPS parts of the window, as in
+        // `serve_workload`; the first one's dataset is the one measured.
+        let part = window / SETUPS as u32;
+        let mut setup_s = vec![first_setup_s];
+        let mut t = sweep::Timed::default();
+        for i in 0..SETUPS {
+            if i > 0 {
+                setup_s.push(sweep::setup(spec.name, &scores).1);
+            }
+            let seed = SplitMix::call_seed(run.seed, i as u64);
+            t.merge(sweep::timed(
+                &prepared,
+                regime,
+                seed,
+                run.threads,
+                part,
+                1,
+                false,
+            ));
+        }
         println!(
             "{name}: {} runs in {} run_sweep calls ({} passes); setup {:?} s",
             t.runs,
@@ -240,58 +264,58 @@ fn sweep_workload(run: Run, regime: Regime, name: &str) -> Report {
     r
 }
 
-/// The store's per-layer metrics. `main` is the workload's own store,
-/// already measured untraced, with its WAL directory; without it (the
-/// sweep workloads) a store is set up here.
+/// The store layers on a sweep workload, which has no store: every
+/// per-layer metric is reported on every workload, so a 2-tenant store
+/// holding the Kosarak stand-in runs the session script for them. Those
+/// figures describe that store, not the sweep, and its counts are not
+/// the workload's.
+fn store_probe(r: &mut Report, run: Run, name: &str) {
+    let scores = shuffled_scores(&DatasetSpec::kosarak(), run.seed);
+    let plan = Plan {
+        mix: Mix::Sessions,
+        tenants: 2,
+        items: scores.len(),
+    };
+    let scratch =
+        ScratchDir::new(&format!("{name}-store")).expect("scratch directory in the checkout");
+    let store = serve::build_store(plan, Durability::Dir(scratch.path()), scores.as_slice())
+        .expect("probe store");
+    let traced = serve::window(
+        &store,
+        plan,
+        run.seed ^ 0x7ace,
+        run.threads,
+        Budget::Time(PROBE_SLICE),
+        true,
+    );
+    serving_layers(
+        r,
+        run,
+        plan,
+        scores.as_slice(),
+        name,
+        (store, scratch.path()),
+        traced,
+    );
+}
+
+/// The store's per-layer metrics: per-call latencies from `traced`, a
+/// traced window on `store` (whose WAL is in the given directory); the
+/// same script as long again on one client and on a WAL-less store;
+/// recovery of `store`; the session, WAL and live-score probes; and the
+/// check script, whose deterministic counts it returns.
 fn serving_layers(
     r: &mut Report,
     run: Run,
     plan: Plan,
     scores: &[f64],
     name: &str,
-    main: Option<(SessionStore, Window, Window, &Path)>,
-) {
-    let own = main.is_some();
-    let slice = Duration::from_secs_f64(if own { run.seconds / 8.0 } else { 0.5 });
-    let scratch =
-        ScratchDir::new(&format!("{name}-probe")).expect("scratch directory in the checkout");
-    let (store, plain, traced, wal_dir) = match main {
-        Some(m) => m,
-        None => {
-            let store = serve::build_store(plan, Durability::Dir(scratch.path()), scores)
-                .expect("probe store");
-            let plain = serve::window(
-                &store,
-                plan,
-                run.seed,
-                run.threads,
-                Budget::Time(slice),
-                false,
-            );
-            let traced = serve::window(
-                &store,
-                plan,
-                run.seed ^ 0x7ace,
-                run.threads,
-                Budget::Time(slice),
-                true,
-            );
-            (store, plain, traced, scratch.path())
-        }
-    };
+    (store, wal_dir): (SessionStore, &Path),
+    traced: Window,
+) -> BTreeMap<String, u64> {
+    let slice = Duration::from_nanos(traced.elapsed_ns);
+    r.tally(&traced.tally);
     let m = &mut r.metrics;
-    let rate = |w: &Window| w.tally.ops() as f64 / (w.elapsed_ns as f64 / 1e9);
-    m.set(
-        "trace.overhead_share",
-        1.0 - rate(&traced) / rate(&plain),
-        "ratio",
-    );
-    m.set("trace.spans", span_count(&traced.spans), "count");
-    let tag = if own { "" } else { "-store" };
-    print_profile(
-        &traced.spans,
-        &Path::new(".perfbench").join(format!("spans-{name}{tag}-{}.csv", run.seed)),
-    );
     let lat = |w: &Window, op: Op| Latencies::new(w.tally.latencies(op).to_vec());
     let tail = |l: &Latencies, p: f64, what: &str| -> f64 {
         // The highest percentile up to `p` with ten samples beyond it.
@@ -323,7 +347,7 @@ fn serving_layers(
     // `update_scores` minus the `LiveScores` work it does: the script's
     // increments (4 per batch under the live mix, 8 otherwise) and one
     // snapshot.
-    let update_us = Latencies::new(traced.tally.latencies(Op::Update).to_vec()).mean();
+    let update_us = lat(&traced, Op::Update).mean();
     let (inc_us, snap_ms) = layers::live_layers(m, scores, run.seed);
     let per_update = if plan.mix == Mix::Live { 4.0 } else { 8.0 };
     m.set(
@@ -353,40 +377,42 @@ fn serving_layers(
     );
     drop(no_wal);
     m.set("store.open_us.no_wal", p50(&lat(&w, Op::Open)), "us");
-    let failed = plain.tally.failed + traced.tally.failed + one.tally.failed + w.tally.failed;
-    r.attempted +=
-        plain.tally.attempted + traced.tally.attempted + one.tally.attempted + w.tally.attempted;
-    r.failed += failed;
-    for t in [&plain.tally, &traced.tally, &one.tally, &w.tally] {
-        r.problems.extend(t.errors.iter().cloned());
-    }
+    r.tally(&one.tally);
+    r.tally(&w.tally);
     let rec = serve::recover(store, plan, wal_dir, 3);
     let m = &mut r.metrics;
     m.set("store.recovery_ms", median(&rec.recovery_ms), "ms");
     m.set("wal.replay_ms", rec.replay_ms, "ms");
     m.set("ledger.verify_ms", rec.verify_ms, "ms");
     r.problems(1, rec.problems);
-    if let Err(e) = layers::session_wal_layers(&mut r.metrics, scratch.path(), run.seed) {
+    let probe =
+        ScratchDir::new(&format!("{name}-probe")).expect("scratch directory in the checkout");
+    if let Err(e) = layers::session_wal_layers(&mut r.metrics, probe.path(), run.seed) {
         r.problems(1, vec![format!("session/WAL probe: {e}")]);
     }
-    check_script(r, run, plan, scores, name, true, own);
-    drop(scratch);
+    drop(probe);
+    let counts = check_script(r, run, plan, scores, name);
+    let count = |k: &str| counts.get(k).map_or(f64::NAN, |&v| v as f64);
+    let m = &mut r.metrics;
+    m.set("wal.records", count("wal_records"), "count");
+    m.set("wal.bytes", count("wal_bytes"), "B");
+    m.set("wal.fsyncs", count("wal_fsyncs"), "count");
+    m.set("count.sessions_opened", count("sessions_opened"), "count");
+    m.set("count.updates_applied", count("updates_applied"), "count");
+    counts
 }
 
 /// The fixed-size check script: the same rounds on fresh WAL stores at
 /// two threads and at one, with counts that must agree exactly, and
-/// exact recovery of the two-thread store.
-/// `record_counts` adds its counts to the workload's deterministic counts
-/// (only where the script is the workload's own).
+/// exact recovery of each store. Returns the one-thread counts (empty
+/// if a store could not be built, which counts as a failure).
 fn check_script(
     r: &mut Report,
     run: Run,
     plan: Plan,
     scores: &[f64],
     name: &str,
-    as_metrics: bool,
-    record_counts: bool,
-) {
+) -> BTreeMap<String, u64> {
     let rounds = match (plan.mix, run.small) {
         (Mix::Live, false) => 8,
         (Mix::Live, true) => 24,
@@ -405,7 +431,7 @@ fn check_script(
             Ok(s) => s,
             Err(e) => {
                 r.problems(1, vec![format!("check store: {e}")]);
-                return;
+                return BTreeMap::new();
             }
         };
         let w = serve::window(
@@ -416,9 +442,7 @@ fn check_script(
             Budget::Rounds(rounds),
             false,
         );
-        r.attempted += w.tally.attempted;
-        r.failed += w.tally.failed;
-        r.problems.extend(w.tally.errors.iter().cloned());
+        r.tally(&w.tally);
         let epochs: u64 = (0..plan.tenants)
             .map(|t| store.dataset_epoch(TenantId(t as u64)).unwrap_or(u64::MAX))
             .sum();
@@ -444,9 +468,10 @@ fn check_script(
         }
         results.push(counts);
     }
-    let (two, one) = (&results[0], &results[1]);
+    let one = results.pop().expect("one-thread counts");
+    let two = results.pop().expect("two-thread counts");
     let mut problems = Vec::new();
-    for (k, v) in two {
+    for (k, v) in &two {
         if one.get(k) != Some(v) {
             problems.push(format!(
                 "count {k}: {v} at 2 threads, {:?} at 1 thread",
@@ -455,42 +480,16 @@ fn check_script(
         }
     }
     r.problems(1, problems);
-    if as_metrics {
-        let m = &mut r.metrics;
-        m.set("wal.records", one["wal_records"] as f64, "count");
-        m.set("wal.bytes", one["wal_bytes"] as f64, "B");
-        m.set("wal.fsyncs", one["wal_fsyncs"] as f64, "count");
-        m.set(
-            "count.sessions_opened",
-            one["sessions_opened"] as f64,
-            "count",
-        );
-        m.set(
-            "count.updates_applied",
-            one["updates_applied"] as f64,
-            "count",
-        );
-        if !m.names().any(|n| n == "count.top_answers") {
-            m.set("count.top_answers", one["top_answers"] as f64, "count");
-        }
-        if !m.names().any(|n| n == "count.items_examined") {
-            m.set("count.items_examined", one["items_asked"] as f64, "count");
-        }
-    }
-    if record_counts {
-        for (k, v) in one {
-            r.counts.insert(format!("serve.{k}"), *v);
-        }
-    }
+    one
 }
 
 fn serve_workload(run: Run, mix: Mix, name: &str) -> Report {
     let mut r = Report::default();
+    // Kosarak's tail lies below the item threshold, which keeps sessions
+    // far from their cutoff; it is small enough for the self-check too.
     let spec = match (mix, run.small) {
-        (Mix::Sessions, false) => DatasetSpec::kosarak(),
-        (Mix::Sessions, true) => DatasetSpec::bms_pos(),
+        (Mix::Sessions, _) | (Mix::Live, true) => DatasetSpec::kosarak(),
         (Mix::Live, false) => DatasetSpec::aol(),
-        (Mix::Live, true) => DatasetSpec::kosarak(),
     };
     let scores = shuffled_scores(&spec, run.seed);
     let plan = Plan {
@@ -500,20 +499,17 @@ fn serve_workload(run: Run, mix: Mix, name: &str) -> Report {
     };
     let raw = scores.as_slice();
     let scratch = ScratchDir::new(name).expect("scratch directory in the checkout");
-    // Set up several times, each on a fresh WAL directory; keep the last.
-    let mut setup_s = Vec::new();
-    let mut store = None;
-    for i in 0..SETUPS {
+    // One set-up: a store on a fresh WAL directory with every tenant and
+    // dataset registered, and its wall time in s.
+    let set_up = |i: usize| {
         let dir = scratch.path().join(format!("setup-{i}"));
         std::fs::create_dir_all(&dir).expect("setup directory");
-        drop(store.take());
         let t0 = Instant::now();
-        let s = serve::build_store(plan, Durability::Dir(&dir), raw).expect("store setup");
-        setup_s.push(t0.elapsed().as_secs_f64());
-        store = Some((s, dir));
-    }
-    let (store, dir) = store.expect("three setups");
-    if run.trace {
+        let store = serve::build_store(plan, Durability::Dir(&dir), raw).expect("store setup");
+        (store, dir, t0.elapsed().as_secs_f64())
+    };
+    let (store, dir, first_setup_s) = set_up(0);
+    let counts = if run.trace {
         let prepared = PreparedDataset::new(spec.name, scores.clone());
         input_sizes(&mut r.metrics, spec.name, scores.len(), prepared.n_groups());
         let eighth = Duration::from_secs_f64(run.seconds / 8.0);
@@ -533,53 +529,75 @@ fn serve_workload(run: Run, mix: Mix, name: &str) -> Report {
             Budget::Time(eighth),
             true,
         );
-        serving_layers(
-            &mut r,
-            run,
-            plan,
-            raw,
-            name,
-            Some((store, plain, traced, &dir)),
-        );
+        r.tally(&plain.tally);
+        r.trace_overhead(plain.rate(), traced.rate(), &traced.spans);
+        print_profile(&traced.spans, name, run.seed);
+        let counts = serving_layers(&mut r, run, plan, raw, name, (store, &dir), traced);
+        let count = |k: &str| counts.get(k).map_or(f64::NAN, |&v| v as f64);
+        r.metrics
+            .set("count.top_answers", count("top_answers"), "count");
+        r.metrics
+            .set("count.items_examined", count("items_asked"), "count");
         layers::engine_table(&mut r.metrics, &prepared, Regime::Halting, run.seed);
+        counts
     } else {
-        let w = serve::window(
-            &store,
-            plan,
-            run.seed,
-            run.threads,
-            Budget::Time(Duration::from_secs_f64(run.seconds)),
-            false,
-        );
-        let slices = ((run.seconds * 4.0).round() as usize).max(4);
+        // The window is cut into SETUPS parts with a set-up before each
+        // (the first builds the store the window runs on; the others
+        // are dropped at once). The machine's speed drifts within a
+        // run, so set-ups spread over it give a steadier median than
+        // set-ups back to back.
+        let part = Duration::from_secs_f64(run.seconds / SETUPS as f64);
+        let slices = ((part.as_secs_f64() * 4.0).round() as usize).max(1);
+        let mut setup_s = vec![first_setup_s];
+        let mut rates = Vec::new();
+        let mut tally = Tally::default();
+        for i in 0..SETUPS {
+            if i > 0 {
+                let (spare, _, s) = set_up(i);
+                setup_s.push(s);
+                drop(spare);
+            }
+            let w = serve::window(
+                &store,
+                plan,
+                SplitMix::call_seed(run.seed, i as u64),
+                run.threads,
+                Budget::Time(part),
+                false,
+            );
+            rates.extend(w.tally.rates(w.elapsed_ns, slices));
+            tally.merge(w.tally);
+        }
         e2e_metrics(
             &mut r.metrics,
             &setup_s,
-            w.tally.rates(w.elapsed_ns, slices),
-            w.tally.latencies(Op::Batch).to_vec(),
-            "0.25 s slices",
+            rates,
+            tally.latencies(Op::Batch).to_vec(),
+            "~0.25 s slices",
             "submit_batch calls",
         );
         println!(
             "{name}: {} calls ({} opens, {} updates, {} items, {} ⊤) in {:.1} s; setup {:?} s",
-            w.tally.ops(),
-            w.tally.opens,
-            w.tally.updates,
-            w.tally.items_asked,
-            w.tally.tops,
-            w.elapsed_ns as f64 / 1e9,
+            tally.ops(),
+            tally.opens,
+            tally.updates,
+            tally.items_asked,
+            tally.tops,
+            run.seconds,
             setup_s
         );
-        r.attempted += w.tally.attempted;
-        r.failed += w.tally.failed;
-        r.problems.extend(w.tally.errors.iter().cloned());
+        println!("call mix: {}", tally.mix());
+        r.tally(&tally);
         let rec = serve::recover(store, plan, &dir, 3);
         println!(
             "recovery: {} records, {} B of log, {:?} ms",
             rec.records, rec.log_bytes, rec.recovery_ms
         );
         r.problems(1, rec.problems);
-        check_script(&mut r, run, plan, raw, name, false, true);
+        check_script(&mut r, run, plan, raw, name)
+    };
+    for (k, v) in counts {
+        r.counts.insert(format!("serve.{k}"), v);
     }
     drop(scratch);
     r
@@ -613,8 +631,8 @@ fn declared(section: &str) -> Result<Vec<String>, String> {
 
 /// The scaled-down mode: every workload, small inputs, a fraction of a
 /// second each, untraced twice (once on one thread) and traced once.
-/// Asserts that each run is correct, emits exactly the declared metrics
-/// and reports the same deterministic counts.
+/// Asserts that each run is correct, emits exactly the declared metrics,
+/// reports the same deterministic counts and, traced, its own span count.
 fn self_check(seed: u64) -> Result<(), String> {
     let e2e = declared("end_to_end")?;
     let layer = declared("per_layer")?;
@@ -652,6 +670,13 @@ fn self_check(seed: u64) -> Result<(), String> {
             if !missing.is_empty() || !extra.is_empty() {
                 return Err(format!(
                     "{label}: missing {missing:?}, undeclared {extra:?}"
+                ));
+            }
+            if run.trace && report.metrics.get("trace.spans") != report.own_spans {
+                return Err(format!(
+                    "{label}: trace.spans {:?} is not the workload's own span count {:?}",
+                    report.metrics.get("trace.spans"),
+                    report.own_spans
                 ));
             }
             match &counts {

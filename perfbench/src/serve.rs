@@ -6,6 +6,14 @@
 //! wait for each reply). With two threads each client has its own
 //! thread; with one thread the clients' rounds are interleaved, so the
 //! per-tenant call sequence — and with it every answer — is the same.
+//!
+//! A session's numeric queries follow the repository's `serve_smoke`
+//! workload (see `SESSION_QUERIES`). The rest of the proportions are
+//! assumed, since no workload in the repository fixes them: 8–24 item
+//! asks per session and an 8-item score update after half the sessions
+//! under the session mix; 4-item increments against sessions of one
+//! 16-query batch and 32 item asks under the live mix. A run prints the
+//! measured share of each call kind (`Tally::mix`).
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -23,9 +31,17 @@ use crate::trace::{Span, Tracer};
 /// Each tenant's total budget: large enough that no open in a run is
 /// refused for budget.
 const TENANT_EPSILON: f64 = 1e9;
-/// Per-session ⊤ allowance; a script's sessions stay far below it, so no
-/// ask is refused by a halted session.
-const SESSION_CUTOFF: usize = 64;
+/// The session shape of the repository's `serve_smoke` workload
+/// (`ServeSmokeConfig::default()` in `svt-experiments::serving`): each
+/// session answers 500 numeric queries in `submit_batch` calls of 64,
+/// with ε = 0.5 and a ⊤ allowance of c = 25. Copied rather than read
+/// from there, so a change to that workload does not change this one.
+const SESSION_QUERIES: usize = 500;
+const BATCH_LEN: usize = 64;
+const SESSION_EPSILON: f64 = 0.5;
+/// A script's sessions stay far below it (about 5 ⊤ per 500 queries),
+/// so no ask is refused by a halted session.
+const SESSION_CUTOFF: usize = 25;
 
 /// Which script the clients run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -81,7 +97,7 @@ impl Plan {
 
     fn session_config() -> StandardSvtConfig {
         StandardSvtConfig {
-            budget: SvtBudget::halves(0.5).expect("valid session budget"),
+            budget: SvtBudget::halves(SESSION_EPSILON).expect("valid session budget"),
             sensitivity: 1.0,
             c: SESSION_CUTOFF,
             monotonic: true,
@@ -109,7 +125,7 @@ pub struct Tally {
 }
 
 impl Tally {
-    fn merge(&mut self, other: Tally) {
+    pub fn merge(&mut self, other: Tally) {
         for (a, b) in self.lat_us.iter_mut().zip(other.lat_us) {
             a.extend(b);
         }
@@ -141,6 +157,17 @@ impl Tally {
 
     pub fn latencies(&self, op: Op) -> &[f64] {
         &self.lat_us[op as usize]
+    }
+
+    /// Each call kind's share of the completed calls.
+    pub fn mix(&self) -> String {
+        let total = self.ops().max(1) as f64;
+        SPAN_NAMES
+            .iter()
+            .zip(&self.lat_us)
+            .map(|(name, l)| format!("{name} {:.1}%", 100.0 * l.len() as f64 / total))
+            .collect::<Vec<_>>()
+            .join(", ")
     }
 
     /// Calls completed per second in each of `bins` equal slices of a
@@ -217,7 +244,6 @@ impl Client<'_> {
                 (Mix::Live, _) => self.session_round(
                     &mut rng,
                     TenantId(0),
-                    1,
                     16,
                     (32, 32),
                     false,
@@ -229,12 +255,10 @@ impl Client<'_> {
                 (Mix::Sessions, k) => {
                     let owned: Vec<usize> = (k..self.plan.tenants).step_by(2).collect();
                     let tenant = TenantId(owned[rng.below(owned.len())] as u64);
-                    let batches = rng.between(2, 6);
                     self.session_round(
                         &mut rng,
                         tenant,
-                        batches,
-                        64,
+                        SESSION_QUERIES,
                         (8, 24),
                         true,
                         tally,
@@ -271,13 +295,14 @@ impl Client<'_> {
         true
     }
 
+    /// One session: open, `queries` numeric queries in batches of
+    /// `BATCH_LEN`, item asks, an optional score update, close.
     #[allow(clippy::too_many_arguments)]
     fn session_round(
         &self,
         rng: &mut SplitMix,
         tenant: TenantId,
-        batches: usize,
-        batch_len: usize,
+        queries: usize,
         (items_lo, items_hi): (usize, usize),
         with_update: bool,
         tally: &mut Tally,
@@ -301,21 +326,17 @@ impl Client<'_> {
         };
         // The script is drawn in full before any call, so what a round
         // asks never depends on how far it got before the deadline.
-        let queries: Vec<Vec<BatchQuery>> = (0..batches)
-            .map(|_| {
-                (0..batch_len)
-                    .map(|_| BatchQuery {
-                        session,
-                        // Mostly far below the threshold, with rare
-                        // spikes: a few ⊤ per session, never `c`.
-                        query_answer: if rng.below(97) == 0 {
-                            1e9
-                        } else {
-                            -1e9 + rng.below(1000) as f64
-                        },
-                        threshold: 0.0,
-                    })
-                    .collect()
+        let queries: Vec<BatchQuery> = (0..queries)
+            .map(|_| BatchQuery {
+                session,
+                // Mostly far below the threshold, with rare spikes: a
+                // few ⊤ per session, never `c`.
+                query_answer: if rng.below(97) == 0 {
+                    1e9
+                } else {
+                    -1e9 + rng.below(1000) as f64
+                },
+                threshold: 0.0,
             })
             .collect();
         let items: Vec<usize> = (0..rng.between(items_lo, items_hi))
@@ -332,7 +353,7 @@ impl Client<'_> {
             Vec::new()
         };
         let mut live = true;
-        for batch in &queries {
+        for batch in queries.chunks(BATCH_LEN) {
             if Self::over(deadline) {
                 live = false;
                 break;
@@ -392,6 +413,13 @@ pub struct Window {
     pub tally: Tally,
     pub spans: Vec<Vec<Span>>,
     pub elapsed_ns: u64,
+}
+
+impl Window {
+    /// Calls completed per second over the whole window.
+    pub fn rate(&self) -> f64 {
+        self.tally.ops() as f64 / (self.elapsed_ns as f64 / 1e9)
+    }
 }
 
 /// Runs the two clients' scripts (seeded by `seed`) on `threads`

@@ -171,6 +171,7 @@ impl SerAccumulator {
 }
 
 /// What the timed calls measured.
+#[derive(Default)]
 pub struct Timed {
     /// Selection runs per second of each full pass over the grid.
     pub pass_rates: Vec<f64>,
@@ -184,32 +185,35 @@ pub struct Timed {
     pub spans: Vec<Span>,
 }
 
+impl Timed {
+    pub fn merge(&mut self, other: Timed) {
+        self.pass_rates.extend(other.pass_rates);
+        self.call_us.extend(other.call_us);
+        self.runs += other.runs;
+        self.calls += other.calls;
+        self.failed += other.failed;
+        self.errors.extend(other.errors);
+        self.ser.merge(other.ser);
+        self.spans.extend(other.spans);
+    }
+}
+
 /// Calls `run_sweep` over the regime's grid, pass after pass, until
-/// `duration` has passed (finishing the pass in progress).
+/// `duration` has passed (finishing the pass in progress) and at least
+/// `min_passes` passes are done.
 pub fn timed(
     prepared: &PreparedDataset,
     regime: Regime,
     seed: u64,
     threads: usize,
     duration: Duration,
+    min_passes: usize,
     trace: bool,
 ) -> Timed {
     let start = Instant::now();
     let mut tracer = Tracer::new(trace, start, 0);
     let calls = regime.calls();
-    let mut out = Timed {
-        pass_rates: Vec::new(),
-        call_us: Vec::new(),
-        runs: 0,
-        calls: 0,
-        failed: 0,
-        errors: Vec::new(),
-        ser: SerAccumulator::default(),
-        spans: Vec::new(),
-    };
-    // At least 8 passes, so the p90 pass rate rests on more than one
-    // pass (a scan pass of five calls takes ~0.5 s on AOL).
-    let min_passes = 8;
+    let mut out = Timed::default();
     while start.elapsed() < duration || out.pass_rates.len() < min_passes {
         let mut pass_runs = 0u64;
         let mut pass_ns = 0u64;
@@ -340,20 +344,15 @@ pub fn check(prepared: &PreparedDataset, regime: Regime, seed: u64) -> Checked {
     out
 }
 
-/// Builds the sweep context cold `repeats` times from copies of the
-/// scores (none has a cached sort) and returns the last prepared
-/// dataset with each build's wall time in s.
-pub fn setup(name: &str, scores: &ScoreVector, repeats: usize) -> (PreparedDataset, Vec<f64>) {
-    let mut times = Vec::with_capacity(repeats);
-    let mut last = None;
-    for _ in 0..repeats {
-        let prepared = PreparedDataset::new(name, scores.clone());
-        let t0 = Instant::now();
-        std::hint::black_box(prepared.sweep_context());
-        times.push(t0.elapsed().as_secs_f64());
-        last = Some(prepared);
-    }
-    (last.expect("at least one setup"), times)
+/// Builds the sweep context cold from a copy of the scores (which has
+/// no cached sort) and returns the prepared dataset with the build's
+/// wall time in s.
+pub fn setup(name: &str, scores: &ScoreVector) -> (PreparedDataset, f64) {
+    let prepared = PreparedDataset::new(name, scores.clone());
+    let t0 = Instant::now();
+    std::hint::black_box(prepared.sweep_context());
+    let s = t0.elapsed().as_secs_f64();
+    (prepared, s)
 }
 
 /// Mean SER per (dataset, algorithm, c) cell recorded when the
