@@ -45,7 +45,8 @@
 //!   `α_EM` and their comparison.
 //! - [`approx`] — the §3.4 `(ε, δ)`-DP regime: `c` composed cutoff-1
 //!   copies of the standard SVT, with per-copy budgets solved from the
-//!   advanced composition theorem (extension; `DESIGN.md` §6).
+//!   advanced composition theorem (extension beyond the paper's
+//!   evaluation).
 //! - [`catalog`] — the machine-readable version of Figure 2 (what
 //!   differs across Alg. 1–6 and which are private).
 //!
@@ -83,10 +84,7 @@ pub use approx::{ApproxSvt, ApproxSvtConfig, ApproxSvtPlan};
 pub use error::SvtError;
 pub use response::{SvtAnswer, SvtRun};
 pub use session::{ChargePolicy, SessionDriver, SessionState};
-pub use streaming::{
-    select_streaming, select_streaming_from, svt_select_from, svt_select_into, RunScratch,
-    ScoreSource, SparseOrder,
-};
+pub use streaming::{select_streaming_from, svt_select_from, RunScratch, ScoreSource, SparseOrder};
 pub use threshold::Thresholds;
 
 /// Result alias for SVT operations.

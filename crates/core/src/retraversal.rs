@@ -146,7 +146,7 @@ pub fn svt_retraversal(
     })
 }
 
-/// Pass/threshold bookkeeping from one [`svt_retraversal_into`] run; the
+/// Pass/threshold bookkeeping from one [`svt_retraversal_from`] run; the
 /// selection itself lands in the caller's [`RunScratch`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetraversalRun {
@@ -156,31 +156,17 @@ pub struct RetraversalRun {
     pub threshold_used: f64,
 }
 
-/// Streaming SVT-ReTr: the zero-allocation, batched-noise equivalent of
-/// [`svt_retraversal`]. Same output distribution and pass semantics
-/// (lazy shuffle on the first pass, survivors re-examined in the same
-/// relative order with fresh `ν` and the same `ρ`), but the permutation
-/// buffer and noise prefetch live in `scratch` and survivors are
-/// compacted in place, so a run allocates nothing.
-///
-/// # Errors
-/// Propagates configuration validation; rejects `max_passes == 0`.
-pub fn svt_retraversal_into(
-    scores: &[f64],
-    base_threshold: f64,
-    config: &RetraversalConfig,
-    rng: &mut DpRng,
-    scratch: &mut RunScratch,
-) -> Result<RetraversalRun> {
-    svt_retraversal_from(scores, base_threshold, config, rng, scratch)
-}
-
-/// [`svt_retraversal_into`] generalized over any
-/// [`ScoreSource`](crate::streaming::ScoreSource) — the one
-/// implementation both engines of the experiment harness run. Two
-/// sources reporting `==`-equal scores per item (a raw slice and its
-/// grouped runs) consume identical draws and emit bit-identical
-/// selections and pass counts from the same generator state.
+/// Streaming SVT-ReTr over any
+/// [`ScoreSource`](crate::streaming::ScoreSource): the zero-allocation,
+/// batched-noise equivalent of [`svt_retraversal`]. Same output
+/// distribution and pass semantics (lazy shuffle on the first pass,
+/// survivors re-examined in the same relative order with fresh `ν` and
+/// the same `ρ`), but the permutation buffer and noise prefetch live in
+/// `scratch` and survivors are compacted in place, so a run allocates
+/// nothing. Two sources reporting `==`-equal scores per item (a raw
+/// slice and its grouped runs) consume identical draws and emit
+/// bit-identical selections and pass counts from the same generator
+/// state.
 ///
 /// # Errors
 /// Propagates configuration validation; rejects `max_passes == 0`.
@@ -310,7 +296,7 @@ mod tests {
         cfg.max_passes = 64;
         let mut rng = DpRng::seed_from_u64(509);
         let mut scratch = RunScratch::new();
-        let run = svt_retraversal_into(&scores, 100.0, &cfg, &mut rng, &mut scratch).unwrap();
+        let run = svt_retraversal_from(&scores[..], 100.0, &cfg, &mut rng, &mut scratch).unwrap();
         assert_eq!(scratch.selected().len(), 10);
         assert!(run.passes >= 1);
         let mut d = scratch.selected().to_vec();
@@ -327,13 +313,15 @@ mod tests {
         let reference = {
             let mut rng = DpRng::seed_from_u64(613);
             let mut scratch = RunScratch::with_noise_batch(1);
-            let run = svt_retraversal_into(&scores, 60.0, &cfg, &mut rng, &mut scratch).unwrap();
+            let run =
+                svt_retraversal_from(&scores[..], 60.0, &cfg, &mut rng, &mut scratch).unwrap();
             (scratch.selected().to_vec(), run)
         };
         for batch in [3usize, 64, 1024] {
             let mut rng = DpRng::seed_from_u64(613);
             let mut scratch = RunScratch::with_noise_batch(batch);
-            let run = svt_retraversal_into(&scores, 60.0, &cfg, &mut rng, &mut scratch).unwrap();
+            let run =
+                svt_retraversal_from(&scores[..], 60.0, &cfg, &mut rng, &mut scratch).unwrap();
             assert_eq!(scratch.selected(), &reference.0[..], "batch {batch}");
             assert_eq!(run, reference.1, "batch {batch}");
         }
@@ -352,7 +340,8 @@ mod tests {
         let mut scratch = RunScratch::new();
         let (mut sel_new, mut pass_new, mut sel_old, mut pass_old) = (0.0, 0.0, 0.0, 0.0);
         for _ in 0..runs {
-            let run = svt_retraversal_into(&scores, 150.0, &cfg, &mut rng_a, &mut scratch).unwrap();
+            let run =
+                svt_retraversal_from(&scores[..], 150.0, &cfg, &mut rng_a, &mut scratch).unwrap();
             sel_new += scratch.selected().len() as f64;
             pass_new += run.passes as f64;
             let out = svt_retraversal(&scores, 150.0, &cfg, &mut rng_b).unwrap();
@@ -376,17 +365,17 @@ mod tests {
 
     #[test]
     fn streaming_retraversal_caps_passes_and_rejects_zero() {
-        let scores = vec![-1e12f64; 5];
+        let scores = [-1e12f64; 5];
         let mut cfg = RetraversalConfig::paper(0.1, 3, 1.0);
         cfg.max_passes = 4;
         let mut rng = DpRng::seed_from_u64(523);
         let mut scratch = RunScratch::new();
-        let run = svt_retraversal_into(&scores, 0.0, &cfg, &mut rng, &mut scratch).unwrap();
+        let run = svt_retraversal_from(&scores[..], 0.0, &cfg, &mut rng, &mut scratch).unwrap();
         assert!(run.passes <= 4);
         assert!(scratch.selected().len() < 3);
 
         cfg.max_passes = 0;
-        assert!(svt_retraversal_into(&scores, 0.0, &cfg, &mut rng, &mut scratch).is_err());
+        assert!(svt_retraversal_from(&scores[..], 0.0, &cfg, &mut rng, &mut scratch).is_err());
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!
 //! ## Draw protocol (the reproducibility contract)
 //!
-//! [`svt_select_into`] consumes randomness in this fixed order, which is
+//! [`svt_select_from`] consumes randomness in this fixed order, which is
 //! what makes its output a pure function of the run generator,
 //! independent of noise batch size:
 //!
@@ -528,9 +528,9 @@ impl SparseOrder {
 /// Construct once per worker thread, pass to every run; nothing in here
 /// is ever allocated proportional to the dataset size, and after the
 /// first few runs the steady state allocates nothing at all. One
-/// scratch serves every streaming path — [`svt_select_into`],
-/// [`select_streaming`],
-/// [`svt_retraversal_into`](crate::retraversal::svt_retraversal_into),
+/// scratch serves every streaming path — [`svt_select_from`],
+/// [`select_streaming_from`],
+/// [`svt_retraversal_from`](crate::retraversal::svt_retraversal_from),
 /// and [`EmTopC::select_into`](crate::em_select::EmTopC::select_into) —
 /// with the result of the most recent run in
 /// [`selected`](Self::selected).
@@ -540,7 +540,7 @@ impl SparseOrder {
 /// use svt_core::allocation::BudgetRatio;
 /// use svt_core::em_select::EmTopC;
 /// use svt_core::noninteractive::SvtSelectConfig;
-/// use svt_core::streaming::{svt_select_into, RunScratch};
+/// use svt_core::streaming::{svt_select_from, RunScratch};
 ///
 /// let scores = [900.0, 850.0, 20.0, 15.0, 10.0, 5.0];
 /// let mut rng = DpRng::seed_from_u64(3);
@@ -548,7 +548,7 @@ impl SparseOrder {
 ///
 /// // One scratch, two different engines, zero per-run allocation.
 /// let cfg = SvtSelectConfig::counting(40.0, 2, BudgetRatio::OneToCTwoThirds);
-/// svt_select_into(&scores, 400.0, &cfg, &mut rng, &mut scratch)?;
+/// svt_select_from(&scores[..], 400.0, &cfg, &mut rng, &mut scratch)?;
 /// assert!(scratch.selected().len() <= 2);
 ///
 /// let em = EmTopC::new(4.0, 2, 1.0, true)?;
@@ -569,11 +569,11 @@ pub struct RunScratch {
 
 impl RunScratch {
     /// Creates empty scratch with the default noise batch size and the
-    /// [`NoiseKernel::Vectorized`] transform — the configuration both
-    /// mirror simulation engines run. Engines are compared against
-    /// *each other* (both consume the same kernel), so the vectorized
-    /// default keeps every cross-engine bit-identity pin while taking
-    /// the fast batched log.
+    /// [`NoiseKernel::Vectorized`] transform — the configuration the
+    /// simulation engine's sweep workers run. Its two score sources are
+    /// compared against *each other* (both consume the same kernel), so
+    /// the vectorized default keeps every cross-source bit-identity pin
+    /// while taking the fast batched log.
     pub fn new() -> Self {
         Self::with_kernel(NoiseBuffer::DEFAULT_BATCH, NoiseKernel::Vectorized)
     }
@@ -695,7 +695,7 @@ const LOOKAHEAD: usize = 16;
 
 /// The comparison core of Algorithm 7 with prefetched query noise:
 /// `ρ` fixed at construction, one buffered `ν` per query, halt at `c`.
-/// Shared by [`svt_select_into`] and the retraversal streaming path.
+/// Shared by [`svt_select_from`] and the retraversal streaming path.
 pub(crate) struct BatchedSvt {
     noise_rng: DpRng,
     state: SessionState,
@@ -757,8 +757,9 @@ impl BatchedSvt {
     }
 }
 
-/// Streaming SVT-S selection: the zero-allocation, batched-noise
-/// equivalent of [`svt_select`](crate::noninteractive::svt_select).
+/// Streaming SVT-S selection over any [`ScoreSource`]: the
+/// zero-allocation, batched-noise equivalent of
+/// [`svt_select`](crate::noninteractive::svt_select).
 ///
 /// Samples the same output distribution (a fresh uniformly random
 /// examination order, Algorithm 7 against a constant threshold, abort
@@ -770,33 +771,18 @@ impl BatchedSvt {
 /// use dp_mechanisms::DpRng;
 /// use svt_core::allocation::BudgetRatio;
 /// use svt_core::noninteractive::SvtSelectConfig;
-/// use svt_core::streaming::{svt_select_into, RunScratch};
+/// use svt_core::streaming::{svt_select_from, RunScratch};
 ///
 /// let supports = [700.0, 650.0, 30.0, 20.0, 10.0, 5.0];
 /// let cfg = SvtSelectConfig::counting(40.0, 2, BudgetRatio::OneToCTwoThirds);
 /// let mut rng = DpRng::seed_from_u64(11);
 /// let mut scratch = RunScratch::new();
-/// svt_select_into(&supports, 340.0, &cfg, &mut rng, &mut scratch)?;
+/// svt_select_from(&supports[..], 340.0, &cfg, &mut rng, &mut scratch)?;
 /// let mut picked = scratch.selected().to_vec();
 /// picked.sort_unstable();
 /// assert_eq!(picked, vec![0, 1]);
 /// # Ok::<(), svt_core::SvtError>(())
 /// ```
-///
-/// # Errors
-/// Propagates configuration validation.
-pub fn svt_select_into(
-    scores: &[f64],
-    threshold: f64,
-    config: &SvtSelectConfig,
-    rng: &mut DpRng,
-    scratch: &mut RunScratch,
-) -> Result<()> {
-    svt_select_from(scores, threshold, config, rng, scratch)
-}
-
-/// [`svt_select_into`] generalized over any [`ScoreSource`] — the one
-/// implementation both engines of the experiment harness run.
 ///
 /// The draw protocol (see the module docs) depends only on `len()` and
 /// on the comparisons' outcomes, so two sources reporting `==`-equal
@@ -804,7 +790,7 @@ pub fn svt_select_into(
 /// bit-identical selections from the same generator state.
 ///
 /// Internally the traversal runs a two-deep pipeline of
-/// [`LOOKAHEAD`]-sized windows: order positions are stepped ahead of
+/// `LOOKAHEAD`-sized windows: order positions are stepped ahead of
 /// the comparisons so their score reads issue back-to-back and the
 /// cache misses resolve under the previous window's observations. The
 /// pipeline changes no draw value (the order steps are the loop's only
@@ -1029,45 +1015,30 @@ pub fn exp_noise_select_from<S: ScoreSource + ?Sized>(
 }
 
 /// Streaming selection for *any* [`SparseVector`] variant (Alg. 1–6 and
-/// the standard SVT): lazy shuffle and reusable buffers, with the
-/// variant managing its own noise through [`SparseVector::respond`].
+/// the standard SVT) over any [`ScoreSource`]: lazy shuffle and
+/// reusable buffers, with the variant managing its own noise through
+/// [`SparseVector::respond`].
 ///
 /// This is the allocation-free counterpart of
 /// [`run_selection`](crate::noninteractive::select_with); it exists so
 /// order-dependent variants (SVT-DPBook's per-⊤ threshold refresh) get
 /// the zero-copy treatment too, even though their noise cannot be
-/// prefetched.
+/// prefetched — and can run off the grouped score runs with draws, and
+/// hence selections, bit-identical to the dense path.
 ///
 /// ```
 /// use dp_mechanisms::DpRng;
 /// use svt_core::alg::Alg2;
-/// use svt_core::streaming::{select_streaming, RunScratch};
+/// use svt_core::streaming::{select_streaming_from, RunScratch};
 ///
 /// let scores = vec![1e6f64; 20];
 /// let mut rng = DpRng::seed_from_u64(5);
 /// let mut alg = Alg2::new(1.0, 1.0, 3, &mut rng)?; // SVT-DPBook, c = 3
 /// let mut scratch = RunScratch::new();
-/// select_streaming(&mut alg, &scores, 0.0, &mut rng, &mut scratch)?;
+/// select_streaming_from(&mut alg, &scores[..], 0.0, &mut rng, &mut scratch)?;
 /// assert_eq!(scratch.selected().len(), 3);
 /// # Ok::<(), svt_core::SvtError>(())
 /// ```
-///
-/// # Errors
-/// Propagates the first error from [`SparseVector::respond`].
-pub fn select_streaming<A: SparseVector + ?Sized>(
-    alg: &mut A,
-    scores: &[f64],
-    threshold: f64,
-    rng: &mut DpRng,
-    scratch: &mut RunScratch,
-) -> Result<()> {
-    select_streaming_from(alg, scores, threshold, rng, scratch)
-}
-
-/// [`select_streaming`] generalized over any [`ScoreSource`], so even
-/// order-dependent variants (SVT-DPBook's per-⊤ threshold refresh) can
-/// run off the grouped score runs with draws — and hence selections —
-/// bit-identical to the dense path.
 ///
 /// # Errors
 /// Propagates the first error from [`SparseVector::respond`].
@@ -1351,7 +1322,14 @@ mod tests {
         let mut rng = DpRng::seed_from_u64(1009);
         let mut scratch = RunScratch::new();
         for _ in 0..20 {
-            svt_select_into(&scores, 250.0, &counting(5.0, 10), &mut rng, &mut scratch).unwrap();
+            svt_select_from(
+                &scores[..],
+                250.0,
+                &counting(5.0, 10),
+                &mut rng,
+                &mut scratch,
+            )
+            .unwrap();
             assert!(scratch.selected().len() <= 10);
             let mut d = scratch.selected().to_vec();
             d.sort_unstable();
@@ -1369,7 +1347,7 @@ mod tests {
         let cfg = SvtSelectConfig::counting(100.0, 5, BudgetRatio::OneToOne);
         let mut rng = DpRng::seed_from_u64(1013);
         let mut scratch = RunScratch::new();
-        svt_select_into(&scores, 5e5, &cfg, &mut rng, &mut scratch).unwrap();
+        svt_select_from(&scores[..], 5e5, &cfg, &mut rng, &mut scratch).unwrap();
         let mut sel = scratch.selected().to_vec();
         sel.sort_unstable();
         assert_eq!(sel, vec![0, 1, 2, 3, 4]);
@@ -1384,13 +1362,13 @@ mod tests {
         let reference = {
             let mut rng = DpRng::seed_from_u64(4242);
             let mut scratch = RunScratch::with_noise_batch(1);
-            svt_select_into(&scores, 150.0, &cfg, &mut rng, &mut scratch).unwrap();
+            svt_select_from(&scores[..], 150.0, &cfg, &mut rng, &mut scratch).unwrap();
             scratch.selected().to_vec()
         };
         for batch in [2usize, 7, 64, 256, 4096] {
             let mut rng = DpRng::seed_from_u64(4242);
             let mut scratch = RunScratch::with_noise_batch(batch);
-            svt_select_into(&scores, 150.0, &cfg, &mut rng, &mut scratch).unwrap();
+            svt_select_from(&scores[..], 150.0, &cfg, &mut rng, &mut scratch).unwrap();
             assert_eq!(scratch.selected(), &reference[..], "batch {batch}");
         }
     }
@@ -1401,7 +1379,7 @@ mod tests {
         let cfg = counting(1.0, 15);
         let run = |scratch: &mut RunScratch, seed: u64| {
             let mut rng = DpRng::seed_from_u64(seed);
-            svt_select_into(&scores, 40.0, &cfg, &mut rng, scratch).unwrap();
+            svt_select_from(&scores[..], 40.0, &cfg, &mut rng, scratch).unwrap();
             scratch.selected().to_vec()
         };
         let mut fresh_each_time = RunScratch::new();
@@ -1428,7 +1406,7 @@ mod tests {
         let mut mean_new = 0.0;
         let mut mean_old = 0.0;
         for _ in 0..runs {
-            svt_select_into(&scores, 350.0, &cfg, &mut rng_a, &mut scratch).unwrap();
+            svt_select_from(&scores[..], 350.0, &cfg, &mut rng_a, &mut scratch).unwrap();
             mean_new += scratch.selected().len() as f64;
             mean_old += crate::noninteractive::svt_select(&scores, 350.0, &cfg, &mut rng_b)
                 .unwrap()
@@ -1448,7 +1426,7 @@ mod tests {
         let mut alg = Alg1::new(50.0, 1.0, 3, &mut rng).unwrap();
         let scores = vec![1e9f64; 30];
         let mut scratch = RunScratch::new();
-        select_streaming(&mut alg, &scores, 0.0, &mut rng, &mut scratch).unwrap();
+        select_streaming_from(&mut alg, &scores[..], 0.0, &mut rng, &mut scratch).unwrap();
         assert_eq!(scratch.selected().len(), 3);
         assert!(alg.is_halted());
     }
@@ -1461,7 +1439,14 @@ mod tests {
         let scores: Vec<f64> = (0..500).map(f64::from).collect();
         let mut rng = DpRng::seed_from_u64(1033);
         let mut scratch = RunScratch::new();
-        svt_select_into(&scores, 400.0, &counting(2.0, 5), &mut rng, &mut scratch).unwrap();
+        svt_select_from(
+            &scores[..],
+            400.0,
+            &counting(2.0, 5),
+            &mut rng,
+            &mut scratch,
+        )
+        .unwrap();
         assert!(scratch.examined() > 0);
         let em = crate::em_select::EmTopC::new(1.0, 5, 1.0, true).unwrap();
         em.select_into(&scores, &mut rng, &mut scratch).unwrap();
@@ -1473,7 +1458,14 @@ mod tests {
     fn empty_scores_select_nothing() {
         let mut rng = DpRng::seed_from_u64(1031);
         let mut scratch = RunScratch::new();
-        svt_select_into(&[], 0.0, &counting(1.0, 5), &mut rng, &mut scratch).unwrap();
+        svt_select_from(
+            &[] as &[f64],
+            0.0,
+            &counting(1.0, 5),
+            &mut rng,
+            &mut scratch,
+        )
+        .unwrap();
         assert!(scratch.selected().is_empty());
     }
 
@@ -1503,7 +1495,7 @@ mod tests {
             let runs = 150;
             let mut total = 0usize;
             for _ in 0..runs {
-                svt_select_into(&scores, 150.0, &cfg, &mut rng, &mut scratch).unwrap();
+                svt_select_from(&scores[..], 150.0, &cfg, &mut rng, &mut scratch).unwrap();
                 total += scratch.selected().len();
             }
             total as f64 / runs as f64

@@ -7,7 +7,8 @@
 //! | AOL | 647,377 | 2,290,685 | Zipf–Mandelbrot stand-in |
 //! | Zipf | 1,000,000 | 10,000 | exact construction from §6 |
 //!
-//! Calibration targets for the stand-ins (see `DESIGN.md` §4):
+//! Calibration targets for the stand-ins (see the README's
+//! *Regenerating the paper's tables and figures* section):
 //!
 //! * **BMS-POS** — point-of-sale baskets: moderately flat head
 //!   (`shift = 8`), gentle decay (`s = 0.9`), head support ≈ 6×10⁴

@@ -15,7 +15,8 @@
 //!
 //! The three calibrations used by [`super::catalog`] match Table 1's
 //! item/record counts and the head supports visible in Figure 3; see
-//! `DESIGN.md` §4 for the preservation argument.
+//! the README's *Regenerating the paper's tables and figures* section
+//! for the preservation argument.
 
 use crate::error::DataError;
 use crate::Result;

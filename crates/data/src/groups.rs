@@ -113,7 +113,7 @@ pub struct GroupedSnapshot {
     pub(crate) prefix_sums: Vec<f64>,
     /// Flat item → group table: `group_of[item]` is the group whose run
     /// contains `item`. One u32 per item buys `O(1)` group and score
-    /// resolution on the grouped engine's hot path (ROADMAP item 5a),
+    /// resolution on the grouped score source's hot path,
     /// where the binary search over `offsets` was the remaining
     /// per-examined-item log factor.
     pub(crate) group_of: Vec<u32>,

@@ -7,7 +7,8 @@
 //! evaluation harness runs on the calibrated generators of
 //! [`crate::generators`] — but a downstream user who *does* have the
 //! originals can load them here and reproduce the figures on the real
-//! data, which is exactly the substitution contract in `DESIGN.md` §4.
+//! data, which is exactly the substitution contract the README's
+//! *Regenerating the paper's tables and figures* section states.
 //!
 //! Parsing rules:
 //!

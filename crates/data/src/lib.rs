@@ -9,8 +9,9 @@
 //! (Table 1). The real datasets are not redistributable in this offline
 //! environment, so [`generators`] provides Zipf–Mandelbrot stand-ins
 //! calibrated to Table 1's record/item counts and Figure 3's head
-//! supports — see `DESIGN.md` §4 for why this preserves the behaviour
-//! that drives the experiments (head separability and tail mass).
+//! supports — see the README's *Regenerating the paper's tables and
+//! figures* section for why this preserves the behaviour that drives
+//! the experiments (head separability and tail mass).
 //!
 //! Contents:
 //!

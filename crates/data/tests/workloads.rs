@@ -21,7 +21,8 @@ fn every_workload_decays_monotonically_by_rank() {
 #[test]
 fn workload_totals_approximate_calibration_targets() {
     // Total occurrences ≈ records × (items per record) for each
-    // stand-in (DESIGN.md §4). Generous ±50% envelopes — this pins the
+    // stand-in (README, "Regenerating the paper's tables and figures").
+    // Generous ±50% envelopes — this pins the
     // order of magnitude, which is what drives experiment behavior.
     let totals: Vec<(String, f64)> = DatasetSpec::all()
         .into_iter()

@@ -1,5 +1,5 @@
-//! Regenerates the §4.2 budget-allocation ablation (extension,
-//! `DESIGN.md` §6): SER/FNR across a log grid of `ε₁:ε₂` ratios at a
+//! Regenerates the §4.2 budget-allocation ablation (an extension beyond
+//! the paper's figures): SER/FNR across a log grid of `ε₁:ε₂` ratios at a
 //! fixed cutoff, with the Eq. 12 optimum marked. Demonstrates that the
 //! measured selection error tracks the analytic comparison-variance
 //! objective and bottoms out at (or near) `1:c^{2/3}`.

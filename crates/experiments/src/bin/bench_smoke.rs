@@ -13,24 +13,19 @@
 //!   Laplace noise / scratch-buffered per-item Gumbel keys);
 //! * `em_grouped_exact` — the exact engine's default EM route
 //!   (`run_once_into`): lazy per-group Gumbel order statistics with
-//!   index-preserving uniform expansion — `O(G + c)` draws;
-//! * `svt_grouped_indexed` — the grouped engine, since schema 4 an
-//!   index-level bit-for-bit mirror of the exact engine that resolves
-//!   every examined item's score through the shared `GroupedScores`
-//!   runs instead of the raw slice (the SVT cells are where the two
-//!   engines genuinely differ: direct slice reads vs `O(log G)` group
-//!   resolution);
-//! * `em_grouped` — the grouped engine's EM cell. Since the
-//!   unification both engines route EM through the *same*
-//!   `select_grouped_into` sampler, so this cell measures only the
-//!   mirror engine's wrapper overhead vs `em_grouped_exact` — kept as
-//!   a noise-floor control and for baseline continuity, not as an
-//!   independent pipeline.
+//!   index-preserving uniform expansion — `O(G + c)` draws.
+//!
+//! Every cell reads scores off the raw slice (`ExactContext::new`).
+//! Schemas 4–9 also timed a `*_grouped_*` twin of each streaming cell
+//! through the grouped score source (`ExactContext::grouped`); a twin's
+//! selections, and hence its `mean_ser`, always equalled its slice
+//! sibling's, so the twins now live only as equality tests
+//! (`simulate::exact`, `runner`) and the baseline no longer lists them.
 //!
 //! Schema 4 also records `context_setup` — the per-dataset wall-clock
 //! of building the shared `SweepContext` (the sweep's *single* score
-//! sort + rank table, amortized across every `(engine, algorithm, c)`
-//! cell, where each context formerly paid its own top-`c` pass).
+//! sort + rank table, amortized across every `(algorithm, c)` cell,
+//! where each context formerly paid its own top-`c` pass).
 //!
 //! Schema 5 adds a `serving` section: one run of the `serve_smoke`
 //! multi-tenant workload (`svt_experiments::serving`) driving the
@@ -51,11 +46,10 @@
 //!
 //! Schema 7 adds the post-2017 reference-suite variants as first-class
 //! cell groups at both scales: `SVT-RV-1:c^(2/3)` (SVT-Revisited,
-//! ⊤-only charging) through `rv_exact_scalar` / `rv_exact_batched` /
-//! `rv_grouped_indexed`, and `SVT-Exp-1:c^(2/3)` (one-sided
-//! exponential noise) through `exp_exact_scalar` / `exp_exact_batched`
-//! / `exp_grouped_indexed`. Each group's scalar path anchors its ratio
-//! gate, mirroring the `SVT-S` group.
+//! ⊤-only charging) through `rv_exact_scalar` / `rv_exact_batched`, and
+//! `SVT-Exp-1:c^(2/3)` (one-sided exponential noise) through
+//! `exp_exact_scalar` / `exp_exact_batched`. Each group's scalar path
+//! anchors its ratio gate, mirroring the `SVT-S` group.
 //!
 //! Schema 8 splits `context_setup` into the warm-start columns:
 //! `context_setup_cold_ns` (building the shared `SweepContext` from raw
@@ -68,20 +62,19 @@
 //! prints a `[warm<cold]` marker CI greps for. Context lines still
 //! carry no `engine` field, so the ratio gate skips them.
 //!
-//! Schema 9 adds the kernel-policy dimension. Every batched/grouped
-//! cell above is now explicitly pinned to `NoiseKernel::Reference` (the
-//! libm path whose noise stream is bit-identical to the scalar
-//! references — exactly what those cells have always measured), and
-//! each group gains a `*_vectorized` sibling running the same pipeline
-//! under `NoiseKernel::Vectorized` (the batched polynomial-`ln` kernel,
-//! deterministic but not bit-pinned to libm): `exact_batched_vectorized`
-//! / `svt_grouped_indexed_vectorized`, `rv_*` and `exp_*` likewise, and
-//! `em_grouped_vectorized`. The SVT-RV batched paths also switch from
-//! the interactive per-draw wrapper to the forked-stream
-//! `revisited_select_from` driver, which buffers its noise and so
-//! actually batches — previously `rv_exact_batched` drew noise one
-//! value at a time through the caller's generator and lost to its own
-//! scalar reference. Two stdout gates ride along: every AOL-scale cell
+//! Schema 9 adds the kernel-policy dimension. Every batched cell above
+//! is now explicitly pinned to `NoiseKernel::Reference` (the libm path
+//! whose noise stream is bit-identical to the scalar references —
+//! exactly what those cells have always measured), and each group gains
+//! a `*_vectorized` sibling running the same pipeline under
+//! `NoiseKernel::Vectorized` (the batched polynomial-`ln` kernel,
+//! deterministic but not bit-pinned to libm): `exact_batched_vectorized`,
+//! `rv_*` and `exp_*` likewise, and `em_grouped_vectorized`. The SVT-RV
+//! batched paths also switch from the interactive per-draw wrapper to
+//! the forked-stream `revisited_select_from` driver, which buffers its
+//! noise and so actually batches — previously `rv_exact_batched` drew
+//! noise one value at a time through the caller's generator and lost to
+//! its own scalar reference. Two stdout gates ride along: every AOL-scale cell
 //! at or under 100 µs/run prints a `[sub100us] <engine>` marker CI
 //! greps for, and each `(dataset, algorithm)` group asserts its batched
 //! engine is no slower than its scalar reference.
@@ -115,7 +108,6 @@ use svt_core::allocation::BudgetRatio;
 use svt_core::streaming::RunScratch;
 use svt_experiments::serving::{serve_smoke, ServeSmokeConfig, ServeSmokeReport};
 use svt_experiments::simulate::exact::ExactContext;
-use svt_experiments::simulate::grouped::GroupedContext;
 use svt_experiments::simulate::{ContextSetup as SetupKind, SweepContext};
 use svt_experiments::spec::AlgorithmSpec;
 
@@ -149,12 +141,11 @@ fn reference_preference(algorithm: &str) -> &'static [&'static str] {
     }
 }
 
-/// Deterministic power-law scores (the same shape `svt-bench` uses),
-/// deterministically shuffled: real datasets do not hand out item ids
-/// in rank order, and an already-sorted vector would let the cold
-/// context build skip most of its sort (pdqsort detects the run),
-/// understating exactly the cost the warm-start column exists to
-/// measure.
+/// Deterministic power-law scores, deterministically shuffled: real
+/// datasets do not hand out item ids in rank order, and an
+/// already-sorted vector would let the cold context build skip most of
+/// its sort (pdqsort detects the run), understating exactly the cost
+/// the warm-start column exists to measure.
 fn powerlaw_scores(n: usize) -> ScoreVector {
     let mut v: Vec<f64> = (1..=n as u64)
         .map(|r| (100_000.0 / (r as f64).powf(0.8)).round())
@@ -341,35 +332,10 @@ fn bench_size(
     });
     out.push(cell(svt_label, "exact_batched_vectorized", runs, timing));
 
-    let grouped = GroupedContext::new(&sweep, CUTOFF);
-    let mut grouped_scratch =
-        RunScratch::with_kernel(NoiseBuffer::DEFAULT_BATCH, NoiseKernel::Reference);
-    let mut grouped_scratch_vec = RunScratch::new();
-    let timing = time_runs(seed, runs, |rng| {
-        grouped
-            .run_once_into(&svt, EPSILON, rng, &mut grouped_scratch)
-            .expect("grouped run")
-            .ser
-    });
-    out.push(cell(svt_label, "svt_grouped_indexed", runs, timing));
-
-    let timing = time_runs(seed, runs, |rng| {
-        grouped
-            .run_once_into(&svt, EPSILON, rng, &mut grouped_scratch_vec)
-            .expect("vectorized grouped run")
-            .ser
-    });
-    out.push(cell(
-        svt_label,
-        "svt_grouped_indexed_vectorized",
-        runs,
-        timing,
-    ));
-
     // The post-2017 reference-suite groups: SVT-Revisited and the
-    // exponential-noise SVT, each through the scalar reference, the
-    // streaming exact path, and the grouped index-level mirror — the
-    // same three-way split as the SVT-S group above.
+    // exponential-noise SVT, each through the scalar reference and the
+    // streaming path under both kernels — the same split as the SVT-S
+    // group above.
     let post2017 = [
         (
             AlgorithmSpec::Revisited {
@@ -379,9 +345,7 @@ fn bench_size(
             [
                 "rv_exact_scalar",
                 "rv_exact_batched",
-                "rv_grouped_indexed",
                 "rv_exact_batched_vectorized",
-                "rv_grouped_indexed_vectorized",
             ],
         ),
         (
@@ -392,15 +356,11 @@ fn bench_size(
             [
                 "exp_exact_scalar",
                 "exp_exact_batched",
-                "exp_grouped_indexed",
                 "exp_exact_batched_vectorized",
-                "exp_grouped_indexed_vectorized",
             ],
         ),
     ];
-    for (spec, label, [scalar_engine, batched_engine, grouped_engine, batched_vec, grouped_vec]) in
-        post2017
-    {
+    for (spec, label, [scalar_engine, batched_engine, batched_vec]) in post2017 {
         let timing = time_runs(seed, scalar_runs, |rng| {
             exact.run_once(&spec, EPSILON, rng).expect("scalar run").ser
         });
@@ -415,34 +375,18 @@ fn bench_size(
         out.push(cell(label, batched_engine, runs, timing));
 
         let timing = time_runs(seed, runs, |rng| {
-            grouped
-                .run_once_into(&spec, EPSILON, rng, &mut grouped_scratch)
-                .expect("grouped run")
-                .ser
-        });
-        out.push(cell(label, grouped_engine, runs, timing));
-
-        let timing = time_runs(seed, runs, |rng| {
             exact
                 .run_once_into(&spec, EPSILON, rng, &mut scratch_vec)
                 .expect("vectorized batched run")
                 .ser
         });
         out.push(cell(label, batched_vec, runs, timing));
-
-        let timing = time_runs(seed, runs, |rng| {
-            grouped
-                .run_once_into(&spec, EPSILON, rng, &mut grouped_scratch_vec)
-                .expect("vectorized grouped run")
-                .ser
-        });
-        out.push(cell(label, grouped_vec, runs, timing));
     }
 
     // The EM cell. Literal peeling is O(c·n) per run — at AOL scale
     // that is ~10 s of ln() calls per run, so the scalar reference is
-    // timed at the mid scale only (the batched and grouped engines
-    // cover both scales).
+    // timed at the mid scale only (the batched paths cover both
+    // scales).
     if n < AOL_SCALE {
         let em_runs = runs.div_ceil(8);
         let timing = time_runs(seed, em_runs, |rng| {
@@ -479,21 +423,11 @@ fn bench_size(
     });
     out.push(cell("EM", "em_grouped_exact", runs, timing));
 
-    // Noise-floor control: identical sampler to `em_grouped_exact`,
-    // reached through the mirror engine's wrapper (see module docs).
-    let timing = time_runs(seed, runs, |rng| {
-        grouped
-            .run_once_into(&AlgorithmSpec::Em, EPSILON, rng, &mut grouped_scratch)
-            .expect("em grouped run")
-            .ser
-    });
-    out.push(cell("EM", "em_grouped", runs, timing));
-
     // The grouped EM sampler under the vectorized Gumbel kernel (the
     // per-key double-log path through the polynomial ln).
     let timing = time_runs(seed, runs, |rng| {
-        grouped
-            .run_once_into(&AlgorithmSpec::Em, EPSILON, rng, &mut grouped_scratch_vec)
+        exact
+            .run_once_into(&AlgorithmSpec::Em, EPSILON, rng, &mut scratch_vec)
             .expect("vectorized em grouped run")
             .ser
     });
@@ -507,9 +441,9 @@ fn bench_size(
 ///
 /// Two tiers, because the two batched siblings make different claims:
 ///
-/// * the **vectorized** cell is the production default (both mirror
-///   engines run [`NoiseKernel::Vectorized`]) and must be strictly
-///   `≤` scalar;
+/// * the **vectorized** cell is the production default (the sweep
+///   runner's workers run [`NoiseKernel::Vectorized`]) and must be
+///   strictly `≤` scalar;
 /// * the **reference** cell exists to keep the libm bit-compat path
 ///   honest, and for whole-list algorithms (SVT-RV examines everything)
 ///   it does the same libm `ln` per draw as the scalar loop — the
@@ -671,22 +605,15 @@ fn parse_baseline(text: &str) -> Vec<BaselineCell> {
             "exact_scalar",
             "exact_batched",
             "exact_batched_vectorized",
-            "svt_grouped_indexed",
-            "svt_grouped_indexed_vectorized",
             "rv_exact_scalar",
             "rv_exact_batched",
             "rv_exact_batched_vectorized",
-            "rv_grouped_indexed",
-            "rv_grouped_indexed_vectorized",
             "exp_exact_scalar",
             "exp_exact_batched",
             "exp_exact_batched_vectorized",
-            "exp_grouped_indexed",
-            "exp_grouped_indexed_vectorized",
             "em_peel",
             "em_batched",
             "em_grouped_exact",
-            "em_grouped",
             "em_grouped_vectorized",
         ];
         if let Some(&engine) = known.iter().find(|&&e| e == engine) {
@@ -852,7 +779,7 @@ fn main() {
     let (cache_dir, ephemeral_cache) = match &context_cache {
         Some(dir) => (std::path::PathBuf::from(dir), false),
         None => (
-            std::env::temp_dir().join(format!("svt-bench-ctx-{}", std::process::id())),
+            std::env::temp_dir().join(format!("bench-smoke-ctx-{}", std::process::id())),
             true,
         ),
     };

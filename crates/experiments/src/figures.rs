@@ -322,7 +322,8 @@ pub fn alpha_table(epsilon: f64, beta: f64, ks: &[usize]) -> Result<Table> {
     Ok(t)
 }
 
-/// Extension (`DESIGN.md` §6): the §4.2 budget-allocation ablation.
+/// Extension beyond the paper's figures: the §4.2 budget-allocation
+/// ablation.
 ///
 /// Sweeps the ratio `r` in `ε₁ : ε₂ = 1 : r` over a log grid spanning
 /// `1:1` to well past `1:c`, measuring SER/FNR at a fixed cutoff, and
@@ -389,8 +390,8 @@ pub fn allocation_ablation(
 }
 
 /// Extension: the ε sweep the paper omits for space ("we note that
-/// varying c [has] a similar impact of varying ε, since the accuracy of
-/// each method is mostly affect[ed] by ε/c").
+/// varying c \[has\] a similar impact of varying ε, since the accuracy of
+/// each method is mostly affect\[ed\] by ε/c").
 ///
 /// Fixes `c` and sweeps `ε`, comparing the interactive recommendation
 /// (SVT-S with the optimized allocation), the historical 1:1 SVT, and

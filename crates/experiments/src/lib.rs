@@ -9,11 +9,10 @@
 //! - [`spec`] — algorithm and experiment configuration (the paper's
 //!   grid: ε = 0.1, c ∈ {25, …, 300}, 100 runs, random item order);
 //! - [`simulate`] — the per-dataset [`simulate::SweepContext`] (one
-//!   shared score sort + rank table) and two bit-comparable run
-//!   engines on top of it: the faithful per-query
-//!   [`simulate::exact`] traversal and its index-level
-//!   [`simulate::grouped`] mirror, which resolves every score through
-//!   the grouped runs yet emits identical selections;
+//!   shared score sort + rank table) and the faithful per-query
+//!   [`simulate::exact`] engine on top of it, which reads scores from
+//!   the raw slice or, as a bit-identical cross-check, through the
+//!   grouped runs;
 //! - [`runner`] — a deterministic multi-threaded sweep driver;
 //! - [`serving`] — the `serve_smoke` multi-tenant workload over
 //!   `svt-server` (N tenants × M worker threads, qps and batch-latency

@@ -12,22 +12,21 @@
 //! tasks are scheduled (each run derives its own generator; outcomes are
 //! aggregated in run order per cell).
 //!
-//! Engines are zero-copy over shared per-dataset state: a
+//! The engine is zero-copy over shared per-dataset state: a
 //! [`SweepContext`] (the dataset's one score sort — grouped runs plus
-//! the `O(log G)` rank table) is built lazily per [`PreparedDataset`]
-//! and borrowed by every `(engine, algorithm, c)` context of the sweep;
-//! no context sorts anything of its own. Within a sweep one context per
-//! `(engine kind, c)` is shared by every algorithm that needs it, and
-//! each worker thread reuses one [`RunScratch`] across all its runs.
+//! the `O(1)` rank table) is built lazily per [`PreparedDataset`] and
+//! borrowed by every `(algorithm, c)` context of the sweep; no context
+//! sorts anything of its own. Within a sweep one [`ExactContext`] per
+//! `c` is shared by every algorithm, and each worker thread reuses one
+//! [`RunScratch`] across all its runs.
 
 use crate::metrics::{MeanStd, MetricSummary};
 use crate::simulate::exact::ExactContext;
-use crate::simulate::grouped::GroupedContext;
 use crate::simulate::{RunOutcome, SweepContext};
 use crate::spec::{AlgorithmSpec, ExperimentConfig, SimulationMode};
 use dp_data::ScoreVector;
 use dp_mechanisms::{counter_seed, DpRng};
-use svt_core::streaming::RunScratch;
+use svt_core::streaming::{RunScratch, ScoreSource};
 use svt_core::Result;
 
 /// Aggregated metrics for one `(algorithm, c)` cell.
@@ -45,11 +44,11 @@ pub struct CellResult {
 
 /// A dataset prepared for sweeping: the raw scores plus the shared
 /// [`SweepContext`] (grouped runs + rank table), computed lazily on
-/// first use — one sort per dataset, however many engines, algorithms,
-/// and cutoffs a sweep throws at it. The context holds an `Arc`-shared
-/// epoch-pinned snapshot, so worker threads thread the *same* snapshot
-/// through every cell instead of rebuilding (or re-cloning the tables)
-/// per cell.
+/// first use — one sort per dataset, however many score sources,
+/// algorithms, and cutoffs a sweep throws at it. The context holds an
+/// `Arc`-shared epoch-pinned snapshot, so worker threads thread the
+/// *same* snapshot through every cell instead of rebuilding (or
+/// re-cloning the tables) per cell.
 #[derive(Debug, Clone)]
 pub struct PreparedDataset {
     /// Dataset display name.
@@ -80,57 +79,10 @@ impl PreparedDataset {
         self.sweep.get_or_init(|| SweepContext::new(&self.scores))
     }
 
-    /// Number of distinct score groups (the grouped engine's working
-    /// set).
+    /// Number of distinct score groups (the grouped score source's
+    /// working set).
     pub fn n_groups(&self) -> usize {
         self.sweep_context().groups().num_groups()
-    }
-}
-
-/// Which engine a cell runs on (resolved from mode + algorithm).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum EngineKind {
-    Exact,
-    Grouped,
-}
-
-enum Engine<'a> {
-    Exact(ExactContext<'a>),
-    Grouped(GroupedContext<'a>),
-}
-
-impl Engine<'_> {
-    fn run_once(
-        &self,
-        alg: &AlgorithmSpec,
-        epsilon: f64,
-        rng: &mut DpRng,
-        scratch: &mut RunScratch,
-    ) -> Result<RunOutcome> {
-        match self {
-            Self::Exact(ctx) => ctx.run_once_into(alg, epsilon, rng, scratch),
-            Self::Grouped(ctx) => ctx.run_once_into(alg, epsilon, rng, scratch),
-        }
-    }
-}
-
-/// Resolves the engine for a mode. The exact engine remains the `Auto`
-/// default (it reads scores straight off the slice with no `O(log G)`
-/// per-item resolution); the grouped engine — now an index-level
-/// bit-for-bit mirror that supports every algorithm, SVT-DPBook
-/// included — is built when explicitly requested as a cross-check.
-fn engine_kind(mode: SimulationMode) -> EngineKind {
-    match mode {
-        SimulationMode::Auto | SimulationMode::Exact => EngineKind::Exact,
-        SimulationMode::Grouped => EngineKind::Grouped,
-    }
-}
-
-fn build_engine<'a>(dataset: &'a PreparedDataset, kind: EngineKind, c: usize) -> Engine<'a> {
-    let sweep = dataset.sweep_context();
-    match kind {
-        EngineKind::Exact => Engine::Exact(ExactContext::new(&dataset.scores, sweep, c)),
-        EngineKind::Grouped => Engine::Grouped(GroupedContext::new(sweep, c)),
     }
 }
 
@@ -154,13 +106,15 @@ fn run_rng(cell_seed: u64, run: usize) -> DpRng {
     DpRng::seed_from_u64(counter_seed(cell_seed, run as u64))
 }
 
-/// One cell of work for [`execute_grid`]: an engine reference, the
-/// algorithm to run, the cell seed, and how many runs to derive from
-/// it. A run's generator is `run_rng(seed, run_index)` — `O(1)` state
-/// per *cell*, however large `runs` grows.
-struct GridCell<'e, 'a> {
-    engine: &'e Engine<'a>,
+/// One cell of work for [`execute_grid`]: a context reference, the
+/// algorithm to run at the context's cutoff `c`, the cell seed, and how
+/// many runs to derive from it. A run's generator is
+/// `run_rng(seed, run_index)` — `O(1)` state per *cell*, however large
+/// `runs` grows.
+struct GridCell<'e, 'a, S: ScoreSource + ?Sized> {
+    ctx: &'e ExactContext<'a, S>,
     alg: &'e AlgorithmSpec,
+    c: usize,
     seed: u64,
     runs: usize,
 }
@@ -176,15 +130,15 @@ struct GridCell<'e, 'a> {
 /// pure function of its coordinates and outcomes are reassembled by
 /// position, thread count and scheduling cannot change the result — and
 /// nothing is ever allocated per run beyond its outcome.
-fn execute_grid(
-    cells: Vec<GridCell<'_, '_>>,
+fn execute_grid<S: ScoreSource + Sync + ?Sized>(
+    cells: &[GridCell<'_, '_, S>],
     epsilon: f64,
     threads: usize,
 ) -> Result<Vec<Vec<RunOutcome>>> {
     // Cell-major flattening: cell boundaries as prefix sums over runs.
     let mut starts = Vec::with_capacity(cells.len() + 1);
     let mut total = 0usize;
-    for cell in &cells {
+    for cell in cells {
         starts.push(total);
         total += cell.runs;
     }
@@ -197,7 +151,6 @@ fn execute_grid(
         let mut begin = 0usize;
         while begin < total {
             let end = (begin + chunk_size).min(total);
-            let cells = &cells;
             let starts = &starts;
             handles.push(scope.spawn(move || {
                 let mut scratch = RunScratch::new();
@@ -211,8 +164,8 @@ fn execute_grid(
                     let cell = &cells[cell_idx];
                     let mut rng = run_rng(cell.seed, global - starts[cell_idx]);
                     out.push(
-                        cell.engine
-                            .run_once(cell.alg, epsilon, &mut rng, &mut scratch)?,
+                        cell.ctx
+                            .run_once_into(cell.alg, epsilon, &mut rng, &mut scratch)?,
                     );
                 }
                 Ok(out)
@@ -233,7 +186,7 @@ fn execute_grid(
     }
     let mut grouped = Vec::with_capacity(cells.len());
     let mut rest = flat.into_iter();
-    for cell in &cells {
+    for cell in cells {
         grouped.push(rest.by_ref().take(cell.runs).collect());
     }
     Ok(grouped)
@@ -255,7 +208,8 @@ fn aggregate(alg: &AlgorithmSpec, c: usize, outcomes: &[RunOutcome]) -> CellResu
     }
 }
 
-/// Runs one cell: `runs` independent executions of `alg` at cutoff `c`.
+/// Runs one cell: `runs` independent executions of `alg` at cutoff `c`
+/// — a one-cell [`run_sweep`].
 ///
 /// # Errors
 /// Propagates the first per-run error (configuration problems surface on
@@ -266,18 +220,11 @@ pub fn run_cell(
     c: usize,
     config: &ExperimentConfig,
 ) -> Result<CellResult> {
-    let engine = build_engine(dataset, engine_kind(config.mode), c);
-    let outcomes = execute_grid(
-        vec![GridCell {
-            engine: &engine,
-            alg,
-            seed: cell_seed(config, alg, c),
-            runs: config.runs,
-        }],
-        config.epsilon,
-        config.effective_threads(),
-    )?;
-    Ok(aggregate(alg, c, &outcomes[0]))
+    let config = ExperimentConfig {
+        c_values: vec![c],
+        ..config.clone()
+    };
+    Ok(run_sweep(dataset, std::slice::from_ref(alg), &config)?.remove(0))
 }
 
 /// Runs a full sweep: every algorithm × every `c` on one dataset, with
@@ -286,9 +233,9 @@ pub fn run_cell(
 /// Cell results are bit-identical to calling [`run_cell`] per cell (and
 /// hence independent of thread count and scheduling): each cell's runs
 /// use the same cell-seeded RNGs and are aggregated in the same order.
-/// Within a sweep, one engine context per `(engine kind, c)` is shared
-/// zero-copy by every algorithm that needs it, and every context
-/// borrows the dataset's single [`SweepContext`].
+/// `config.mode` picks the score source once for the whole sweep; one
+/// context per `c` is shared zero-copy by every algorithm, and every
+/// context borrows the dataset's single [`SweepContext`].
 ///
 /// # Errors
 /// Propagates the first per-run error.
@@ -297,37 +244,41 @@ pub fn run_sweep(
     algorithms: &[AlgorithmSpec],
     config: &ExperimentConfig,
 ) -> Result<Vec<CellResult>> {
-    // One engine per (kind, c), shared across algorithms.
-    let mut engine_index: std::collections::HashMap<(EngineKind, usize), usize> =
-        std::collections::HashMap::new();
-    let mut engines: Vec<Engine> = Vec::new();
-    let mut cell_specs: Vec<(usize, &AlgorithmSpec, usize)> =
-        Vec::with_capacity(algorithms.len() * config.c_values.len());
-    for alg in algorithms {
-        for &c in &config.c_values {
-            let kind = engine_kind(config.mode);
-            let idx = *engine_index.entry((kind, c)).or_insert_with(|| {
-                engines.push(build_engine(dataset, kind, c));
-                engines.len() - 1
-            });
-            cell_specs.push((idx, alg, c));
+    let sweep = dataset.sweep_context();
+    match config.mode {
+        SimulationMode::Auto => sweep_over(algorithms, config, |c| {
+            ExactContext::new(&dataset.scores, sweep, c)
+        }),
+        SimulationMode::Grouped => {
+            sweep_over(algorithms, config, |c| ExactContext::grouped(sweep, c))
         }
     }
+}
 
-    let grid: Vec<GridCell> = cell_specs
+/// [`run_sweep`] over the contexts `context` builds, one per cutoff.
+fn sweep_over<'a, S: ScoreSource + Sync + ?Sized + 'a>(
+    algorithms: &[AlgorithmSpec],
+    config: &ExperimentConfig,
+    context: impl Fn(usize) -> ExactContext<'a, S>,
+) -> Result<Vec<CellResult>> {
+    let contexts: Vec<_> = config.c_values.iter().map(|&c| (c, context(c))).collect();
+    let grid: Vec<GridCell<S>> = algorithms
         .iter()
-        .map(|&(engine_idx, alg, c)| GridCell {
-            engine: &engines[engine_idx],
-            alg,
-            seed: cell_seed(config, alg, c),
-            runs: config.runs,
+        .flat_map(|alg| {
+            contexts.iter().map(move |(c, ctx)| GridCell {
+                ctx,
+                alg,
+                c: *c,
+                seed: cell_seed(config, alg, *c),
+                runs: config.runs,
+            })
         })
         .collect();
-    let outcomes = execute_grid(grid, config.epsilon, config.effective_threads())?;
-    Ok(cell_specs
+    let outcomes = execute_grid(&grid, config.epsilon, config.effective_threads())?;
+    Ok(grid
         .iter()
         .zip(&outcomes)
-        .map(|(&(_, alg, c), cell_outcomes)| aggregate(alg, c, cell_outcomes))
+        .map(|(cell, cell_outcomes)| aggregate(cell.alg, cell.c, cell_outcomes))
         .collect())
 }
 
@@ -368,6 +319,26 @@ mod tests {
             threads: 3,
             mode: SimulationMode::Auto,
         }
+    }
+
+    /// One cell driven by hand through the slice context on one thread:
+    /// the same cell seed, run generators and aggregation as the runner.
+    fn slice_cell(
+        data: &PreparedDataset,
+        alg: &AlgorithmSpec,
+        c: usize,
+        cfg: &ExperimentConfig,
+    ) -> CellResult {
+        let ctx = ExactContext::new(data.scores(), data.sweep_context(), c);
+        let seed = cell_seed(cfg, alg, c);
+        let mut scratch = RunScratch::new();
+        let outcomes: Vec<RunOutcome> = (0..cfg.runs)
+            .map(|run| {
+                ctx.run_once_into(alg, cfg.epsilon, &mut run_rng(seed, run), &mut scratch)
+                    .unwrap()
+            })
+            .collect();
+        aggregate(alg, c, &outcomes)
     }
 
     fn full_lineup() -> [AlgorithmSpec; 6] {
@@ -440,32 +411,37 @@ mod tests {
 
     #[test]
     fn auto_mode_is_exact_mode_for_every_algorithm() {
-        // Auto prefers the exact engine everywhere; its results must be
-        // bit-identical to forcing Exact.
+        // Auto reads the raw slice for every algorithm: a sweep must be
+        // bit-identical to driving `ExactContext::new` by hand per cell.
         let data = toy_dataset();
         let algs = full_lineup();
-        let auto_cfg = toy_config();
-        let mut exact_cfg = toy_config();
-        exact_cfg.mode = SimulationMode::Exact;
-        let a = run_sweep(&data, &algs, &auto_cfg).unwrap();
-        let b = run_sweep(&data, &algs, &exact_cfg).unwrap();
-        assert_eq!(a, b, "Auto must route every algorithm to the exact engine");
+        let cfg = toy_config();
+        let mut by_hand = Vec::new();
+        for alg in &algs {
+            for &c in &cfg.c_values {
+                by_hand.push(slice_cell(&data, alg, c, &cfg));
+            }
+        }
+        let a = run_sweep(&data, &algs, &cfg).unwrap();
+        assert_eq!(
+            a, by_hand,
+            "Auto must route every algorithm to the exact engine"
+        );
     }
 
     #[test]
     fn sweep_level_exact_and_grouped_engines_are_bit_identical() {
-        // The tentpole's sweep-level guarantee: the grouped engine is an
-        // index-level mirror consuming identical draws, so a full sweep
-        // under either engine — same master seed, every algorithm
-        // including SVT-DPBook — produces *equal* cell results, not
-        // statistically-close ones. (The per-run index streams are
-        // pinned by `exact_and_grouped_index_streams_are_identical`;
-        // metric equality follows because both engines score selections
+        // The sweep-level guarantee: the grouped score source consumes
+        // identical draws, so a full sweep under either mode — same
+        // master seed, every algorithm including SVT-DPBook — produces
+        // *equal* cell results, not statistically-close ones. (The
+        // per-run index streams are pinned by
+        // `exact_and_grouped_index_streams_are_identical`; metric
+        // equality follows because both sources score selections
         // through the same shared SweepContext::outcome.)
         let data = toy_dataset();
         let algs = full_lineup();
-        let mut exact_cfg = toy_config();
-        exact_cfg.mode = SimulationMode::Exact;
+        let exact_cfg = toy_config();
         let mut grouped_cfg = toy_config();
         grouped_cfg.mode = SimulationMode::Grouped;
         let exact = run_sweep(&data, &algs, &exact_cfg).unwrap();
@@ -475,9 +451,9 @@ mod tests {
 
     #[test]
     fn exact_and_grouped_index_streams_are_identical() {
-        // The satellite contract, pinned at the sweep-runner's own
+        // The same contract, pinned at the sweep-runner's own
         // RNG-derivation layer: for every (algorithm, c, run index) of a
-        // sweep grid, both engines emit the same *selected index
+        // sweep grid, both score sources emit the same *selected index
         // stream* — not just the same metrics — from the run's
         // (cell seed, run index)-derived generator.
         let data = toy_dataset();
@@ -486,17 +462,17 @@ mod tests {
         let mut scratch_g = RunScratch::new();
         for alg in &full_lineup() {
             for &c in &cfg.c_values {
-                let exact = build_engine(&data, EngineKind::Exact, c);
-                let grouped = build_engine(&data, EngineKind::Grouped, c);
+                let exact = ExactContext::new(data.scores(), data.sweep_context(), c);
+                let grouped = ExactContext::grouped(data.sweep_context(), c);
                 let seed = cell_seed(&cfg, alg, c);
                 for run in 0..cfg.runs {
                     let mut rng_e = run_rng(seed, run);
                     let mut rng_g = run_rng(seed, run);
                     let e = exact
-                        .run_once(alg, cfg.epsilon, &mut rng_e, &mut scratch_e)
+                        .run_once_into(alg, cfg.epsilon, &mut rng_e, &mut scratch_e)
                         .unwrap();
                     let g = grouped
-                        .run_once(alg, cfg.epsilon, &mut rng_g, &mut scratch_g)
+                        .run_once_into(alg, cfg.epsilon, &mut rng_g, &mut scratch_g)
                         .unwrap();
                     assert_eq!(
                         scratch_e.selected(),
@@ -515,7 +491,7 @@ mod tests {
         // kernel, so the mirror test above pins that path; this variant
         // pins the same contract under the reference kernel, proving
         // the Exact ≡ Grouped equality is kernel-independent — both
-        // engines consume whichever kernel the scratch carries.
+        // sources consume whichever kernel the scratch carries.
         let data = toy_dataset();
         let cfg = toy_config();
         let mut scratch_e = RunScratch::with_kernel(
@@ -528,17 +504,17 @@ mod tests {
         );
         for alg in &full_lineup() {
             let c = cfg.c_values[0];
-            let exact = build_engine(&data, EngineKind::Exact, c);
-            let grouped = build_engine(&data, EngineKind::Grouped, c);
+            let exact = ExactContext::new(data.scores(), data.sweep_context(), c);
+            let grouped = ExactContext::grouped(data.sweep_context(), c);
             let seed = cell_seed(&cfg, alg, c);
             for run in 0..cfg.runs {
                 let mut rng_e = run_rng(seed, run);
                 let mut rng_g = run_rng(seed, run);
                 exact
-                    .run_once(alg, cfg.epsilon, &mut rng_e, &mut scratch_e)
+                    .run_once_into(alg, cfg.epsilon, &mut rng_e, &mut scratch_e)
                     .unwrap();
                 grouped
-                    .run_once(alg, cfg.epsilon, &mut rng_g, &mut scratch_g)
+                    .run_once_into(alg, cfg.epsilon, &mut rng_g, &mut scratch_g)
                     .unwrap();
                 assert_eq!(
                     scratch_e.selected(),
@@ -569,8 +545,8 @@ mod tests {
 
     #[test]
     fn grouped_mode_runs_dpbook() {
-        // The index-level grouped engine handles the per-⊤ threshold
-        // refresh the old aggregate engine had to refuse.
+        // The grouped score source handles SVT-DPBook's per-⊤
+        // threshold refresh like any other variant.
         let data = toy_dataset();
         let mut cfg = toy_config();
         cfg.mode = SimulationMode::Grouped;
@@ -580,14 +556,16 @@ mod tests {
 
     #[test]
     fn exact_mode_forces_exact_everywhere() {
+        // The default mode runs the slice context: `run_cell` must be
+        // bit-identical to driving `ExactContext::new` by hand.
         let data = toy_dataset();
-        let mut cfg = toy_config();
-        cfg.mode = SimulationMode::Exact;
+        let cfg = toy_config();
         let alg = AlgorithmSpec::Standard {
             ratio: BudgetRatio::OneToOne,
         };
         let cell = run_cell(&data, &alg, 5, &cfg).unwrap();
         assert_eq!(cell.ser.runs, 24);
+        assert_eq!(cell, slice_cell(&data, &alg, 5, &cfg));
     }
 
     #[test]
@@ -599,14 +577,15 @@ mod tests {
         // design keeps it by construction, without per-run memory).
         let data = toy_dataset();
         let alg = AlgorithmSpec::Em;
-        let engine = build_engine(&data, EngineKind::Exact, 5);
+        let ctx = ExactContext::new(data.scores(), data.sweep_context(), 5);
         let cfg = toy_config();
         let seed = cell_seed(&cfg, &alg, 5);
         let outcomes = |runs: usize| {
             execute_grid(
-                vec![GridCell {
-                    engine: &engine,
+                &[GridCell {
+                    ctx: &ctx,
                     alg: &alg,
+                    c: 5,
                     seed,
                     runs,
                 }],

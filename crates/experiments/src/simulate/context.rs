@@ -2,9 +2,9 @@
 //! and, with [`SweepContext::load_or_build`], persisted so repeat
 //! invocations skip even that one sort.
 //!
-//! A sweep evaluates many `(engine, algorithm, c)` cells over one
-//! dataset. Everything those cells need from the dataset is a function
-//! of a single sorted view of its scores — the grouped runs, the exact
+//! A sweep evaluates many `(algorithm, c)` cells over one dataset.
+//! Everything those cells need from the dataset is a function of a
+//! single sorted view of its scores — the grouped runs, the exact
 //! top-`c` (a prefix of the sorted order), the §6 threshold and top
 //! score sum for any `c` — so [`SweepContext`] holds that view (an
 //! `Arc`-shared, epoch-pinned [`GroupedSnapshot`], sorted exactly
@@ -15,17 +15,17 @@
 //!   └── SweepContext             ← one shared sort per dataset
 //!        ├── Arc<GroupedSnapshot> (order, positions, offsets, prefix sums)
 //!        ├── rank table          rank_cut(c): O(1) → RankCut
-//!        ├── ExactContext(c₁)    ─┐ borrow; no private sorts,
-//!        ├── ExactContext(c₂)     │ no per-context OnceLock cells
-//!        ├── GroupedContext(c₁)  ─┘
+//!        ├── ExactContext::new(c₁)     ─┐ borrow; no private sorts,
+//!        ├── ExactContext::new(c₂)      │ no per-context OnceLock cells
+//!        ├── ExactContext::grouped(c₁) ─┘
 //!        └── outcome(cut, selected) — the one metric computation
 //! ```
 //!
-//! Because both engines resolve their cutoffs through the same rank
-//! table and score their selections through the same
+//! Because both score sources resolve their cutoffs through the same
+//! rank table and score their selections through the same
 //! [`outcome`](SweepContext::outcome), a cell's [`RunOutcome`] is a
-//! pure function of its selected index stream — which the engines make
-//! bit-identical (see [`super::grouped`]).
+//! pure function of its selected index stream — which the two sources
+//! make bit-identical (see [`super::exact`]).
 //!
 //! The snapshot is pinned for the context's lifetime: cells cloned from
 //! one `SweepContext` share the same `Arc` (a clone is a refcount
@@ -48,7 +48,7 @@ pub enum ContextSetup {
     Warm,
 }
 
-/// Per-dataset state shared by every `(engine, algorithm, c)` cell of a
+/// Per-dataset state shared by every `(algorithm, c)` cell of a
 /// sweep: the index-preserving grouped score runs and their `O(1)` rank
 /// table, behind an `Arc` so clones share one allocation. Construction
 /// performs the dataset's one and only full score sort (reusing

@@ -2,37 +2,65 @@
 //! the paper's protocol, built directly on `svt-core`'s streaming
 //! algorithms.
 //!
-//! The engine reads each examined item's score straight off the raw
-//! slice; everything `c`-dependent (threshold, effective size, top-`c`,
-//! metric scoring) comes from the dataset's shared [`SweepContext`]
-//! rank table, so constructing a context for a new `(algorithm, c)`
-//! cell costs `O(log G + c)` — no private sort, no `O(n)` pass, no
-//! per-context lazy-grouping cells.
+//! ## One engine, two score sources
+//!
+//! [`ExactContext`] is generic over where an examined item's score
+//! comes from ([`ScoreSource`]):
+//!
+//! * [`ExactContext::new`] reads the raw slice — what
+//!   `SimulationMode::Auto` runs;
+//! * [`ExactContext::grouped`] resolves every score through the sweep's
+//!   shared [`GroupedSnapshot`] (`position → group → score`, `O(1)`) and
+//!   never touches the raw slice — what `SimulationMode::Grouped` runs
+//!   as a cross-check.
+//!
+//! Everything `c`-dependent (threshold, effective size, top-`c`, metric
+//! scoring) comes from the dataset's shared [`SweepContext`] rank table,
+//! so constructing a context for a new `(algorithm, c)` cell costs
+//! `O(c)` — no private sort, no `O(n)` pass.
+//!
+//! ## Why the two sources emit bit-identical index streams
+//!
+//! Both instances run the same `svt-core` streaming code over the same
+//! lazily shuffled traversal ([`SparseOrder`]), and a score group stores
+//! the `==`-equal value of every member's raw score, so each comparison
+//! `q + ν ≥ T + ρ` branches identically under either resolution. Same
+//! draws, same branches ⇒ the identical index stream for the same
+//! `(cell seed, run index)`, for every algorithm (EM reads the grouped
+//! runs under either source). Because the two sources derive each score
+//! through independent data paths (raw slice vs sort-derived runs plus
+//! the inverse rank table), a single differing selection anywhere in a
+//! sweep fails the runner's equality tests loudly instead of hiding
+//! inside statistical tolerance.
+//!
+//! [`SparseOrder`]: svt_core::SparseOrder
 
 use crate::simulate::{retraversal_config, RunOutcome, SweepContext};
 use crate::spec::AlgorithmSpec;
-use dp_data::{RankCut, ScoreVector};
+use dp_data::{GroupedSnapshot, RankCut, ScoreVector};
 use dp_mechanisms::DpRng;
 use svt_core::alg::{Alg2, ExpNoiseSvt, SvtRevisited};
 use svt_core::em_select::EmTopC;
 use svt_core::noninteractive::{dpbook_select, select_with, svt_select, SvtSelectConfig};
-use svt_core::retraversal::{svt_retraversal, svt_retraversal_into};
+use svt_core::retraversal::{svt_retraversal, svt_retraversal_from};
 use svt_core::streaming::{
-    exp_noise_select_from, revisited_select_from, select_streaming, svt_select_into, RunScratch,
+    exp_noise_select_from, revisited_select_from, select_streaming_from, svt_select_from,
+    RunScratch, ScoreSource,
 };
 use svt_core::Result;
 
-/// Precomputed per-`(dataset, c)` state for the exact engine.
+/// Precomputed per-`(dataset, c)` state for the exact engine, reading
+/// scores from `S` (the raw slice by default).
 ///
-/// Borrows the dataset's scores and its sweep-shared [`SweepContext`]
-/// instead of cloning or re-deriving anything — building a context for
-/// a new `(algorithm, c)` cell over AOL's 2,290,685 items resolves the
-/// cutoff against the shared rank table (`O(log G)`) and copies the
-/// `c`-long top prefix, so one prepared dataset serves every cell of a
-/// sweep with exactly one score sort among them.
-#[derive(Debug, Clone)]
-pub struct ExactContext<'a> {
-    scores: &'a [f64],
+/// Borrows the score source and the dataset's sweep-shared
+/// [`SweepContext`] instead of cloning or re-deriving anything —
+/// building a context for a new `(algorithm, c)` cell over AOL's
+/// 2,290,685 items resolves the cutoff against the shared rank table
+/// (`O(1)`) and copies the `c`-long top prefix, so one prepared dataset
+/// serves every cell of a sweep with exactly one score sort among them.
+#[derive(Debug)]
+pub struct ExactContext<'a, S: ScoreSource + ?Sized = [f64]> {
+    scores: &'a S,
     sweep: &'a SweepContext,
     cut: RankCut,
     true_top: Vec<usize>,
@@ -40,34 +68,13 @@ pub struct ExactContext<'a> {
 }
 
 impl<'a> ExactContext<'a> {
-    /// Builds the context: cutoff resolution and the §6 threshold come
-    /// from `sweep`'s shared rank table (the average of the `c`-th and
-    /// `(c+1)`-th highest scores), the exact top-`c` from its shared
-    /// sorted order.
+    /// Builds the context over the raw score slice: cutoff resolution
+    /// and the §6 threshold come from `sweep`'s shared rank table (the
+    /// average of the `c`-th and `(c+1)`-th highest scores), the exact
+    /// top-`c` from its shared sorted order.
     pub fn new(scores: &'a ScoreVector, sweep: &'a SweepContext, c: usize) -> Self {
         debug_assert_eq!(scores.len(), sweep.len_items(), "context/dataset mismatch");
-        Self {
-            scores: scores.as_slice(),
-            cut: sweep.cut(c),
-            true_top: sweep.true_top(c).iter().map(|&i| i as usize).collect(),
-            sweep,
-            c,
-        }
-    }
-
-    /// The threshold in force.
-    pub fn threshold(&self) -> f64 {
-        self.cut.threshold
-    }
-
-    /// The exact top-`c` indices (decreasing score, ties by smaller
-    /// index — a copy of the shared order's prefix).
-    pub fn true_top(&self) -> &[usize] {
-        &self.true_top
-    }
-
-    fn outcome(&self, selected: &[usize]) -> RunOutcome {
-        self.sweep.outcome(&self.cut, selected)
+        Self::with_source(scores.as_slice(), sweep, c)
     }
 
     /// Executes one run of `alg` through the scalar reference path
@@ -116,58 +123,6 @@ impl<'a> ExactContext<'a> {
         Ok(self.outcome(&selected))
     }
 
-    /// Executes one run of `alg` through the zero-copy streaming path:
-    /// sparse lazy Fisher–Yates up to the abort point, reusable
-    /// `scratch` buffers, and block-batched noise — Laplace for the SVT
-    /// variants, lazy per-group Gumbel order statistics
-    /// ([`EmTopC::select_grouped_into`] over the sweep-shared grouped
-    /// runs) for EM, so no path ever pays one draw per item.
-    ///
-    /// Samples the same output distribution as [`run_once`](Self::run_once);
-    /// the SVT outputs are bit-identical for every noise batch size.
-    ///
-    /// # Errors
-    /// Propagates configuration validation from the algorithm wrappers.
-    pub fn run_once_into(
-        &self,
-        alg: &AlgorithmSpec,
-        epsilon: f64,
-        rng: &mut DpRng,
-        scratch: &mut RunScratch,
-    ) -> Result<RunOutcome> {
-        let threshold = self.cut.threshold;
-        match alg {
-            AlgorithmSpec::DpBook => {
-                let mut alg2 = Alg2::new(epsilon, 1.0, self.c, rng)?;
-                select_streaming(&mut alg2, self.scores, threshold, rng, scratch)?;
-            }
-            AlgorithmSpec::Standard { ratio } => {
-                let cfg = SvtSelectConfig::counting(epsilon, self.c, *ratio);
-                svt_select_into(self.scores, threshold, &cfg, rng, scratch)?;
-            }
-            AlgorithmSpec::Retraversal { ratio, increment_d } => {
-                let cfg = retraversal_config(epsilon, self.c, *ratio, *increment_d);
-                svt_retraversal_into(self.scores, threshold, &cfg, rng, scratch)?;
-            }
-            AlgorithmSpec::Em => {
-                EmTopC::new(epsilon, self.c, 1.0, true)?.select_grouped_into(
-                    self.sweep.groups(),
-                    rng,
-                    scratch,
-                )?;
-            }
-            AlgorithmSpec::Revisited { ratio } => {
-                let cfg = SvtSelectConfig::counting(epsilon, self.c, *ratio);
-                revisited_select_from(self.scores, threshold, &cfg, rng, scratch)?;
-            }
-            AlgorithmSpec::ExpNoise { ratio } => {
-                let cfg = SvtSelectConfig::counting(epsilon, self.c, *ratio);
-                exp_noise_select_from(self.scores, threshold, &cfg, rng, scratch)?;
-            }
-        }
-        Ok(self.outcome(scratch.selected()))
-    }
-
     /// Executes one EM run through the per-item-key sampler
     /// ([`EmTopC::select_into`]: one scratch-buffered Gumbel key per
     /// item, `O(n log c)`).
@@ -186,6 +141,102 @@ impl<'a> ExactContext<'a> {
         scratch: &mut RunScratch,
     ) -> Result<RunOutcome> {
         EmTopC::new(epsilon, self.c, 1.0, true)?.select_into(self.scores, rng, scratch)?;
+        Ok(self.outcome(scratch.selected()))
+    }
+}
+
+impl<'a> ExactContext<'a, GroupedSnapshot> {
+    /// Builds the context over `sweep`'s shared grouped runs: every
+    /// examined item's score is resolved through the snapshot, never the
+    /// raw slice, and the selections are bit-identical to
+    /// [`ExactContext::new`]'s from the same generator state.
+    pub fn grouped(sweep: &'a SweepContext, c: usize) -> Self {
+        Self::with_source(sweep.groups(), sweep, c)
+    }
+}
+
+impl<'a, S: ScoreSource + ?Sized> ExactContext<'a, S> {
+    fn with_source(scores: &'a S, sweep: &'a SweepContext, c: usize) -> Self {
+        Self {
+            scores,
+            cut: sweep.cut(c),
+            true_top: sweep.true_top(c).iter().map(|&i| i as usize).collect(),
+            sweep,
+            c,
+        }
+    }
+
+    /// The threshold in force.
+    pub fn threshold(&self) -> f64 {
+        self.cut.threshold
+    }
+
+    /// Sum of the true top-`c` scores.
+    pub fn top_sum(&self) -> f64 {
+        self.cut.top_sum
+    }
+
+    /// The exact top-`c` indices (decreasing score, ties by smaller
+    /// index — a copy of the shared order's prefix).
+    pub fn true_top(&self) -> &[usize] {
+        &self.true_top
+    }
+
+    fn outcome(&self, selected: &[usize]) -> RunOutcome {
+        self.sweep.outcome(&self.cut, selected)
+    }
+
+    /// Executes one run of `alg` through the zero-copy streaming path:
+    /// sparse lazy Fisher–Yates up to the abort point, reusable
+    /// `scratch` buffers, and block-batched noise — Laplace for the SVT
+    /// variants, lazy per-group Gumbel order statistics
+    /// ([`EmTopC::select_grouped_into`] over the sweep-shared grouped
+    /// runs) for EM, so no path ever pays one draw per item.
+    ///
+    /// Samples the same output distribution as
+    /// [`run_once`](ExactContext::run_once); the SVT
+    /// outputs are bit-identical for every noise batch size and for
+    /// either score source.
+    ///
+    /// # Errors
+    /// Propagates configuration validation from the algorithm wrappers.
+    pub fn run_once_into(
+        &self,
+        alg: &AlgorithmSpec,
+        epsilon: f64,
+        rng: &mut DpRng,
+        scratch: &mut RunScratch,
+    ) -> Result<RunOutcome> {
+        let threshold = self.cut.threshold;
+        match alg {
+            AlgorithmSpec::DpBook => {
+                let mut alg2 = Alg2::new(epsilon, 1.0, self.c, rng)?;
+                select_streaming_from(&mut alg2, self.scores, threshold, rng, scratch)?;
+            }
+            AlgorithmSpec::Standard { ratio } => {
+                let cfg = SvtSelectConfig::counting(epsilon, self.c, *ratio);
+                svt_select_from(self.scores, threshold, &cfg, rng, scratch)?;
+            }
+            AlgorithmSpec::Retraversal { ratio, increment_d } => {
+                let cfg = retraversal_config(epsilon, self.c, *ratio, *increment_d);
+                svt_retraversal_from(self.scores, threshold, &cfg, rng, scratch)?;
+            }
+            AlgorithmSpec::Em => {
+                EmTopC::new(epsilon, self.c, 1.0, true)?.select_grouped_into(
+                    self.sweep.groups(),
+                    rng,
+                    scratch,
+                )?;
+            }
+            AlgorithmSpec::Revisited { ratio } => {
+                let cfg = SvtSelectConfig::counting(epsilon, self.c, *ratio);
+                revisited_select_from(self.scores, threshold, &cfg, rng, scratch)?;
+            }
+            AlgorithmSpec::ExpNoise { ratio } => {
+                let cfg = SvtSelectConfig::counting(epsilon, self.c, *ratio);
+                exp_noise_select_from(self.scores, threshold, &cfg, rng, scratch)?;
+            }
+        }
         Ok(self.outcome(scratch.selected()))
     }
 }
@@ -397,5 +448,192 @@ mod tests {
             .sum::<f64>()
             / 200.0;
         assert!(mean_ser > 0.3, "mean SER {mean_ser}");
+    }
+
+    /// The grouped score source ([`ExactContext::grouped`]) on a
+    /// heavily tied workload.
+    mod grouped {
+        use super::*;
+
+        fn toy_scores() -> ScoreVector {
+            let mut v = vec![];
+            for i in 0..60u32 {
+                v.push(match i {
+                    0..=4 => 1000.0,
+                    5..=14 => 200.0,
+                    _ => 10.0,
+                });
+            }
+            ScoreVector::new(v).unwrap()
+        }
+
+        fn all_algorithms() -> Vec<AlgorithmSpec> {
+            vec![
+                AlgorithmSpec::DpBook,
+                AlgorithmSpec::Standard {
+                    ratio: BudgetRatio::OneToOne,
+                },
+                AlgorithmSpec::Standard {
+                    ratio: BudgetRatio::OneToCTwoThirds,
+                },
+                AlgorithmSpec::Retraversal {
+                    ratio: BudgetRatio::OneToCTwoThirds,
+                    increment_d: 2.0,
+                },
+                AlgorithmSpec::Em,
+                AlgorithmSpec::Revisited {
+                    ratio: BudgetRatio::OneToCTwoThirds,
+                },
+                AlgorithmSpec::ExpNoise {
+                    ratio: BudgetRatio::OneToCTwoThirds,
+                },
+            ]
+        }
+
+        #[test]
+        fn context_resolves_cutoff_from_the_shared_rank_table() {
+            let scores = toy_scores();
+            let sweep = SweepContext::new(&scores);
+            let ctx = ExactContext::grouped(&sweep, 8);
+            // top_sum = 5·1000 + 3·200.
+            assert!((ctx.top_sum() - 5600.0).abs() < 1e-9);
+            // threshold: 8th and 9th highest are both 200.
+            assert!((ctx.threshold() - 200.0).abs() < 1e-9);
+            // Straddling cut: 5th highest = 1000, 6th = 200 → 600.
+            let ctx = ExactContext::grouped(&sweep, 5);
+            assert!((ctx.threshold() - 600.0).abs() < 1e-9);
+        }
+
+        #[test]
+        fn every_algorithm_is_bit_identical_to_the_exact_engine() {
+            // The contract at the context level: for every algorithm
+            // the grouped source emits the identical index stream and
+            // identical metrics as the slice from the same generator
+            // state, run after run on a shared scratch.
+            let scores = toy_scores();
+            let sweep = SweepContext::new(&scores);
+            for c in [1usize, 5, 8, 30, 60] {
+                let exact = ExactContext::new(&scores, &sweep, c);
+                let grouped = ExactContext::grouped(&sweep, c);
+                for alg in &all_algorithms() {
+                    let mut rng_e = DpRng::seed_from_u64(4051 + c as u64);
+                    let mut rng_g = DpRng::seed_from_u64(4051 + c as u64);
+                    let mut scratch_e = RunScratch::new();
+                    let mut scratch_g = RunScratch::new();
+                    for run in 0..25 {
+                        let e = exact
+                            .run_once_into(alg, 0.3, &mut rng_e, &mut scratch_e)
+                            .unwrap();
+                        let g = grouped
+                            .run_once_into(alg, 0.3, &mut rng_g, &mut scratch_g)
+                            .unwrap();
+                        assert_eq!(
+                            scratch_e.selected(),
+                            scratch_g.selected(),
+                            "{alg:?} c={c} run={run}: index streams diverged"
+                        );
+                        assert_eq!(e, g, "{alg:?} c={c} run={run}: outcomes diverged");
+                    }
+                    // Identical randomness consumed throughout: lockstep.
+                    assert_eq!(rng_e.next_u64(), rng_g.next_u64(), "{alg:?} c={c}");
+                }
+            }
+        }
+
+        #[test]
+        fn dpbook_is_now_supported() {
+            // SVT-DPBook's per-⊤ threshold refresh is handled by the
+            // item-at-a-time traversal like any other variant.
+            let scores = toy_scores();
+            let sweep = SweepContext::new(&scores);
+            let ctx = ExactContext::grouped(&sweep, 5);
+            let mut rng = DpRng::seed_from_u64(709);
+            let mut scratch = RunScratch::new();
+            let out = ctx
+                .run_once_into(&AlgorithmSpec::DpBook, 0.1, &mut rng, &mut scratch)
+                .unwrap();
+            assert!((0.0..=1.0).contains(&out.ser));
+            assert!((0.0..=1.0).contains(&out.fnr));
+        }
+
+        #[test]
+        fn generous_budget_gives_zero_error() {
+            let scores = toy_scores();
+            let sweep = SweepContext::new(&scores);
+            let ctx = ExactContext::grouped(&sweep, 5);
+            let mut rng = DpRng::seed_from_u64(719);
+            let mut scratch = RunScratch::new();
+            for alg in [
+                AlgorithmSpec::Standard {
+                    ratio: BudgetRatio::OneToOne,
+                },
+                AlgorithmSpec::Em,
+            ] {
+                let out = ctx
+                    .run_once_into(&alg, 500.0, &mut rng, &mut scratch)
+                    .unwrap();
+                assert_eq!(out.fnr, 0.0, "{alg:?}");
+                assert_eq!(out.ser, 0.0, "{alg:?}");
+            }
+        }
+
+        #[test]
+        fn metrics_stay_in_unit_interval_at_tiny_budget() {
+            let scores = toy_scores();
+            let sweep = SweepContext::new(&scores);
+            let ctx = ExactContext::grouped(&sweep, 10);
+            let mut rng = DpRng::seed_from_u64(727);
+            let mut scratch = RunScratch::new();
+            for alg in all_algorithms() {
+                for _ in 0..20 {
+                    let out = ctx
+                        .run_once_into(&alg, 0.01, &mut rng, &mut scratch)
+                        .unwrap();
+                    assert!((0.0..=1.0).contains(&out.fnr));
+                    assert!((0.0..=1.0).contains(&out.ser));
+                }
+            }
+        }
+
+        #[test]
+        fn c_beyond_population_is_clamped() {
+            let scores = toy_scores();
+            let sweep = SweepContext::new(&scores);
+            let ctx = ExactContext::grouped(&sweep, 1000);
+            let mut rng = DpRng::seed_from_u64(733);
+            let mut scratch = RunScratch::new();
+            let out = ctx
+                .run_once_into(&AlgorithmSpec::Em, 500.0, &mut rng, &mut scratch)
+                .unwrap();
+            assert_eq!(scratch.selected().len(), 60);
+            assert_eq!(out.fnr, 0.0);
+        }
+
+        #[test]
+        fn scratch_reuse_across_algorithms_is_clean() {
+            // The sweep-runner pattern: one scratch, alternating
+            // algorithms, must not leak state between runs.
+            let scores = toy_scores();
+            let sweep = SweepContext::new(&scores);
+            let ctx = ExactContext::grouped(&sweep, 8);
+            let fresh = |alg: &AlgorithmSpec, seed: u64| {
+                let mut rng = DpRng::seed_from_u64(seed);
+                let mut scratch = RunScratch::new();
+                ctx.run_once_into(alg, 0.4, &mut rng, &mut scratch).unwrap();
+                scratch.selected().to_vec()
+            };
+            let mut shared = RunScratch::new();
+            for seed in [11u64, 13, 17] {
+                for alg in all_algorithms() {
+                    let mut rng = DpRng::seed_from_u64(seed);
+                    ctx.run_once_into(&alg, 0.4, &mut rng, &mut shared).unwrap();
+                    assert_eq!(
+                        shared.selected(),
+                        &fresh(&alg, seed)[..],
+                        "{alg:?} seed={seed}"
+                    );
+                }
+            }
+        }
     }
 }

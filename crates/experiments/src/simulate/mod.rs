@@ -1,18 +1,17 @@
-//! Run engines: exact per-query traversal and its grouped bit-level
-//! mirror.
+//! The run engine: the exact per-query traversal over one of two score
+//! sources.
 //!
-//! Both engines execute the **same draw protocol** over the **same
-//! per-dataset [`SweepContext`]** — the exact engine reads scores from
-//! the raw slice, the grouped engine resolves them through the shared
-//! [`GroupedSnapshot`](dp_data::GroupedSnapshot) runs — so for every
-//! algorithm they emit *bit-identical* index streams from the same
-//! generator state. The equivalence argument (and what it buys as a
-//! cross-check) lives in [`grouped`]; the runner's sweep-level tests
-//! pin it selection-by-selection.
+//! [`exact::ExactContext`] executes one draw protocol over the
+//! per-dataset [`SweepContext`], reading scores either from the raw
+//! slice or through the shared
+//! [`GroupedSnapshot`](dp_data::GroupedSnapshot) runs; for every
+//! algorithm the two sources emit *bit-identical* index streams from
+//! the same generator state. The equivalence argument lives in
+//! [`exact`]; the runner's sweep-level tests pin it selection by
+//! selection.
 
 pub mod context;
 pub mod exact;
-pub mod grouped;
 
 pub use context::{ContextSetup, SweepContext};
 
@@ -29,8 +28,9 @@ pub struct RunOutcome {
 }
 
 /// The SVT-ReTr configuration the harness runs for a `(ε, c, ratio,
-/// increment)` cell — one definition shared by both engines, so their
-/// retraversal runs are parameterized identically by construction.
+/// increment)` cell — one definition shared by the scalar and streaming
+/// paths, so their retraversal runs are parameterized identically by
+/// construction.
 pub(crate) fn retraversal_config(
     epsilon: f64,
     c: usize,

@@ -90,29 +90,21 @@ impl AlgorithmSpec {
     }
 }
 
-/// Which simulation engine to use for a sweep.
+/// Which score source the sweep's engine reads.
 ///
-/// Both engines execute the same draw protocol over the dataset's
-/// shared `SweepContext` and emit **bit-identical index streams** for
-/// every algorithm; they differ only in how an examined item's score
-/// is resolved. `Auto` runs the exact engine (direct slice reads — no
-/// `O(log G)` per-item group resolution, so it is the faster of the
-/// two mirrors); the grouped engine is the *explicit* cross-check: it
-/// derives every score through the sort-derived grouped runs and the
-/// inverse rank table, so any divergence between the two data paths
-/// fails the runner's sweep-level equality tests selection-by-
-/// selection rather than hiding inside statistical tolerance.
+/// Both modes run the one exact engine over the dataset's shared
+/// `SweepContext` and emit **bit-identical index streams** for every
+/// algorithm; they differ only in how an examined item's score is
+/// resolved. `Grouped` is the *explicit* cross-check: it derives every
+/// score through the sort-derived grouped runs and the inverse rank
+/// table, so any divergence between the two data paths fails the
+/// runner's sweep-level equality tests selection by selection rather
+/// than hiding inside statistical tolerance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimulationMode {
-    /// The default policy: currently identical to [`Exact`](Self::Exact)
-    /// for every algorithm (the exact engine is both faithful and the
-    /// fastest).
+    /// The default: read scores straight off the raw slice.
     Auto,
-    /// Force the faithful per-query traversal everywhere.
-    Exact,
-    /// Force the grouped bit-level mirror engine (supports every
-    /// algorithm, SVT-DPBook included, since the index-level traversal
-    /// handles its per-⊤ threshold refresh naturally).
+    /// Resolve every score through the shared grouped runs.
     Grouped,
 }
 

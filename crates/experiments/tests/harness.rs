@@ -1,8 +1,8 @@
-//! Integration tests for the evaluation harness: the grouped engine
-//! must be a bit-level mirror of the exact per-query traversal (same
-//! index streams, equal cell results from the same master seed),
-//! sweeps must be deterministic, and the figure builders must
-//! reproduce the paper's qualitative orderings on scaled-down grids.
+//! Integration tests for the evaluation harness: the grouped score
+//! source must be a bit-level mirror of the raw slice (same index
+//! streams, equal cell results from the same master seed), sweeps must
+//! be deterministic, and the figure builders must reproduce the paper's
+//! qualitative orderings on scaled-down grids.
 
 use dp_data::{DatasetSpec, ScoreVector};
 use svt_core::allocation::BudgetRatio;
@@ -11,7 +11,7 @@ use svt_experiments::spec::{AlgorithmSpec, ExperimentConfig, SimulationMode};
 
 fn tiered_scores() -> ScoreVector {
     // Three tiers with heavy ties — the stress case for the grouped
-    // engine's hypergeometric tie handling.
+    // score resolution.
     let mut v = vec![1_000.0; 10];
     v.extend(vec![300.0; 30]);
     v.extend(vec![50.0; 160]);
@@ -29,12 +29,11 @@ fn config(mode: SimulationMode, runs: usize, seed: u64) -> ExperimentConfig {
     }
 }
 
-/// The tentpole contract at the integration level: both engines run
-/// the same draw protocol over the shared per-dataset SweepContext, so
-/// from the *same master seed* a cell under either engine is **equal**
-/// — identical index streams per run, hence identical metric
-/// summaries. Every algorithm is covered, including SVT-DPBook, which
-/// the old aggregate grouped engine had to refuse.
+/// The contract at the integration level: both score sources run the
+/// same draw protocol over the shared per-dataset SweepContext, so from
+/// the *same master seed* a cell under either source is **equal** —
+/// identical index streams per run, hence identical metric summaries.
+/// Every algorithm is covered, SVT-DPBook included.
 #[test]
 fn grouped_engine_is_a_bit_level_mirror_of_the_exact_engine() {
     let data = PreparedDataset::new("tiered", tiered_scores());
@@ -55,7 +54,7 @@ fn grouped_engine_is_a_bit_level_mirror_of_the_exact_engine() {
     let runs = 200;
     for alg in &algorithms {
         for &c in &[5usize, 20] {
-            let exact = run_cell(&data, alg, c, &config(SimulationMode::Exact, runs, 101)).unwrap();
+            let exact = run_cell(&data, alg, c, &config(SimulationMode::Auto, runs, 101)).unwrap();
             let grouped =
                 run_cell(&data, alg, c, &config(SimulationMode::Grouped, runs, 101)).unwrap();
             assert_eq!(exact, grouped, "{alg:?} c={c}: engines diverged");
@@ -76,7 +75,7 @@ fn engines_are_bit_identical_on_real_workload_slice() {
         ratio: BudgetRatio::OneToCTwoThirds,
     };
     let runs = 400;
-    let exact = run_cell(&data, &alg, 25, &config(SimulationMode::Exact, runs, 77)).unwrap();
+    let exact = run_cell(&data, &alg, 25, &config(SimulationMode::Auto, runs, 77)).unwrap();
     let grouped = run_cell(&data, &alg, 25, &config(SimulationMode::Grouped, runs, 77)).unwrap();
     assert_eq!(exact, grouped);
 }

@@ -13,11 +13,11 @@
 //! by the same telescoping argument as the Laplace mechanism — the
 //! distribution is the Laplace density restricted to the integers and
 //! renormalized. This module is the discrete companion of
-//! [`crate::laplace`] flagged as an extension in `DESIGN.md` §6: it is
-//! not used by the paper's experiments (which follow the paper in using
-//! Laplace noise on counts) but is provided for downstream users who
-//! want integer-valued releases, and it is exercised by the ablation
-//! benches.
+//! [`crate::laplace`] and an extension beyond the paper: it is not used
+//! by the paper's experiments (which follow the paper in using Laplace
+//! noise on counts) but is provided for downstream users who want
+//! integer-valued releases, and the `counting_release` example
+//! exercises it.
 //!
 //! Sampling is exact (no floating-point truncation of the support): a
 //! draw is `0` with probability `(1−α)/(1+α)`, otherwise a uniform sign

@@ -51,10 +51,9 @@
 //!   platform- and thread-count-deterministic) and the two-kernel
 //!   policy (`Reference` = libm, bit-identical to scalar;
 //!   `Vectorized` = fast path, same uniforms and distribution).
-//! - [`samplers`] — discrete samplers (binomial, hypergeometric,
-//!   categorical-in-log-space) used by the grouped traversal simulator.
 //! - [`TwoSidedGeometric`] — the discrete companion of the Laplace
-//!   mechanism for integer counting queries (extension; `DESIGN.md` §6).
+//!   mechanism for integer counting queries (an extension beyond the
+//!   paper).
 //! - [`composition`] — basic and advanced (`(ε, δ)`, §3.4) composition
 //!   bounds, with the inverse "per-instance budget" solver.
 //!
@@ -78,7 +77,6 @@ pub mod ledger;
 pub mod noisy_max;
 pub mod rng;
 pub mod sample;
-pub mod samplers;
 pub mod wal;
 
 pub use budget::{BudgetAccountant, BudgetCharge, SvtBudget};

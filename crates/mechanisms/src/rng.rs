@@ -219,8 +219,8 @@ impl DpRng {
 
     /// A standard normal draw via the Box–Muller transform.
     ///
-    /// Used only by the large-`n` binomial approximation in
-    /// [`crate::samplers`]; DP noise itself is always Laplace or Gumbel.
+    /// Not used on any privacy path: DP noise itself is always Laplace,
+    /// exponential or Gumbel.
     pub fn standard_normal(&mut self) -> f64 {
         let u1 = self.open_uniform();
         let u2 = self.uniform();

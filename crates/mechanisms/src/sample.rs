@@ -37,9 +37,9 @@ use crate::rng::DpRng;
 ///   `fastmath` module docs), so any two consumers running the
 ///   vectorized kernel still agree bit-for-bit *with each other*.
 ///
-/// Both mirror simulation engines default to `Vectorized` (they are
-/// compared against each other, never bitwise against scalar history);
-/// everything else defaults to `Reference`.
+/// The simulation engine's sweep workers default to `Vectorized` (its
+/// two score sources are compared against each other, never bitwise
+/// against scalar history); everything else defaults to `Reference`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NoiseKernel {
     /// Libm-backed transform, bit-identical to scalar draws.

@@ -9,9 +9,6 @@ use dp_mechanisms::exponential::ExponentialMechanism;
 use dp_mechanisms::gumbel::Gumbel;
 use dp_mechanisms::laplace::Laplace;
 use dp_mechanisms::sample::BatchSample;
-use dp_mechanisms::samplers::{
-    sample_binomial, sample_hypergeometric, sample_multivariate_hypergeometric,
-};
 use dp_mechanisms::{fastmath, DpRng, NoiseKernel, SvtBudget};
 use proptest::prelude::*;
 
@@ -344,45 +341,6 @@ proptest! {
         sorted.sort_unstable();
         sorted.dedup();
         prop_assert_eq!(sorted.len(), picked.len());
-    }
-
-    #[test]
-    fn binomial_stays_in_range(n in 0u64..100_000, p in 0.0f64..1.0, seed in any::<u64>()) {
-        let mut rng = DpRng::seed_from_u64(seed);
-        let k = sample_binomial(n, p, &mut rng).unwrap();
-        prop_assert!(k <= n);
-    }
-
-    #[test]
-    fn hypergeometric_stays_in_range(
-        total in 1u64..10_000,
-        succ_frac in 0.0f64..1.0,
-        draw_frac in 0.0f64..1.0,
-        seed in any::<u64>(),
-    ) {
-        let successes = (total as f64 * succ_frac) as u64;
-        let draws = (total as f64 * draw_frac) as u64;
-        let mut rng = DpRng::seed_from_u64(seed);
-        let h = sample_hypergeometric(total, successes, draws, &mut rng).unwrap();
-        prop_assert!(h <= successes && h <= draws);
-        // Can't miss more than the unmarked population allows.
-        prop_assert!(h + (total - successes) >= draws);
-    }
-
-    #[test]
-    fn multivariate_hypergeometric_conserves_draws(
-        sizes in prop::collection::vec(0u64..1000, 1..16),
-        frac in 0.0f64..1.0,
-        seed in any::<u64>(),
-    ) {
-        let total: u64 = sizes.iter().sum();
-        let draws = (total as f64 * frac) as u64;
-        let mut rng = DpRng::seed_from_u64(seed);
-        let alloc = sample_multivariate_hypergeometric(&sizes, draws, &mut rng).unwrap();
-        prop_assert_eq!(alloc.iter().sum::<u64>(), draws);
-        for (a, s) in alloc.iter().zip(&sizes) {
-            prop_assert!(a <= s);
-        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!
 //! * [`mechanisms`] — DP primitives: Laplace/Gumbel distributions,
 //!   the Exponential Mechanism, report-noisy-max, budget accounting,
-//!   discrete samplers, and the seedable [`DpRng`].
+//!   and the seedable [`DpRng`](mechanisms::DpRng).
 //! * [`data`] — workloads: score vectors, transaction datasets,
 //!   counting queries, and the four Table-1 dataset generators.
 //! * [`svt`] — the paper's contribution: Algorithms 1–7, budget
