@@ -246,7 +246,7 @@ pub fn alg4_corrected_bound_general(epsilon: f64, c: usize) -> f64 {
 }
 
 /// Alg. 4's corrected privacy bound for monotonic queries,
-/// `(1+3c)/4 · ε` (the frequent-itemset use case of [13]).
+/// `(1+3c)/4 · ε` (the frequent-itemset use case of the paper's \[13\]).
 pub fn alg4_corrected_bound_monotonic(epsilon: f64, c: usize) -> f64 {
     (1.0 + 3.0 * c as f64) / 4.0 * epsilon
 }
@@ -349,7 +349,7 @@ impl SparseVector for BrokenRevisited {
     }
 }
 
-/// Witness against [`BrokenRevisited`]'s nominal `ε` claim: `c` blocks
+/// Witness against `BrokenRevisited`'s nominal `ε` claim: `c` blocks
 /// of `m` queries at the threshold followed by one above it, with
 /// `q(D)` blocks `0^m·1` and `q(D′)` blocks `1^m·0`, output
 /// `(⊥^m ⊤)^c`.
@@ -402,7 +402,7 @@ fn revisited_witness(m: usize, c: usize) -> (Vec<Expected>, Vec<f64>, Vec<f64>) 
     (pattern, queries_d, queries_d_prime)
 }
 
-/// What [`BrokenRevisited`] actually spends: `c` composed full-`ε`
+/// What `BrokenRevisited` actually spends: `c` composed full-`ε`
 /// instances, i.e. `cε` — the ceiling its measured loss cannot exceed.
 pub fn broken_revisited_composition_bound(epsilon: f64, c: usize) -> f64 {
     c as f64 * epsilon
@@ -461,7 +461,7 @@ impl SparseVector for BrokenExpNoise {
     }
 }
 
-/// Witness against [`BrokenExpNoise`]'s nominal `ε` claim: `c` queries
+/// Witness against `BrokenExpNoise`'s nominal `ε` claim: `c` queries
 /// with `q(D) = 0^c`, `q(D′) = (−1)^c`, output `⊤^c`.
 ///
 /// One-sided noise makes this witness *exactly* computable: both `ρ`
@@ -496,7 +496,7 @@ pub fn audit_broken_exp_noise(
     )
 }
 
-/// The exact `⊤^c` witness ratio for [`BrokenExpNoise`]: `e^{cε/4}`
+/// The exact `⊤^c` witness ratio for `BrokenExpNoise`: `e^{cε/4}`
 /// (query scale `2Δ/ε₂` with `ε₂ = ε/2`, one `Δ` shift per positive).
 pub fn broken_exp_noise_theoretical_ratio(epsilon: f64, c: usize) -> f64 {
     (c as f64 * epsilon / 4.0).exp()

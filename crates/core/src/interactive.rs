@@ -1,96 +1,25 @@
-//! The interactive setting: sessions, budget accounting, and the
-//! corrected answer-from-history mediator of §3.4.
+//! The corrected answer-from-history mediator of §3.4.
 //!
 //! SVT's unique power is interactive: a sequence of queries arrives
 //! *online*, each ⊥ answer is free, and only ⊤ answers consume budget —
 //! so with one `(ε₁+ε₂)` charge an analyst can keep asking questions
-//! until `c` of them come back positive. [`InteractiveSvtSession`] wraps
-//! [`StandardSvt`] with a [`BudgetAccountant`] to make that contract
-//! explicit.
+//! until `c` of them come back positive. A plain interactive session is
+//! a [`SessionDriver`] plus one
+//! [`BudgetLedger::charge`](dp_mechanisms::BudgetLedger::charge).
 //!
 //! [`HistoryMediator`] implements the iterative-construction idea from
-//! the introduction, with the §3.4 **fix**: the papers [12, 16] tested
-//! `|q̃ᵢ − qᵢ(D) + νᵢ| ≥ T + ρ` — noise *inside* the absolute value —
-//! which makes the left side non-negative, so any ⊤ reveals `ρ ≥ −T`
-//! and the free-negatives argument collapses. The corrected check
-//! treats the derived-answer error `rᵢ = |q̃ᵢ − qᵢ(D)|` as the query and
-//! adds the noise *outside*: `rᵢ + νᵢ ≥ T + ρ`.
+//! the introduction on top of a driver, with the §3.4 **fix**: the papers
+//! [12, 16] tested `|q̃ᵢ − qᵢ(D) + νᵢ| ≥ T + ρ` — noise *inside* the
+//! absolute value — which makes the left side non-negative, so any ⊤
+//! reveals `ρ ≥ −T` and the free-negatives argument collapses. The
+//! corrected check treats the derived-answer error `rᵢ = |q̃ᵢ − qᵢ(D)|`
+//! as the query and adds the noise *outside*: `rᵢ + νᵢ ≥ T + ρ`.
 
-use crate::alg::{SparseVector, StandardSvt, StandardSvtConfig};
-use crate::response::SvtAnswer;
+use crate::alg::StandardSvtConfig;
+use crate::session::SessionDriver;
 use crate::{Result, SvtError};
-use dp_mechanisms::laplace::laplace_mechanism;
-use dp_mechanisms::{BudgetAccountant, DpRng};
+use dp_mechanisms::{budget::charge_fits, DpRng, Laplace, MechanismError};
 use std::collections::HashMap;
-
-/// An interactive SVT session with explicit budget accounting.
-///
-/// The full indicator budget `ε₁ + ε₂` (plus `ε₃` if numeric outputs are
-/// enabled) is charged once at session start — that is SVT's guarantee
-/// for the *entire* run, regardless of how many ⊥ answers it produces.
-#[derive(Debug)]
-pub struct InteractiveSvtSession {
-    svt: StandardSvt,
-    accountant: BudgetAccountant,
-    asked: usize,
-}
-
-impl InteractiveSvtSession {
-    /// Opens a session, charging the SVT budget against `total_epsilon`.
-    ///
-    /// # Errors
-    /// Budget/parameter validation; `BudgetExhausted` if the SVT budget
-    /// does not fit in `total_epsilon`.
-    pub fn open(total_epsilon: f64, config: StandardSvtConfig, rng: &mut DpRng) -> Result<Self> {
-        let mut accountant = BudgetAccountant::new(total_epsilon).map_err(SvtError::from)?;
-        accountant
-            .charge("svt session", config.budget.total())
-            .map_err(SvtError::from)?;
-        let svt = StandardSvt::new(config, rng)?;
-        Ok(Self {
-            svt,
-            accountant,
-            asked: 0,
-        })
-    }
-
-    /// Asks one query (true answer + threshold); free unless it is one
-    /// of the ≤ `c` positive answers already paid for.
-    ///
-    /// Only successfully answered queries count toward
-    /// [`queries_asked`](Self::queries_asked): a rejected query (halted
-    /// session, non-finite input) increments nothing and consumes no
-    /// noise, so the counter equals the number of answers the analyst
-    /// actually received.
-    ///
-    /// # Errors
-    /// [`SvtError::Halted`] once the session's `c` positives are spent.
-    pub fn ask(&mut self, query_answer: f64, threshold: f64, rng: &mut DpRng) -> Result<SvtAnswer> {
-        let answer = self.svt.respond(query_answer, threshold, rng)?;
-        self.asked += 1;
-        Ok(answer)
-    }
-
-    /// Queries asked so far.
-    pub fn queries_asked(&self) -> usize {
-        self.asked
-    }
-
-    /// Positive answers so far.
-    pub fn positives(&self) -> usize {
-        self.svt.positives()
-    }
-
-    /// Whether the session has exhausted its positive-answer allowance.
-    pub fn is_exhausted(&self) -> bool {
-        self.svt.is_halted()
-    }
-
-    /// Remaining (uncommitted) privacy budget.
-    pub fn remaining_budget(&self) -> f64 {
-        self.accountant.remaining()
-    }
-}
 
 /// Statistics of a [`HistoryMediator`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -107,11 +36,11 @@ pub struct MediatorStats {
 /// only when it is not.
 #[derive(Debug)]
 pub struct HistoryMediator {
-    svt: StandardSvt,
-    accountant: BudgetAccountant,
-    /// Per-refresh Laplace budget.
-    refresh_epsilon: f64,
-    sensitivity: f64,
+    driver: SessionDriver,
+    /// `Lap(Δ/ε)` for one database refresh.
+    refresh: Laplace,
+    /// The worst case committed at construction.
+    committed: f64,
     error_threshold: f64,
     cache: HashMap<u64, f64>,
     /// Fallback estimate for never-seen queries.
@@ -120,7 +49,7 @@ pub struct HistoryMediator {
 }
 
 impl HistoryMediator {
-    /// Creates a mediator.
+    /// Creates a mediator, opening its [`SessionDriver`] on `rng`.
     ///
     /// * `svt_config` — the SVT used to test derived-answer errors
     ///   (its `c` bounds how many database accesses are allowed);
@@ -131,8 +60,10 @@ impl HistoryMediator {
     ///   `c` refreshes must fit.
     ///
     /// # Errors
-    /// Parameter validation; `BudgetExhausted` if the worst-case cost
-    /// (`ε₁ + ε₂ + c·refresh_epsilon`) exceeds `total_epsilon`.
+    /// Parameter validation, including a refresh noise scale
+    /// `Δ/refresh_epsilon` that is not finite; `BudgetExhausted` if the
+    /// worst-case cost (`ε₁ + ε₂ + c·refresh_epsilon`) exceeds
+    /// `total_epsilon`.
     pub fn new(
         total_epsilon: f64,
         svt_config: StandardSvtConfig,
@@ -141,24 +72,23 @@ impl HistoryMediator {
         default_estimate: f64,
         rng: &mut DpRng,
     ) -> Result<Self> {
-        dp_mechanisms::error::check_epsilon(refresh_epsilon).map_err(SvtError::from)?;
+        dp_mechanisms::error::check_epsilon(total_epsilon).map_err(SvtError::from)?;
+        let refresh =
+            Laplace::for_query(svt_config.sensitivity, refresh_epsilon).map_err(SvtError::from)?;
         crate::error::check_finite(error_threshold, "error threshold")?;
         crate::error::check_finite(default_estimate, "default estimate")?;
-        let mut accountant = BudgetAccountant::new(total_epsilon).map_err(SvtError::from)?;
-        accountant
-            .charge("svt indicator", svt_config.budget.total())
-            .map_err(SvtError::from)?;
-        // Reserve the worst case up front: c database refreshes.
-        accountant
-            .charge("reserved refreshes", refresh_epsilon * svt_config.c as f64)
-            .map_err(SvtError::from)?;
-        let sensitivity = svt_config.sensitivity;
-        let svt = StandardSvt::new(svt_config, rng)?;
+        // Commit the worst case up front: the indicator plus c refreshes.
+        let committed = svt_config.budget.total() + refresh_epsilon * svt_config.c as f64;
+        if !charge_fits(total_epsilon, 0.0, committed) {
+            return Err(SvtError::from(MechanismError::BudgetExhausted {
+                requested: committed,
+                remaining: total_epsilon,
+            }));
+        }
         Ok(Self {
-            svt,
-            accountant,
-            refresh_epsilon,
-            sensitivity,
+            driver: SessionDriver::open(svt_config, rng)?,
+            refresh,
+            committed,
             error_threshold,
             cache: HashMap::new(),
             default_estimate,
@@ -171,8 +101,8 @@ impl HistoryMediator {
     /// The derived answer `q̃` comes from the cache (or the default
     /// estimate). Its error `r = |q̃ − q(D)|` is a sensitivity-`Δ` query;
     /// SVT tests `r + ν ≥ T + ρ`. On ⊥ the cached answer is returned
-    /// free; on ⊤ a fresh Laplace answer is bought, cached, and
-    /// returned.
+    /// free; on ⊤ a fresh Laplace answer (noise drawn from `rng`) is
+    /// bought, cached, and returned.
     ///
     /// # Errors
     /// [`SvtError::Halted`] when the access allowance is exhausted.
@@ -181,11 +111,9 @@ impl HistoryMediator {
         let estimate = *self.cache.get(&query_id).unwrap_or(&self.default_estimate);
         // The corrected §3.4 check: noise OUTSIDE the absolute value.
         let error_query = (estimate - true_answer).abs();
-        let verdict = self.svt.respond(error_query, self.error_threshold, rng)?;
+        let verdict = self.driver.ask(error_query, self.error_threshold)?;
         if verdict.is_positive() {
-            let refreshed =
-                laplace_mechanism(true_answer, self.sensitivity, self.refresh_epsilon, rng)
-                    .map_err(SvtError::from)?;
+            let refreshed = true_answer + self.refresh.sample(rng);
             self.cache.insert(query_id, refreshed);
             self.stats.database_accesses += 1;
             Ok(refreshed)
@@ -202,12 +130,12 @@ impl HistoryMediator {
 
     /// Whether the database-access allowance is spent.
     pub fn is_exhausted(&self) -> bool {
-        self.svt.is_halted()
+        self.driver.is_exhausted()
     }
 
     /// Total budget actually committed (indicator + reserved refreshes).
     pub fn committed_budget(&self) -> f64 {
-        self.accountant.spent()
+        self.committed
     }
 }
 
@@ -226,66 +154,6 @@ mod tests {
     }
 
     #[test]
-    fn session_charges_budget_once() {
-        let mut rng = DpRng::seed_from_u64(557);
-        let session = InteractiveSvtSession::open(1.0, svt_config(3), &mut rng).unwrap();
-        assert!((session.remaining_budget() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn session_rejects_oversized_svt_budget() {
-        let mut rng = DpRng::seed_from_u64(563);
-        assert!(InteractiveSvtSession::open(0.3, svt_config(3), &mut rng).is_err());
-    }
-
-    #[test]
-    fn negative_answers_are_free_and_unlimited() {
-        let mut rng = DpRng::seed_from_u64(569);
-        let mut session = InteractiveSvtSession::open(1.0, svt_config(2), &mut rng).unwrap();
-        for _ in 0..100 {
-            let a = session.ask(-1e9, 0.0, &mut rng).unwrap();
-            assert_eq!(a, SvtAnswer::Below);
-        }
-        assert_eq!(session.queries_asked(), 100);
-        assert!(!session.is_exhausted());
-        assert!((session.remaining_budget() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rejected_queries_are_not_counted_as_asked() {
-        let mut rng = DpRng::seed_from_u64(601);
-        let mut session = InteractiveSvtSession::open(1.0, svt_config(1), &mut rng).unwrap();
-        // Invalid inputs error out before the query is counted.
-        assert!(session.ask(f64::NAN, 0.0, &mut rng).is_err());
-        assert!(session.ask(0.0, f64::INFINITY, &mut rng).is_err());
-        assert_eq!(session.queries_asked(), 0);
-        // Spend the single positive, then keep hammering the halted
-        // session: the failed asks must not inflate the counter.
-        let _ = session.ask(1e9, 0.0, &mut rng).unwrap();
-        assert!(session.is_exhausted());
-        for _ in 0..5 {
-            assert!(matches!(
-                session.ask(0.0, 0.0, &mut rng),
-                Err(SvtError::Halted)
-            ));
-        }
-        assert_eq!(session.queries_asked(), 1);
-    }
-
-    #[test]
-    fn session_exhausts_after_c_positives() {
-        let mut rng = DpRng::seed_from_u64(571);
-        let mut session = InteractiveSvtSession::open(1.0, svt_config(2), &mut rng).unwrap();
-        let _ = session.ask(1e9, 0.0, &mut rng).unwrap();
-        let _ = session.ask(1e9, 0.0, &mut rng).unwrap();
-        assert!(session.is_exhausted());
-        assert!(matches!(
-            session.ask(0.0, 0.0, &mut rng),
-            Err(SvtError::Halted)
-        ));
-    }
-
-    #[test]
     fn mediator_reserves_worst_case_budget() {
         let mut rng = DpRng::seed_from_u64(577);
         // indicator 0.5 + 3 × 0.1 = 0.8 committed.
@@ -294,6 +162,38 @@ mod tests {
         // Doesn't fit → error.
         let mut rng2 = DpRng::seed_from_u64(577);
         assert!(HistoryMediator::new(0.7, svt_config(3), 0.1, 5.0, 0.0, &mut rng2).is_err());
+    }
+
+    #[test]
+    fn mediator_rejects_refresh_noise_that_overflows() {
+        // ε = 1e-320 is positive and finite, but Δ/ε overflows to ∞: refuse
+        // it up front instead of spending ⊤s on refreshes it cannot sample.
+        let mut rng = DpRng::seed_from_u64(579);
+        assert!(HistoryMediator::new(1.0, svt_config(3), 1e-320, 5.0, 0.0, &mut rng).is_err());
+    }
+
+    #[test]
+    fn mediator_decisions_match_a_driver_fed_the_same_errors() {
+        // The mediator's ⊤/⊥ stream is a SessionDriver's, opened from the
+        // same seed and asked the same |q̃ − q(D)| error queries.
+        let mut rng = DpRng::seed_from_u64(613);
+        let mut m = HistoryMediator::new(10.0, svt_config(20), 0.25, 25.0, 0.0, &mut rng).unwrap();
+        let mut driver =
+            SessionDriver::open(svt_config(20), &mut DpRng::seed_from_u64(613)).unwrap();
+        let mut history = HashMap::new();
+        for id in (0..5u64).cycle().take(400) {
+            if m.is_exhausted() {
+                break;
+            }
+            let truth = 50.0 * (id + 1) as f64;
+            let estimate = history.get(&id).copied().unwrap_or(0.0);
+            let want = driver.ask((estimate - truth).abs(), 25.0).unwrap();
+            let paid = m.stats().database_accesses;
+            history.insert(id, m.answer(id, truth, &mut rng).unwrap());
+            assert_eq!(m.stats().database_accesses > paid, want.is_positive());
+        }
+        assert!(m.stats().database_accesses > 0 && m.stats().answered_from_history > 0);
+        assert_eq!(m.is_exhausted(), driver.is_exhausted());
     }
 
     #[test]

@@ -33,14 +33,13 @@
 //!   selections with budget `ε/c` each (§5).
 //! - [`session`] — the pure/impure split underneath every interactive
 //!   surface: [`SessionState`], the `Send`-able Algorithm 7 state
-//!   machine (no RNG, no accountant), and [`SessionDriver`], the thin
-//!   I/O layer that feeds it batched noise — what the multi-tenant
-//!   `svt-server` crate parks in its sharded session store. Both speak
-//!   [`session::ChargePolicy`]: Algorithm 7's upfront charging or
-//!   SVT-Revisited's ⊤-only rule (`SessionDriver::open_revisited`).
-//! - [`interactive`] — the interactive session API with budget
-//!   accounting, including the *corrected* answer-from-history mediator
-//!   of §3.4 (`|q̃ − q(D)| + ν ≥ T + ρ`).
+//!   machine (no RNG, no ledger; [`session::ChargePolicy`] selects
+//!   Algorithm 7's upfront charging or SVT-Revisited's ⊤-only rule),
+//!   and [`SessionDriver`], the one interactive session: the thin I/O
+//!   layer that feeds the state batched noise — what the multi-tenant
+//!   `svt-server` crate parks in its sharded session store.
+//! - [`interactive`] — the *corrected* answer-from-history mediator of
+//!   §3.4 (`|q̃ − q(D)| + ν ≥ T + ρ`), run on a [`SessionDriver`].
 //! - [`analysis`] — the §5 closed-form utility bounds `α_SVT` and
 //!   `α_EM` and their comparison.
 //! - [`approx`] — the §3.4 `(ε, δ)`-DP regime: `c` composed cutoff-1

@@ -6,14 +6,14 @@
 //! for free, counts ⊤ answers, and halts at `c`. Everything else —
 //! where the noise comes from, who accounts the budget, which thread
 //! owns the session — is I/O, and fusing it into the algorithm state
-//! (as the original `InteractiveSvtSession` did) makes the state
-//! unshareable: nothing above a single-threaded session can be built.
+//! makes the state unshareable: nothing above a single-threaded session
+//! can be built.
 //!
 //! This module splits the two concerns:
 //!
 //! - [`SessionState`] is the **pure state machine**: the validated
 //!   configuration, the drawn `ρ`, the positives count, and the halt
-//!   flag. It holds no RNG and no accountant, is `Copy`, and is `Send`
+//!   flag. It holds no RNG and no ledger, is `Copy`, and is `Send`
 //!   by construction (pinned by a test), so a server can park millions
 //!   of them in shared maps. Its one transition, [`SessionState::observe`],
 //!   consumes an externally supplied noise value `ν` and applies lines
@@ -34,20 +34,21 @@
 //! 2. if the numeric phase is enabled, fork the numeric-noise generator;
 //! 3. draw `ρ = Lap(Δ/ε₁)` from `rng` itself.
 //!
-//! This mirrors the `streaming` module's batched protocol (fork first,
-//! then `ρ`), and keeping the numeric stream on its own fork means the
-//! ⊤/⊥ decision stream is unaffected by whether numeric outputs are on.
+//! Each `ν` is the next scalar `Lap` draw on the query fork. This mirrors
+//! the `streaming` module's batched protocol (fork first, then `ρ`), and
+//! keeping the numeric stream on its own fork means the ⊤/⊥ decision
+//! stream is unaffected by whether numeric outputs are on.
 //!
-//! The existing public surfaces — [`StandardSvt`](crate::alg::StandardSvt),
-//! [`InteractiveSvtSession`](crate::interactive::InteractiveSvtSession),
-//! the mediator, and the streaming engines — are wrappers over
-//! [`SessionState`]; their caller-supplied-RNG behavior is unchanged.
+//! The caller-RNG references ([`StandardSvt`](crate::alg::StandardSvt),
+//! [`SvtRevisited`](crate::alg::SvtRevisited) with its
+//! [`ChargePolicy::PerTop`], [`ExpNoiseSvt`](crate::alg::ExpNoiseSvt))
+//! and the streaming engines wrap [`SessionState`] directly.
 
 use crate::alg::StandardSvtConfig;
 use crate::response::SvtAnswer;
 use crate::{Result, SvtError};
 use dp_mechanisms::laplace::Laplace;
-use dp_mechanisms::{DpRng, MechanismError, NoiseBuffer, NoiseKernel};
+use dp_mechanisms::{DpRng, MechanismError, NoiseBuffer};
 
 /// How a session charges its privacy budget.
 ///
@@ -280,11 +281,9 @@ impl SessionState {
 pub struct SessionDriver {
     state: SessionState,
     query_noise: Laplace,
-    numeric_noise: Option<Laplace>,
-    threshold_noise: Option<Laplace>,
     noise_rng: DpRng,
-    numeric_rng: Option<DpRng>,
-    threshold_rng: Option<DpRng>,
+    /// The numeric phase's noise and its own fork, when `ε₃ > 0`.
+    numeric: Option<(Laplace, DpRng)>,
     noise: NoiseBuffer,
     asked: usize,
 }
@@ -306,57 +305,15 @@ impl SessionDriver {
             None
         };
         let noise_rng = rng.fork();
-        let numeric_rng = numeric_noise.is_some().then(|| rng.fork());
+        let numeric = numeric_noise.map(|noise| (noise, rng.fork()));
         let rho = Laplace::new(config.threshold_noise_scale())
             .map_err(SvtError::from)?
             .sample(rng);
         Ok(Self {
             state: SessionState::new(config, rho)?,
             query_noise,
-            numeric_noise,
-            threshold_noise: None,
             noise_rng,
-            numeric_rng,
-            threshold_rng: None,
-            noise: NoiseBuffer::new(),
-            asked: 0,
-        })
-    }
-
-    /// Opens an SVT-Revisited session: `c` chained cutoff-1 instances,
-    /// budget charged only on ⊤ answers ([`ChargePolicy::PerTop`]).
-    ///
-    /// Draw protocol (pinned, a superset of [`open`](Self::open)'s):
-    ///
-    /// 1. fork the query-noise generator off `rng`;
-    /// 2. fork the threshold-refresh generator off `rng`;
-    /// 3. draw the first instance's `ρ` from `rng` itself.
-    ///
-    /// The refresh generator is deliberately *not* the query-noise
-    /// fork: [`prefetch_noise`](Self::prefetch_noise) runs the query
-    /// fork ahead of consumption, so interleaving `ρ` redraws into the
-    /// same stream would make answers depend on the prefetch schedule.
-    ///
-    /// # Errors
-    /// Same as [`open`](Self::open); additionally rejects budgets with a
-    /// numeric phase (SVT-Revisited defines no numeric release).
-    pub fn open_revisited(config: StandardSvtConfig, rng: &mut DpRng) -> Result<Self> {
-        dp_mechanisms::error::check_sensitivity(config.sensitivity).map_err(SvtError::from)?;
-        crate::error::check_cutoff(config.c)?;
-        let query_noise = Laplace::new(config.query_noise_scale()).map_err(SvtError::from)?;
-        let threshold_noise =
-            Laplace::new(config.revisited_threshold_noise_scale()).map_err(SvtError::from)?;
-        let noise_rng = rng.fork();
-        let threshold_rng = rng.fork();
-        let rho = threshold_noise.sample(rng);
-        Ok(Self {
-            state: SessionState::with_policy(config, rho, ChargePolicy::PerTop)?,
-            query_noise,
-            numeric_noise: None,
-            threshold_noise: Some(threshold_noise),
-            noise_rng,
-            numeric_rng: None,
-            threshold_rng: Some(threshold_rng),
+            numeric,
             noise: NoiseBuffer::new(),
             asked: 0,
         })
@@ -391,28 +348,14 @@ impl SessionDriver {
     pub fn ask(&mut self, query_answer: f64, threshold: f64) -> Result<SvtAnswer> {
         self.state.check(query_answer, threshold)?;
         let nu = self.noise.next(&self.query_noise, &mut self.noise_rng);
-        let positive = self.state.observe_unchecked(query_answer, threshold, nu);
         self.asked += 1;
-        if positive {
-            if self.state.needs_rho_refresh() {
-                if let (Some(noise), Some(rng)) = (&self.threshold_noise, &mut self.threshold_rng) {
-                    let rho = noise.sample(rng);
-                    self.state.refresh_rho(rho)?;
-                }
-            }
-            if let (Some(noise), Some(rng)) = (&self.numeric_noise, &mut self.numeric_rng) {
-                return Ok(SvtAnswer::Numeric(query_answer + noise.sample(rng)));
-            }
-            Ok(SvtAnswer::Above)
-        } else {
-            Ok(SvtAnswer::Below)
+        if !self.state.observe_unchecked(query_answer, threshold, nu) {
+            return Ok(SvtAnswer::Below);
         }
-    }
-
-    /// Privacy budget consumed so far (see [`SessionState::spent_epsilon`]).
-    #[inline]
-    pub fn spent_epsilon(&self) -> f64 {
-        self.state.spent_epsilon()
+        Ok(match &mut self.numeric {
+            Some((noise, rng)) => SvtAnswer::Numeric(query_answer + noise.sample(rng)),
+            None => SvtAnswer::Above,
+        })
     }
 
     /// Ensures `n` query-noise values are buffered using a single
@@ -426,25 +369,6 @@ impl SessionDriver {
     pub fn prefetch_noise(&mut self, n: usize) {
         self.noise
             .prefetch(&self.query_noise, &mut self.noise_rng, n);
-    }
-
-    /// Selects the noise transform kernel for subsequent refills.
-    ///
-    /// Drivers default to [`NoiseKernel::Reference`] — serving sessions
-    /// are pinned bit-identical to scalar sampling history — so
-    /// switching to [`NoiseKernel::Vectorized`] is an explicit opt-in
-    /// for deployments that prefer throughput over replaying historical
-    /// bit patterns. Either kernel consumes the same generator words
-    /// and samples the same distribution.
-    #[inline]
-    pub fn set_noise_kernel(&mut self, kernel: NoiseKernel) {
-        self.noise.set_kernel(kernel);
-    }
-
-    /// The noise transform kernel in force.
-    #[inline]
-    pub fn noise_kernel(&self) -> NoiseKernel {
-        self.noise.kernel()
     }
 }
 
@@ -545,15 +469,27 @@ mod tests {
     }
 
     #[test]
-    fn driver_defaults_to_reference_kernel_and_can_switch() {
-        let mut rng = DpRng::seed_from_u64(97);
-        let mut d = SessionDriver::open(config(10, 0.0), &mut rng).unwrap();
-        assert_eq!(d.noise_kernel(), NoiseKernel::Reference);
-        d.set_noise_kernel(NoiseKernel::Vectorized);
-        assert_eq!(d.noise_kernel(), NoiseKernel::Vectorized);
-        // The vectorized driver still answers sanely.
-        assert_eq!(d.ask(1e9, 0.0).unwrap(), SvtAnswer::Above);
-        assert_eq!(d.ask(-1e9, 0.0).unwrap(), SvtAnswer::Below);
+    fn driver_replays_its_pinned_draw_protocol() {
+        // Fork the ν generator, draw ρ, then scalar ν draws on the fork.
+        // Each query sits on its replayed boundary `q + ν = ρ`, so a ν
+        // off by one bit flips about half the answers: this pins the
+        // reference kernel.
+        let cfg = config(1_000, 0.0);
+        let (mut rng, mut replay) = (DpRng::seed_from_u64(61), DpRng::seed_from_u64(61));
+        let mut driver = SessionDriver::open(cfg, &mut rng).unwrap();
+        let mut nu_rng = replay.fork();
+        let rho = Laplace::new(cfg.threshold_noise_scale())
+            .unwrap()
+            .sample(&mut replay);
+        assert_eq!(driver.state().rho(), rho);
+        let query_noise = Laplace::new(cfg.query_noise_scale()).unwrap();
+        for _ in 0..600 {
+            let nu = query_noise.sample(&mut nu_rng);
+            let q = rho - nu;
+            assert_eq!(driver.ask(q, 0.0).unwrap().is_positive(), q + nu >= rho);
+        }
+        assert_eq!(driver.queries_asked(), 600);
+        assert_eq!(rng.next_u64(), replay.next_u64());
     }
 
     #[test]
@@ -603,56 +539,6 @@ mod tests {
     #[test]
     fn per_top_rejects_numeric_phase() {
         assert!(SessionState::with_policy(config(2, 0.5), 0.0, ChargePolicy::PerTop).is_err());
-        let mut rng = DpRng::seed_from_u64(43);
-        assert!(SessionDriver::open_revisited(config(2, 0.5), &mut rng).is_err());
-    }
-
-    #[test]
-    fn revisited_driver_charges_per_top_and_halts() {
-        let mut rng = DpRng::seed_from_u64(47);
-        let mut d = SessionDriver::open_revisited(config(2, 0.0), &mut rng).unwrap();
-        assert_eq!(d.spent_epsilon(), 0.0);
-        assert_eq!(d.ask(-1e9, 0.0).unwrap(), SvtAnswer::Below);
-        assert_eq!(d.spent_epsilon(), 0.0);
-        let rho_before = d.state().rho();
-        assert_eq!(d.ask(1e9, 0.0).unwrap(), SvtAnswer::Above);
-        assert!((d.spent_epsilon() - 0.25).abs() < 1e-12);
-        assert_ne!(d.state().rho(), rho_before, "⊤ must refresh ρ");
-        assert!(!d.state().needs_rho_refresh(), "refresh is internal");
-        assert_eq!(d.ask(1e9, 0.0).unwrap(), SvtAnswer::Above);
-        assert!(d.is_exhausted());
-        assert!((d.spent_epsilon() - 0.5).abs() < 1e-12);
-        assert!(matches!(d.ask(0.0, 0.0), Err(SvtError::Halted)));
-    }
-
-    #[test]
-    fn revisited_driver_prefetch_does_not_change_answers() {
-        // The ρ refreshes live on their own fork, so running the query
-        // noise ahead of consumption must not perturb the stream even
-        // when ⊤ answers (and hence refreshes) land mid-batch.
-        let queries: Vec<(f64, f64)> = (0..200)
-            .map(|i| (if i % 7 == 0 { 1e6 } else { -1e6 }, 0.0))
-            .collect();
-        let cfg = config(usize::MAX >> 1, 0.0);
-
-        let mut rng = DpRng::seed_from_u64(53);
-        let mut plain = SessionDriver::open_revisited(cfg, &mut rng).unwrap();
-        let reference: Vec<_> = queries
-            .iter()
-            .map(|&(q, t)| plain.ask(q, t).unwrap())
-            .collect();
-
-        let mut rng = DpRng::seed_from_u64(53);
-        let mut batched = SessionDriver::open_revisited(cfg, &mut rng).unwrap();
-        let mut got = Vec::new();
-        for chunk in queries.chunks(17) {
-            batched.prefetch_noise(chunk.len());
-            for &(q, t) in chunk {
-                got.push(batched.ask(q, t).unwrap());
-            }
-        }
-        assert_eq!(got, reference);
-        assert_eq!(batched.spent_epsilon(), plain.spent_epsilon());
     }
 
     #[test]

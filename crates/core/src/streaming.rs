@@ -866,7 +866,7 @@ pub fn svt_select_from<S: ScoreSource + ?Sized>(
 /// [`SvtRevisited`](crate::alg::SvtRevisited) through
 /// [`select_streaming_from`] — `c` chained cutoff-1 instances, `ρ`
 /// redrawn after every non-final ⊤ — but with the noise streams
-/// restructured for batching (the [`SessionDriver::open_revisited`]
+/// restructured for batching (unlike [`SvtRevisited`]'s caller-RNG
 /// protocol):
 ///
 /// 1. fork the query-noise generator off `rng`;
@@ -888,7 +888,7 @@ pub fn svt_select_from<S: ScoreSource + ?Sized>(
 /// [`RunScratch::set_noise_threads`] threads, bit-identical for every
 /// thread count.
 ///
-/// [`SessionDriver::open_revisited`]: crate::session::SessionDriver::open_revisited
+/// [`SvtRevisited`]: crate::alg::SvtRevisited
 ///
 /// # Errors
 /// Propagates configuration validation; like

@@ -1,10 +1,7 @@
-//! Privacy-budget accounting and the `ε₁/ε₂/ε₃` split used by SVT.
-//!
-//! Differential privacy composes sequentially: running mechanisms with
-//! budgets `ε₁, …, ε_m` on the same data satisfies `(Σεᵢ)`-DP. A
-//! [`BudgetAccountant`] tracks that sum against a total and refuses
-//! charges that would exceed it — the discipline the paper's interactive
-//! setting depends on.
+//! The overdraw rule of sequential composition and the `ε₁/ε₂/ε₃` split
+//! used by SVT. Running mechanisms with budgets `ε₁, …, ε_m` on the same
+//! data is `(Σεᵢ)`-DP; [`charge_fits`] refuses a charge past the total
+//! for every [`BudgetLedger`](crate::ledger::BudgetLedger).
 //!
 //! [`SvtBudget`] captures the three-way split of Algorithm 7:
 //! `ε₁` perturbs the threshold, `ε₂` perturbs the query answers, and an
@@ -16,94 +13,14 @@ use crate::error::MechanismError;
 use crate::Result;
 
 /// Whether a charge of `epsilon` fits a budget with `spent` of `total`
-/// already consumed, under the workspace-wide floating-point tolerance.
-///
-/// Shared by [`BudgetAccountant`] and
-/// [`BudgetLedger`](crate::ledger::BudgetLedger) so both enforce the
-/// same overdraw rule (e.g. three charges of `0.1` fill a total of
-/// `0.3` even though `0.1 × 3 ≠ 0.3` in binary).
+/// already consumed, under the workspace-wide floating-point tolerance
+/// (e.g. three charges of `0.1` fill a total of `0.3` even though
+/// `0.1 × 3 ≠ 0.3` in binary).
 #[inline]
 #[must_use]
 pub fn charge_fits(total: f64, spent: f64, epsilon: f64) -> bool {
     const TOLERANCE: f64 = 1e-12;
     spent + epsilon <= total * (1.0 + TOLERANCE) + TOLERANCE
-}
-
-/// One entry in a [`BudgetAccountant`] ledger.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BudgetCharge {
-    /// Human-readable description of what consumed the budget.
-    pub label: String,
-    /// The `ε` consumed.
-    pub epsilon: f64,
-}
-
-/// Tracks sequential composition against a fixed total `ε`.
-#[derive(Debug, Clone)]
-pub struct BudgetAccountant {
-    total: f64,
-    spent: f64,
-    ledger: Vec<BudgetCharge>,
-}
-
-impl BudgetAccountant {
-    /// Creates an accountant with the given total budget.
-    ///
-    /// # Errors
-    /// Rejects non-positive or non-finite totals.
-    pub fn new(total_epsilon: f64) -> Result<Self> {
-        crate::error::check_epsilon(total_epsilon)?;
-        Ok(Self {
-            total: total_epsilon,
-            spent: 0.0,
-            ledger: Vec::new(),
-        })
-    }
-
-    /// The configured total budget.
-    #[inline]
-    pub fn total(&self) -> f64 {
-        self.total
-    }
-
-    /// The budget consumed so far.
-    #[inline]
-    pub fn spent(&self) -> f64 {
-        self.spent
-    }
-
-    /// The budget still available (never negative).
-    #[inline]
-    pub fn remaining(&self) -> f64 {
-        (self.total - self.spent).max(0.0)
-    }
-
-    /// Records a charge of `epsilon` attributed to `label`.
-    ///
-    /// # Errors
-    /// [`MechanismError::BudgetExhausted`] if the charge does not fit
-    /// (within a small floating-point tolerance);
-    /// [`MechanismError::InvalidEpsilon`] on a non-positive charge.
-    pub fn charge(&mut self, label: &str, epsilon: f64) -> Result<()> {
-        crate::error::check_epsilon(epsilon)?;
-        if !charge_fits(self.total, self.spent, epsilon) {
-            return Err(MechanismError::BudgetExhausted {
-                requested: epsilon,
-                remaining: self.remaining(),
-            });
-        }
-        self.spent += epsilon;
-        self.ledger.push(BudgetCharge {
-            label: label.to_owned(),
-            epsilon,
-        });
-        Ok(())
-    }
-
-    /// The full charge history, in order.
-    pub fn ledger(&self) -> &[BudgetCharge] {
-        &self.ledger
-    }
 }
 
 /// The `ε₁/ε₂/ε₃` decomposition of an SVT invocation (Algorithm 7).
@@ -188,46 +105,6 @@ impl SvtBudget {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn accountant_tracks_and_refuses_overdraw() {
-        let mut acct = BudgetAccountant::new(1.0).unwrap();
-        acct.charge("svt indicator", 0.6).unwrap();
-        assert!((acct.spent() - 0.6).abs() < 1e-12);
-        assert!((acct.remaining() - 0.4).abs() < 1e-12);
-        let err = acct.charge("numeric", 0.5).unwrap_err();
-        assert!(matches!(err, MechanismError::BudgetExhausted { .. }));
-        // The failed charge must not be recorded.
-        assert_eq!(acct.ledger().len(), 1);
-        acct.charge("numeric", 0.4).unwrap();
-        assert!(acct.remaining() < 1e-9);
-    }
-
-    #[test]
-    fn accountant_tolerates_floating_point_exact_fill() {
-        let mut acct = BudgetAccountant::new(0.3).unwrap();
-        // 0.1 * 3 != 0.3 exactly in binary; the tolerance must absorb it.
-        for _ in 0..3 {
-            acct.charge("third", 0.1).unwrap();
-        }
-    }
-
-    #[test]
-    fn accountant_rejects_invalid_charges() {
-        let mut acct = BudgetAccountant::new(1.0).unwrap();
-        assert!(acct.charge("zero", 0.0).is_err());
-        assert!(acct.charge("nan", f64::NAN).is_err());
-        assert!(BudgetAccountant::new(-1.0).is_err());
-    }
-
-    #[test]
-    fn ledger_preserves_labels_and_order() {
-        let mut acct = BudgetAccountant::new(1.0).unwrap();
-        acct.charge("a", 0.25).unwrap();
-        acct.charge("b", 0.25).unwrap();
-        let labels: Vec<&str> = acct.ledger().iter().map(|c| c.label.as_str()).collect();
-        assert_eq!(labels, vec!["a", "b"]);
-    }
 
     #[test]
     fn halves_split_evenly() {

@@ -2,7 +2,7 @@
 //! advanced composition bound the paper cites in §3.4.
 //!
 //! The workspace's SVT variants are pure `ε`-DP and compose
-//! *sequentially* (`Σεᵢ`; tracked by [`crate::BudgetAccountant`]). But
+//! *sequentially* (`Σεᵢ`; tracked by [`crate::BudgetLedger`]). But
 //! §3.4 of the paper notes that some SVT usages instead target
 //! `(ε, δ)`-DP by exploiting the **advanced composition theorem**
 //! (Dwork–Rothblum–Vadhan, FOCS 2010):

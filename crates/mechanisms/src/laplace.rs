@@ -242,9 +242,9 @@ impl BatchSample for Laplace {
 ///
 /// ## Kernel policy
 ///
-/// Every refill is dispatched through the buffer's [`NoiseKernel`]
-/// (default [`NoiseKernel::Reference`], preserving the historical
-/// bit-identical-to-scalar contract). Switching to
+/// Every refill is dispatched through the [`NoiseKernel`] fixed at
+/// construction (default [`NoiseKernel::Reference`], preserving the
+/// historical bit-identical-to-scalar contract). Building with
 /// [`NoiseKernel::Vectorized`] changes only the transform applied to
 /// the batched uniforms — the generator consumes the identical word
 /// sequence either way.
@@ -317,13 +317,6 @@ impl NoiseBuffer {
     #[inline]
     pub fn kernel(&self) -> NoiseKernel {
         self.kernel
-    }
-
-    /// Sets the transform kernel for subsequent refills (already
-    /// buffered samples are served unchanged).
-    #[inline]
-    pub fn set_kernel(&mut self, kernel: NoiseKernel) {
-        self.kernel = kernel;
     }
 
     /// Discards any prefetched noise and leaves chunked mode; the next

@@ -1,10 +1,9 @@
 //! Auditable, hash-chained privacy-budget ledger.
 //!
-//! [`BudgetAccountant`](crate::BudgetAccountant) answers "does this
-//! charge fit?"; a multi-tenant server additionally has to answer "prove
-//! to an auditor that what was spent is exactly what was recorded".
-//! [`BudgetLedger`] grows the accountant into that role: every accepted
-//! charge appends a [`ChargeReceipt`] carrying the tenant id, session
+//! A [`BudgetLedger`] answers "does this charge fit?" (the
+//! [`charge_fits`] rule) and "prove to an auditor that what was spent is
+//! exactly what was recorded": every accepted charge appends a
+//! [`ChargeReceipt`] carrying the tenant id, session
 //! id, the `ε` charged, a monotonically increasing sequence number, and
 //! a hash chained to the previous receipt. The chain starts from a
 //! genesis hash bound to the tenant id and total budget, so a receipt
@@ -140,21 +139,6 @@ impl std::error::Error for LedgerError {
     }
 }
 
-impl From<MechanismError> for LedgerError {
-    fn from(e: MechanismError) -> Self {
-        match e {
-            MechanismError::BudgetExhausted {
-                requested,
-                remaining,
-            } => Self::BudgetExhausted {
-                requested,
-                remaining,
-            },
-            other => Self::InvalidCharge(other),
-        }
-    }
-}
-
 /// 128-bit FNV-1a offset basis.
 const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
 /// 128-bit FNV-1a prime.
@@ -233,11 +217,9 @@ pub fn chain_hash(
     h.finish()
 }
 
-/// Append-only, hash-chained budget ledger for one tenant.
-///
-/// Functionally a [`BudgetAccountant`](crate::BudgetAccountant) (same
-/// overdraw rule, same floating-point tolerance) whose history is a
-/// verifiable receipt chain instead of a plain `Vec`.
+/// Append-only, hash-chained budget ledger for one tenant: sequential
+/// composition against a fixed total under the [`charge_fits`] rule,
+/// with a verifiable receipt chain as its history.
 #[derive(Debug, Clone)]
 pub struct BudgetLedger {
     tenant: u64,
@@ -302,7 +284,7 @@ impl BudgetLedger {
     ///
     /// # Errors
     /// [`LedgerError::BudgetExhausted`] if the charge does not fit
-    /// (within the accountant's floating-point tolerance);
+    /// (within the [`charge_fits`] floating-point tolerance);
     /// [`LedgerError::InvalidCharge`] on a non-positive `ε`.
     pub fn prepare_charge(
         &self,
@@ -400,7 +382,7 @@ impl BudgetLedger {
     ///
     /// # Errors
     /// [`LedgerError::BudgetExhausted`] if the charge does not fit
-    /// (within the accountant's floating-point tolerance);
+    /// (within the [`charge_fits`] floating-point tolerance);
     /// [`LedgerError::InvalidCharge`] on a non-positive `ε`. A rejected
     /// charge appends nothing.
     pub fn charge(
@@ -525,6 +507,9 @@ mod tests {
     fn receipts_carry_monotonic_sequence_and_chain() {
         let ledger = ledger_with_charges();
         let receipts = ledger.receipts();
+        let want = ["svt session open", "svt session open", "numeric refresh"];
+        let labels: Vec<&str> = receipts.iter().map(|r| r.label.as_str()).collect();
+        assert_eq!(labels, want, "receipts keep their labels in charge order");
         assert_eq!(receipts[0].prev_hash, genesis_hash(7, 1.0));
         for (i, r) in receipts.iter().enumerate() {
             assert_eq!(r.seq, i as u64);
@@ -637,7 +622,7 @@ mod tests {
 
     #[test]
     fn ledger_tolerates_floating_point_exact_fill() {
-        // Same tolerance discipline as BudgetAccountant.
+        // The tolerance of `charge_fits`: 0.1 × 3 ≠ 0.3 in binary.
         let mut ledger = BudgetLedger::new(0, 0.3).unwrap();
         for s in 0..3 {
             ledger.charge(s, "third", 0.1).unwrap();

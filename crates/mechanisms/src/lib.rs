@@ -24,11 +24,10 @@
 //!   described in Section 2 of the paper.
 //! - [`noisy_max`] — report-noisy-max baselines and the one-shot Gumbel
 //!   top-`c` selection that is distributionally equivalent to peeling EM.
-//! - [`BudgetAccountant`] and [`SvtBudget`] — sequential-composition
-//!   bookkeeping and the `ε₁/ε₂/ε₃` split used by the standard SVT.
-//! - [`BudgetLedger`] — the accountant grown into an auditable,
-//!   append-only chain of hash-linked [`ChargeReceipt`]s with a
-//!   `verify_chain()` entry point for regulators (serving layer).
+//! - [`SvtBudget`] — the `ε₁/ε₂/ε₃` split used by the standard SVT.
+//! - [`BudgetLedger`] — sequential-composition bookkeeping as an
+//!   auditable, append-only chain of hash-linked [`ChargeReceipt`]s with
+//!   a `verify_chain()` entry point for regulators.
 //! - [`LedgerWal`] — the ledger's durability story: an append-only
 //!   binary write-ahead log of receipts (fixed-width CRC'd records,
 //!   pluggable fsync policy) whose [`wal::replay_records`] rebuilds and
@@ -79,7 +78,7 @@ pub mod rng;
 pub mod sample;
 pub mod wal;
 
-pub use budget::{BudgetAccountant, BudgetCharge, SvtBudget};
+pub use budget::SvtBudget;
 pub use composition::ApproxDp;
 pub use error::MechanismError;
 pub use exp_noise::Exponential;

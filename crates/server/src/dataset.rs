@@ -5,7 +5,7 @@
 //! (immutable, epoch-stamped views):
 //!
 //! - Each tenant owns one [`LiveScores`] guarded by a mutex that only
-//!   [`DatasetRegistry::update`] takes, so score churn never contends
+//!   the registry's `update` takes, so score churn never contends
 //!   with the query path.
 //! - The *published* snapshot lives behind an `RwLock<Arc<_>>` that is
 //!   swapped — never mutated — when an update batch commits. Readers

@@ -3,9 +3,10 @@
 //!
 //! Two layers from the paper:
 //!
-//! 1. [`InteractiveSvtSession`] — raw SVT: a stream of "is today's
-//!    count above the alert threshold?" checks, where every quiet day
-//!    is free and only `c` alerts are ever paid for.
+//! 1. [`SessionDriver`] + [`BudgetLedger`] — raw SVT: a stream of "is
+//!    today's count above the alert threshold?" checks, paid for with one
+//!    ledger charge, where every quiet day is free and only `c` alerts
+//!    are ever raised.
 //! 2. [`HistoryMediator`] — the §3.4-corrected iterative construction:
 //!    numeric answers served from history while the cached value is
 //!    still accurate, with SVT privately deciding *when* a fresh
@@ -34,16 +35,18 @@ fn main() {
         c: 3, // pay for at most three alerts
         monotonic: true,
     };
-    let mut session = InteractiveSvtSession::open(1.0, config, &mut rng).expect("budget fits");
+    let mut ledger = BudgetLedger::new(0, 1.0).expect("valid total");
+    let mut session = SessionDriver::open(config, &mut rng).expect("valid config");
+    ledger
+        .charge(0, "alert stream", config.budget.total())
+        .expect("budget fits");
 
     let mut alerts = Vec::new();
     for (day, &count) in daily_counts.iter().enumerate() {
         if session.is_exhausted() {
             break;
         }
-        let answer = session
-            .ask(count, alert_threshold, &mut rng)
-            .expect("session active");
+        let answer = session.ask(count, alert_threshold).expect("session active");
         if answer.is_positive() {
             alerts.push(day);
         }
@@ -54,8 +57,9 @@ fn main() {
         alerts
     );
     println!(
-        "total privacy spent: ε = 1.0 (fixed!) — {} negative answers were free\n",
-        session.queries_asked() - session.positives()
+        "total privacy spent: ε = {:.1}, one ledger receipt — {} negative answers were free\n",
+        ledger.spent(),
+        session.queries_asked() - session.state().positives()
     );
 
     // --- Layer 2: answer-from-history mediation (§3.4, corrected). ---

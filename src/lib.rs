@@ -7,7 +7,7 @@
 //! This facade crate re-exports the workspace's public API:
 //!
 //! * [`mechanisms`] — DP primitives: Laplace/Gumbel distributions,
-//!   the Exponential Mechanism, report-noisy-max, budget accounting,
+//!   the Exponential Mechanism, report-noisy-max, the budget ledger,
 //!   and the seedable [`DpRng`](mechanisms::DpRng).
 //! * [`data`] — workloads: score vectors, transaction datasets,
 //!   counting queries, and the four Table-1 dataset generators.
@@ -58,15 +58,16 @@ pub mod prelude {
     pub use dp_auditor::{audit_event, audit_output_grid, GridAudit, RatioAudit};
     pub use dp_data::{DatasetSpec, GroupedSnapshot, LiveScores, ScoreVector, TransactionDataset};
     pub use dp_mechanisms::{
-        geometric_mechanism, ApproxDp, BudgetAccountant, DpRng, ExponentialMechanism, Laplace,
+        geometric_mechanism, ApproxDp, BudgetLedger, DpRng, ExponentialMechanism, Laplace,
         SvtBudget, TwoSidedGeometric,
     };
     pub use svt_core::alg::{run_svt, SparseVector, StandardSvt, StandardSvtConfig};
     pub use svt_core::allocation::BudgetRatio;
     pub use svt_core::approx::{ApproxSvt, ApproxSvtConfig, ApproxSvtPlan};
     pub use svt_core::em_select::EmTopC;
-    pub use svt_core::interactive::{HistoryMediator, InteractiveSvtSession};
+    pub use svt_core::interactive::HistoryMediator;
     pub use svt_core::noninteractive::{dpbook_select, svt_select, SvtSelectConfig};
     pub use svt_core::retraversal::{svt_retraversal, RetraversalConfig};
+    pub use svt_core::session::SessionDriver;
     pub use svt_core::{Alg1, Alg2, Alg3, Alg4, Alg5, Alg6, SvtAnswer, Thresholds};
 }

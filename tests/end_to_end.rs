@@ -65,13 +65,17 @@ fn interactive_session_budget_is_paid_once() {
         c: 2,
         monotonic: true,
     };
-    let mut session = InteractiveSvtSession::open(1.0, config, &mut rng).unwrap();
+    let mut ledger = BudgetLedger::new(0, 1.0).unwrap();
+    let mut session = SessionDriver::open(config, &mut rng).unwrap();
+    ledger.charge(0, "svt", config.budget.total()).unwrap();
     // 500 below-threshold queries are free.
     for _ in 0..500 {
-        let a = session.ask(-1e6, 0.0, &mut rng).unwrap();
+        let a = session.ask(-1e6, 0.0).unwrap();
         assert_eq!(a, SvtAnswer::Below);
     }
-    assert!((session.remaining_budget() - 0.4).abs() < 1e-9);
+    assert_eq!(session.queries_asked(), 500);
+    assert_eq!(ledger.receipts().len(), 1);
+    assert!((ledger.remaining() - 0.4).abs() < 1e-9);
 }
 
 #[test]

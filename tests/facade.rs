@@ -39,7 +39,7 @@ fn every_prelude_reexport_resolves() {
 
     // dp_mechanisms.
     let _: Option<ApproxDp> = None;
-    let _: Option<BudgetAccountant> = None;
+    let _: Option<BudgetLedger> = None;
     let _: Option<DpRng> = None;
     let _: Option<ExponentialMechanism> = None;
     let _: Option<Laplace> = None;
@@ -69,7 +69,7 @@ fn every_prelude_reexport_resolves() {
     let _: Option<ApproxSvtPlan> = None;
     let _: Option<EmTopC> = None;
     let _: Option<HistoryMediator> = None;
-    let _: Option<InteractiveSvtSession> = None;
+    let _: Option<SessionDriver> = None;
     let _: Option<SvtSelectConfig> = None;
     let _: Option<RetraversalConfig> = None;
 }

@@ -125,16 +125,17 @@ proptest! {
     }
 
     #[test]
-    fn budget_accountant_never_overspends(
+    fn budget_ledger_never_overspends(
         total in 0.1f64..10.0,
         charges in prop::collection::vec(0.001f64..1.0, 0..64),
     ) {
-        let mut acct = BudgetAccountant::new(total).unwrap();
+        let mut ledger = BudgetLedger::new(0, total).unwrap();
         for (i, &ch) in charges.iter().enumerate() {
-            let _ = acct.charge(&format!("charge-{i}"), ch);
+            let _ = ledger.charge(i as u64, &format!("charge-{i}"), ch);
         }
-        prop_assert!(acct.spent() <= total * (1.0 + 1e-9) + 1e-9);
-        prop_assert!(acct.remaining() >= 0.0);
+        prop_assert!(ledger.spent() <= total * (1.0 + 1e-9) + 1e-9);
+        prop_assert!(ledger.remaining() >= 0.0);
+        prop_assert!(ledger.verify_chain().is_ok());
     }
 
     #[test]
