@@ -38,7 +38,10 @@ impl TransactionDataset {
         for t in &mut transactions {
             for &item in t.iter() {
                 if item as usize >= n_items {
-                    return Err(DataError::ItemOutOfRange { item, n_items });
+                    return Err(DataError::ItemOutOfRange {
+                        item: item as usize,
+                        n_items,
+                    });
                 }
             }
             t.sort_unstable();
@@ -93,7 +96,7 @@ impl TransactionDataset {
     pub fn support_of(&self, item: ItemId) -> Result<u64> {
         if item as usize >= self.n_items {
             return Err(DataError::ItemOutOfRange {
-                item,
+                item: item as usize,
                 n_items: self.n_items,
             });
         }
@@ -122,7 +125,7 @@ impl TransactionDataset {
         for &item in &record {
             if item as usize >= self.n_items {
                 return Err(DataError::ItemOutOfRange {
-                    item,
+                    item: item as usize,
                     n_items: self.n_items,
                 });
             }

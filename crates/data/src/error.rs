@@ -17,7 +17,7 @@ pub enum DataError {
     /// An item identifier was out of range.
     ItemOutOfRange {
         /// The offending item.
-        item: u32,
+        item: usize,
         /// The number of items in the universe.
         n_items: usize,
     },

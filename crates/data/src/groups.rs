@@ -26,17 +26,17 @@
 //! `O(1)` via [`rank_cut`](GroupedSnapshot::rank_cut) — no per-`c`
 //! re-sort anywhere.
 //!
-//! A snapshot is **immutable** and stamped with an [`epoch`]
-//! (`epoch`): version 0 for a snapshot sorted directly from a raw
-//! slice, and the publishing [`LiveScores`](crate::LiveScores) owner's
-//! counter for snapshots produced by incremental maintenance. Consumers
-//! that hold a snapshot (engines, open server sessions) are pinned to
-//! that epoch: later score updates build *new* snapshots and never
-//! mutate one already shared.
+//! A snapshot is **immutable** and stamped with an [`epoch`]: 0 when
+//! sorted from a raw slice by
+//! [`from_scores`](GroupedSnapshot::from_scores), otherwise whatever
+//! epoch the persisted file it was decoded from carries. Engines that
+//! hold a snapshot read that one sorted view for their whole lifetime;
+//! nothing mutates a snapshot once it is shared. (Live, served datasets
+//! publish the lighter [`ScoreSnapshot`](crate::ScoreSnapshot) instead.)
 //!
 //! [`epoch`]: GroupedSnapshot::epoch
 
-use crate::error::DataError;
+use crate::scores::check_scores;
 use crate::Result;
 
 /// Everything about one cutoff rank `c` that a per-`(engine, c)`
@@ -76,9 +76,9 @@ pub type GroupedScores = GroupedSnapshot;
 ///   [`item`](Self::item).
 ///
 /// Equality ([`PartialEq`]) compares the structural tables only — two
-/// snapshots of the same grouping are equal even if one was rebuilt
-/// from scratch (epoch 0) and the other published incrementally by a
-/// [`LiveScores`](crate::LiveScores) at a later [`epoch`](Self::epoch).
+/// snapshots of the same grouping are equal even if one was sorted
+/// from scratch (epoch 0) and the other decoded from a file carrying a
+/// later [`epoch`](Self::epoch).
 ///
 /// ```
 /// use dp_data::GroupedSnapshot;
@@ -117,8 +117,8 @@ pub struct GroupedSnapshot {
     /// where the binary search over `offsets` was the remaining
     /// per-examined-item log factor.
     pub(crate) group_of: Vec<u32>,
-    /// Version stamp: 0 for a direct sort, the publisher's counter for
-    /// incrementally maintained snapshots. Excluded from equality.
+    /// Version stamp: 0 for a direct sort, the persisted value for a
+    /// decoded snapshot. Excluded from equality.
     pub(crate) epoch: u64,
 }
 
@@ -142,18 +142,12 @@ impl GroupedSnapshot {
     /// Groups a raw score slice into an epoch-0 snapshot.
     ///
     /// # Errors
-    /// [`DataError::Empty`] on an empty slice and
-    /// [`DataError::NonFiniteScore`] if any entry is NaN or infinite
+    /// [`DataError::Empty`](crate::DataError::Empty) on an empty slice and
+    /// [`DataError::NonFiniteScore`](crate::DataError::NonFiniteScore)
+    /// if any entry is NaN or infinite
     /// (matching [`ScoreVector::new`](crate::ScoreVector::new)).
     pub fn from_scores(scores: &[f64]) -> Result<Self> {
-        if scores.is_empty() {
-            return Err(DataError::Empty);
-        }
-        for (index, &value) in scores.iter().enumerate() {
-            if !value.is_finite() {
-                return Err(DataError::NonFiniteScore { index, value });
-            }
-        }
+        check_scores(scores)?;
         let mut order: Vec<u32> = (0..scores.len() as u32).collect();
         order.sort_by(|&a, &b| {
             scores[b as usize]
@@ -202,8 +196,8 @@ impl GroupedSnapshot {
     }
 
     /// Assembles a snapshot from already-validated tables (the
-    /// incremental publisher and the persisted-context decoder). The
-    /// caller vouches for the structural invariants.
+    /// persisted-context decoder). The caller vouches for the
+    /// structural invariants.
     pub(crate) fn from_parts(
         order: Vec<u32>,
         positions: Vec<u32>,
@@ -231,8 +225,8 @@ impl GroupedSnapshot {
     }
 
     /// The snapshot's version stamp: 0 when sorted directly from a raw
-    /// slice, the publisher's monotonically increasing counter when
-    /// produced by [`LiveScores::snapshot`](crate::LiveScores::snapshot).
+    /// slice by [`from_scores`](Self::from_scores), otherwise the epoch
+    /// the persisted file it was decoded from carries.
     #[inline]
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -379,7 +373,7 @@ impl GroupedSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ScoreVector;
+    use crate::{DataError, ScoreVector};
 
     #[test]
     fn construction_validates() {

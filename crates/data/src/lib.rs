@@ -18,20 +18,21 @@
 //! - [`ScoreVector`] — a vector of query scores with the paper's
 //!   threshold convention (average of the `c`-th and `(c+1)`-th highest
 //!   scores) and deterministic top-`c`.
-//! - [`GroupedSnapshot`] — the immutable, epoch-stamped
-//!   index-preserving grouped form (runs of tied scores in decreasing
-//!   order plus the inverse item → rank table), which grouped selection
-//!   samplers consume to stay `O(#groups)` instead of `O(#items)`, and
-//!   whose [`rank_cut`](GroupedSnapshot::rank_cut) query resolves any
-//!   cutoff `c` to its threshold / top-sum in `O(1)` ([`RankCut`]).
-//!   [`persist`] gives it a fixed-width on-disk form with a
-//!   CRC-guarded header for warm-start context caches.
-//! - [`LiveScores`] — the mutable owner of a score vector:
-//!   `set_score` / `increment` maintain the sorted-order tables
-//!   *incrementally* (no re-sort) and `snapshot()` publishes cheap
-//!   `Arc`-shared [`GroupedSnapshot`]s with a monotonically increasing
-//!   epoch, so serving layers can evolve a dataset under traffic while
-//!   open sessions keep a pinned, consistent view.
+//! - [`GroupedSnapshot`] — the engines' immutable index-preserving
+//!   grouped form (runs of tied scores in decreasing order plus the
+//!   inverse item → rank table), which grouped selection samplers
+//!   consume to stay `O(#groups)` instead of `O(#items)`, and whose
+//!   [`rank_cut`](GroupedSnapshot::rank_cut) query resolves any cutoff
+//!   `c` to its threshold / top-sum in `O(1)` ([`RankCut`]). [`persist`]
+//!   gives it a fixed-width on-disk form with a CRC-guarded header for
+//!   warm-start context caches.
+//! - [`LiveScores`] — the mutable owner of a served score vector: raw
+//!   scores behind a copy-on-write overlay, with no sort anywhere.
+//!   `set_score` / `increment` write the overlay and `snapshot()`
+//!   publishes a cheap `Arc`-shared [`ScoreSnapshot`] (epoch, length,
+//!   per-item score) with a monotonically increasing epoch, so serving
+//!   layers can evolve a dataset under traffic while open sessions keep
+//!   a pinned, consistent view.
 //! - [`TransactionDataset`] — a concrete market-basket dataset with
 //!   support counting and neighbor construction (add/remove one record),
 //!   used by the examples and the privacy auditor.
@@ -60,7 +61,7 @@ pub use dataset::{ItemId, TransactionDataset};
 pub use error::DataError;
 pub use generators::catalog::DatasetSpec;
 pub use groups::{GroupedScores, GroupedSnapshot, RankCut};
-pub use live::LiveScores;
+pub use live::{LiveScores, ScoreSnapshot};
 pub use persist::{scores_digest, SnapshotCodecError};
 pub use scores::ScoreVector;
 

@@ -1,43 +1,77 @@
-//! The mutable owner of a score vector: incremental rank/group
-//! maintenance plus cheap epoch-stamped snapshots.
+//! The mutable owner of a served score vector: raw scores behind a
+//! copy-on-write overlay, publishing cheap epoch-stamped snapshots.
 //!
-//! [`LiveScores`] is the *writer* half of the snapshot/live split. It
-//! keeps the same sorted-order tables as [`GroupedSnapshot`] (order,
-//! positions, group offsets, group scores) and maintains them
-//! **incrementally** under [`set_score`](LiveScores::set_score) /
-//! [`increment`](LiveScores::increment): the updated item is rotated
-//! from its old global rank to its new one, and only the tie-groups
-//! whose runs the move touched are re-derived — amortized
-//! `O(log G + distance moved + sizes of the touched groups)` instead of
-//! the full `O(n log n)` re-sort `GroupedSnapshot::from_scores` pays.
+//! In the paper's interactive setting (§3) an analyst names one query
+//! at a time and SVT compares its true answer `q(D)` with the noisy
+//! threshold, so a served session needs exactly one score per query
+//! from the dataset it pinned. [`LiveScores`] therefore keeps only the
+//! raw scores: an immutable base shared by every snapshot published
+//! since the last fold, plus an ordered overlay of the items changed
+//! since that base.
 //!
-//! [`snapshot`](LiveScores::snapshot) publishes the current state as an
-//! immutable [`GroupedSnapshot`] stamped with a monotonically
-//! increasing epoch. The snapshot is cached behind an [`Arc`], so
-//! repeated calls between mutations are a reference-count bump; the
-//! first mutation after a publish invalidates the cache and reserves
-//! the next epoch. The derived tables a snapshot needs but the live
-//! side does not (the flat item → group table and the cumulative score
-//! mass) are assembled at publish time — they cannot be patched locally
-//! (a group split renumbers every later group), and `snapshot()`
-//! already pays `O(n)` for the table clones.
+//! * [`set_score`](LiveScores::set_score) /
+//!   [`increment`](LiveScores::increment) write one overlay entry.
+//! * [`snapshot`](LiveScores::snapshot) publishes an immutable
+//!   [`ScoreSnapshot`]: the shared base, a sorted copy of the overlay
+//!   and the epoch. Clean calls return the cached [`Arc`]; the first
+//!   mutation after a publish reserves the next epoch.
+//! * Once the overlay holds ⌈√n⌉ items, the next publish folds it into
+//!   a fresh base. A publish thus copies at most ⌈√n⌉ overlay entries,
+//!   a fold copies the `n` scores once per ⌈√n⌉ changed items, and a
+//!   read is a binary search in the overlay, then a load from the base.
 //!
-//! The correctness contract — pinned by the incremental-vs-rebuild
-//! proptest matrix in `tests/live_scores.rs` — is that after **any**
-//! sequence of updates, `snapshot()` is structurally equal
-//! ([`PartialEq`]) to `GroupedSnapshot::from_scores` on the final
-//! score vector: same order, offsets, rank table, group table, and
-//! cumulative mass.
+//! Nothing here sorts. An engine that needs the sorted, grouped view
+//! builds a [`GroupedSnapshot`](crate::GroupedSnapshot) from the scores
+//! once, as a cold `SweepContext` does.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::error::DataError;
-use crate::groups::GroupedSnapshot;
+use crate::scores::check_scores;
 use crate::Result;
 
-/// A mutable score vector with incrementally maintained sorted-order
-/// and tie-group tables, publishing immutable epoch-stamped
-/// [`GroupedSnapshot`]s.
+/// An immutable, epoch-stamped view of a [`LiveScores`] owner's scores
+/// at one publish — what a served session pins.
+#[derive(Debug)]
+pub struct ScoreSnapshot {
+    /// The owner's scores as of its last fold, shared with every
+    /// snapshot published since.
+    base: Arc<[f64]>,
+    /// `(item, score)` for the items changed since `base`, by item.
+    overlay: Box<[(usize, f64)]>,
+    /// The publisher's counter at this publish.
+    epoch: u64,
+}
+
+impl ScoreSnapshot {
+    /// The publisher's monotonically increasing version stamp.
+    #[inline]
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Total number of items.
+    #[inline]
+    pub fn len_items(&self) -> usize {
+        self.base.len()
+    }
+
+    /// The score of `item` at this publish.
+    ///
+    /// # Panics
+    /// When `item >= len_items()`.
+    #[inline]
+    pub fn score_of_item(&self, item: usize) -> f64 {
+        match self.overlay.binary_search_by_key(&item, |&(i, _)| i) {
+            Ok(k) => self.overlay[k].1,
+            Err(_) => self.base[item],
+        }
+    }
+}
+
+/// A mutable score vector publishing immutable epoch-stamped
+/// [`ScoreSnapshot`]s.
 ///
 /// ```
 /// use dp_data::LiveScores;
@@ -45,58 +79,51 @@ use crate::Result;
 /// let mut live = LiveScores::from_scores(&[2.0, 7.0, 2.0, 1.0])?;
 /// let before = live.snapshot();
 /// assert_eq!(before.epoch(), 0);
-/// assert_eq!(before.top_c(2), &[1, 0]);
+/// assert_eq!(before.score_of_item(3), 1.0);
 ///
-/// live.increment(3, 10.0)?; // item 3: 1.0 → 11.0, rank 3 → 0
+/// live.increment(3, 10.0)?; // item 3: 1.0 → 11.0
 /// let after = live.snapshot();
 /// assert_eq!(after.epoch(), 1);
-/// assert_eq!(after.top_c(2), &[3, 1]);
+/// assert_eq!(after.score_of_item(3), 11.0);
 /// // The earlier snapshot is immutable: still the old view.
-/// assert_eq!(before.top_c(2), &[1, 0]);
+/// assert_eq!(before.score_of_item(3), 1.0);
 /// # Ok::<(), dp_data::DataError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct LiveScores {
-    /// Raw per-item scores, always finite.
-    scores: Vec<f64>,
-    /// Item indices sorted by (score desc, index asc).
-    order: Vec<u32>,
-    /// Inverse of `order`.
-    positions: Vec<u32>,
-    /// Group `g` spans `order[offsets[g] .. offsets[g + 1]]`.
-    offsets: Vec<u32>,
-    /// Per-group score, strictly decreasing.
-    group_scores: Vec<f64>,
+    /// Scores as of the last fold, always finite.
+    base: Arc<[f64]>,
+    /// Current score of every item changed since `base`.
+    overlay: BTreeMap<usize, f64>,
     /// Epoch the next published snapshot will carry.
     next_epoch: u64,
     /// The last published snapshot, until a mutation invalidates it.
-    cached: Option<Arc<GroupedSnapshot>>,
+    cached: Option<Arc<ScoreSnapshot>>,
 }
 
 impl LiveScores {
-    /// Builds a live owner from a raw score slice; the first
+    /// Validates and copies a raw score slice (no sort); the first
     /// [`snapshot`](Self::snapshot) carries epoch 0.
     ///
     /// # Errors
     /// [`DataError::Empty`] / [`DataError::NonFiniteScore`] exactly as
-    /// [`GroupedSnapshot::from_scores`].
+    /// [`GroupedSnapshot::from_scores`](crate::GroupedSnapshot::from_scores).
     pub fn from_scores(scores: &[f64]) -> Result<Self> {
-        let snap = GroupedSnapshot::from_scores(scores)?;
-        Ok(Self {
-            scores: scores.to_vec(),
-            order: snap.order.clone(),
-            positions: snap.positions.clone(),
-            offsets: snap.offsets.clone(),
-            group_scores: snap.scores.clone(),
+        check_scores(scores)?;
+        let mut live = Self {
+            base: scores.into(),
+            overlay: BTreeMap::new(),
             next_epoch: 0,
-            cached: Some(Arc::new(snap)),
-        })
+            cached: None,
+        };
+        live.snapshot();
+        Ok(live)
     }
 
     /// Number of items.
     #[inline]
     pub fn len(&self) -> usize {
-        self.scores.len()
+        self.base.len()
     }
 
     /// A live owner is never empty (construction rejects empty slices).
@@ -110,13 +137,13 @@ impl LiveScores {
     /// # Errors
     /// [`DataError::ItemOutOfRange`] when `item >= len()`.
     pub fn score(&self, item: usize) -> Result<f64> {
-        self.scores
-            .get(item)
-            .copied()
-            .ok_or(DataError::ItemOutOfRange {
-                item: item as u32,
-                n_items: self.scores.len(),
-            })
+        match self.base.get(item) {
+            Some(&base) => Ok(self.overlay.get(&item).copied().unwrap_or(base)),
+            None => Err(DataError::ItemOutOfRange {
+                item,
+                n_items: self.len(),
+            }),
+        }
     }
 
     /// The epoch [`snapshot`](Self::snapshot) will report: the cached
@@ -127,37 +154,28 @@ impl LiveScores {
         self.next_epoch
     }
 
-    /// Sets `item`'s score to `new`, incrementally repairing the
-    /// sorted-order and tie-group tables.
+    /// Sets `item`'s score to `new`.
     ///
     /// # Errors
     /// [`DataError::ItemOutOfRange`] for an unknown item,
-    /// [`DataError::NonFiniteScore`] for a NaN/infinite score; the
-    /// tables are untouched on error.
+    /// [`DataError::NonFiniteScore`] for a NaN/infinite score; nothing
+    /// changes on error.
     pub fn set_score(&mut self, item: usize, new: f64) -> Result<()> {
-        let n = self.scores.len();
-        if item >= n {
-            return Err(DataError::ItemOutOfRange {
-                item: item as u32,
-                n_items: n,
-            });
-        }
+        let old = self.score(item)?;
         if !new.is_finite() {
             return Err(DataError::NonFiniteScore {
                 index: item,
                 value: new,
             });
         }
-        let old = self.scores[item];
-        self.scores[item] = new;
         if new == old {
-            // Grouping is by `==`, so the structure is unchanged (this
-            // also absorbs `+0.0` ↔ `-0.0` flips). No epoch bump: the
-            // published view is still exact.
+            // Nothing a reader can observe changes (this also absorbs
+            // `+0.0` ↔ `-0.0` flips), so the published view is still
+            // exact: no write, no epoch bump.
             return Ok(());
         }
         self.invalidate();
-        self.relocate(item, new);
+        self.overlay.insert(item, new);
         Ok(())
     }
 
@@ -167,46 +185,31 @@ impl LiveScores {
     /// As [`set_score`](Self::set_score); the resulting score must be
     /// finite.
     pub fn increment(&mut self, item: usize, delta: f64) -> Result<f64> {
-        let current = self.score(item)?;
-        let new = current + delta;
+        let new = self.score(item)? + delta;
         self.set_score(item, new)?;
         Ok(new)
     }
 
-    /// Publishes the current state as an immutable epoch-stamped
+    /// Publishes the current scores as an immutable epoch-stamped
     /// snapshot. Clean calls return the cached [`Arc`]; after a
-    /// mutation the derived tables (item → group, cumulative mass) are
-    /// assembled once and the epoch advances.
-    pub fn snapshot(&mut self) -> Arc<GroupedSnapshot> {
+    /// mutation the overlay is copied once (or, at ⌈√n⌉ entries,
+    /// folded into a fresh base first) and the epoch advances.
+    pub fn snapshot(&mut self) -> Arc<ScoreSnapshot> {
         if let Some(cached) = &self.cached {
             return Arc::clone(cached);
         }
-        let num_groups = self.group_scores.len();
-        let mut group_of = vec![0u32; self.order.len()];
-        for g in 0..num_groups {
-            let lo = self.offsets[g] as usize;
-            let hi = self.offsets[g + 1] as usize;
-            for &member in &self.order[lo..hi] {
-                group_of[member as usize] = g as u32;
+        if self.overlay.len() >= fold_threshold(self.len()) {
+            // Copy-on-write: snapshots still pinning the old base keep it.
+            let base = Arc::make_mut(&mut self.base);
+            for (item, score) in std::mem::take(&mut self.overlay) {
+                base[item] = score;
             }
         }
-        // Same left-to-right accumulation as `from_sorted_order`, so a
-        // published snapshot is bit-identical in mass to a rebuild.
-        let mut prefix_sums = Vec::with_capacity(num_groups);
-        let mut running = 0.0;
-        for (g, &s) in self.group_scores.iter().enumerate() {
-            running += f64::from(self.offsets[g + 1] - self.offsets[g]) * s;
-            prefix_sums.push(running);
-        }
-        let snap = Arc::new(GroupedSnapshot::from_parts(
-            self.order.clone(),
-            self.positions.clone(),
-            self.offsets.clone(),
-            self.group_scores.clone(),
-            prefix_sums,
-            group_of,
-            self.next_epoch,
-        ));
+        let snap = Arc::new(ScoreSnapshot {
+            base: Arc::clone(&self.base),
+            overlay: self.overlay.iter().map(|(&i, &s)| (i, s)).collect(),
+            epoch: self.next_epoch,
+        });
         self.cached = Some(Arc::clone(&snap));
         snap
     }
@@ -218,99 +221,28 @@ impl LiveScores {
             self.next_epoch += 1;
         }
     }
+}
 
-    /// The group currently containing global sorted position `pos`.
-    #[inline]
-    fn group_of_pos(&self, pos: usize) -> usize {
-        self.offsets.partition_point(|&o| o as usize <= pos) - 1
-    }
-
-    /// Moves `item` (whose raw score was just rewritten to `new`, a
-    /// value `!=` its previous one) to its correct global rank and
-    /// re-derives the tie-group runs the move touched.
-    fn relocate(&mut self, item: usize, new: f64) {
-        let num_groups = self.group_scores.len();
-        let p_old = self.positions[item] as usize;
-
-        // Final global rank `f` of the item among the n-1 others:
-        // first locate the run of strictly-greater scores, then join an
-        // exact tie run (by ascending item index) if one exists. The
-        // `p_old < …` adjustments account for the item vacating a slot
-        // above the insertion point.
-        let hg = self.group_scores.partition_point(|&s| s > new);
-        let mut f;
-        if hg < num_groups && self.group_scores[hg] == new {
-            // Joining an existing tie run (`new != old`, so the item's
-            // old run is a different one).
-            let lo = self.offsets[hg] as usize;
-            let hi = self.offsets[hg + 1] as usize;
-            let t = self.order[lo..hi].partition_point(|&m| (m as usize) < item);
-            f = lo + t;
-            if p_old < lo {
-                f -= 1;
-            }
-        } else {
-            f = self.offsets[hg] as usize;
-            if p_old < f {
-                f -= 1;
-            }
-        }
-
-        // Rotate the item into place and repair the inverse table over
-        // the moved window.
-        if f < p_old {
-            self.order[f..=p_old].rotate_right(1);
-        } else if f > p_old {
-            self.order[p_old..=f].rotate_left(1);
-        }
-        let lo_w = f.min(p_old);
-        let hi_w = f.max(p_old);
-        for pos in lo_w..=hi_w {
-            self.positions[self.order[pos] as usize] = pos as u32;
-        }
-
-        // Groups whose runs the window may have restructured. The edge
-        // guards widen by one group where a boundary that coincides
-        // with the window edge could dissolve (the score sitting at the
-        // edge position changed and may now tie its neighbor's run).
-        let mut ga = self.group_of_pos(lo_w);
-        if ga > 0 && self.offsets[ga] as usize == lo_w {
-            ga -= 1;
-        }
-        let mut gb = self.group_of_pos(hi_w);
-        if gb + 1 < num_groups && self.offsets[gb + 1] as usize == hi_w + 1 {
-            gb += 1;
-        }
-
-        // Re-derive the runs over the touched span and splice them in
-        // place of the stale ones. Run leaders keep `from_sorted_order`
-        // semantics: the group score is the first member's raw value.
-        let start = self.offsets[ga] as usize;
-        let end = self.offsets[gb + 1] as usize;
-        let mut new_bounds: Vec<u32> = Vec::new();
-        let mut new_scores: Vec<f64> = Vec::new();
-        let mut prev = f64::INFINITY;
-        for pos in start..end {
-            let s = self.scores[self.order[pos] as usize];
-            if new_scores.is_empty() || s != prev {
-                if !new_scores.is_empty() {
-                    new_bounds.push(pos as u32);
-                }
-                new_scores.push(s);
-                prev = s;
-            }
-        }
-        self.offsets.splice(ga + 1..gb + 1, new_bounds);
-        self.group_scores.splice(ga..gb + 1, new_scores);
+/// Overlay size at which a publish folds the overlay into the base:
+/// ⌈√n⌉, balancing the per-publish overlay copy against the `O(n)` fold.
+fn fold_threshold(n: usize) -> usize {
+    let root = n.isqrt();
+    if root * root == n {
+        root
+    } else {
+        root + 1
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GroupedSnapshot;
 
-    fn rebuilt(live: &LiveScores) -> GroupedSnapshot {
-        GroupedSnapshot::from_scores(&live.scores).unwrap()
+    fn values(snap: &ScoreSnapshot) -> Vec<f64> {
+        (0..snap.len_items())
+            .map(|i| snap.score_of_item(i))
+            .collect()
     }
 
     #[test]
@@ -318,7 +250,7 @@ mod tests {
         let v = vec![2.0, 7.0, 2.0, 2.0, 7.0, 1.0];
         let mut live = LiveScores::from_scores(&v).unwrap();
         let snap = live.snapshot();
-        assert_eq!(*snap, GroupedSnapshot::from_scores(&v).unwrap());
+        assert_eq!(values(&snap), v);
         assert_eq!(snap.epoch(), 0);
         assert_eq!(live.len(), 6);
         assert!(!live.is_empty());
@@ -353,49 +285,20 @@ mod tests {
             DataError::NonFiniteScore { index: 0, .. }
         ));
         let after = live.snapshot();
-        assert_eq!(*before, *after);
+        assert!(Arc::ptr_eq(&before, &after));
+        assert_eq!(values(&after), [3.0, 1.0]);
         assert_eq!(after.epoch(), 0);
     }
 
+    #[cfg(target_pointer_width = "64")]
     #[test]
-    fn rank_crossing_move_matches_rebuild() {
-        let mut live = LiveScores::from_scores(&[10.0, 5.0, 8.0, 1.0]).unwrap();
-        live.set_score(3, 9.0).unwrap(); // bottom → second place
-        assert_eq!(*live.snapshot(), rebuilt(&live));
-        live.set_score(0, 0.0).unwrap(); // top → bottom
-        assert_eq!(*live.snapshot(), rebuilt(&live));
-    }
-
-    #[test]
-    fn tie_creation_and_destruction_match_rebuild() {
-        let mut live = LiveScores::from_scores(&[10.0, 5.0, 8.0, 5.0]).unwrap();
-        // Join the 5.0 run from above.
-        live.set_score(0, 5.0).unwrap();
-        assert_eq!(*live.snapshot(), rebuilt(&live));
-        // Split it again.
-        live.set_score(3, 6.0).unwrap();
-        assert_eq!(*live.snapshot(), rebuilt(&live));
-        // Collapse everything into one run.
-        for item in 0..4 {
-            live.set_score(item, 2.0).unwrap();
-            assert_eq!(*live.snapshot(), rebuilt(&live));
-        }
-        // And shatter the single run.
-        for item in 0..4 {
-            live.set_score(item, f64::from(item as u32)).unwrap();
-            assert_eq!(*live.snapshot(), rebuilt(&live));
-        }
-    }
-
-    #[test]
-    fn adjacent_boundary_merge_matches_rebuild() {
-        // Regression shape: the updated item stays at its position but
-        // its new score ties the *next* group's run, so the boundary on
-        // the right edge of the (empty-width) move window dissolves.
-        let mut live = LiveScores::from_scores(&[10.0, 5.0]).unwrap();
-        live.set_score(0, 5.0).unwrap();
-        assert_eq!(*live.snapshot(), rebuilt(&live));
-        assert_eq!(live.snapshot().num_groups(), 1);
+    fn out_of_range_errors_report_the_full_item_index() {
+        let mut live = LiveScores::from_scores(&[1.0]).unwrap();
+        let item = (1usize << 32) + 3;
+        let want = DataError::ItemOutOfRange { item, n_items: 1 };
+        assert_eq!(live.set_score(item, 1.0).unwrap_err(), want);
+        assert_eq!(live.increment(item, 1.0).unwrap_err(), want);
+        assert_eq!(live.score(item).unwrap_err(), want);
     }
 
     #[test]
@@ -417,31 +320,69 @@ mod tests {
     fn published_snapshots_are_immutable_under_later_updates() {
         let mut live = LiveScores::from_scores(&[4.0, 2.0, 6.0]).unwrap();
         let pinned = live.snapshot();
-        let pinned_copy = (*pinned).clone();
         live.set_score(1, 100.0).unwrap();
         live.increment(0, -3.0).unwrap();
-        assert_eq!(*pinned, pinned_copy);
-        assert_ne!(*live.snapshot(), pinned_copy);
+        assert_eq!(values(&pinned), [4.0, 2.0, 6.0]);
+        assert_eq!(values(&live.snapshot()), [1.0, 100.0, 6.0]);
     }
 
     #[test]
     fn equal_value_rewrite_is_a_no_op() {
-        let mut live = LiveScores::from_scores(&[4.0, 2.0, 4.0]).unwrap();
+        let mut live = LiveScores::from_scores(&[4.0, 2.0, 4.0, 0.0]).unwrap();
         let before = live.snapshot();
         live.set_score(2, 4.0).unwrap();
         live.increment(1, 0.0).unwrap();
+        // A signed-zero flip compares `==` too.
+        live.set_score(3, -0.0).unwrap();
         let after = live.snapshot();
         assert!(Arc::ptr_eq(&before, &after));
         assert_eq!(after.epoch(), 0);
     }
 
     #[test]
+    fn overlay_folds_into_a_fresh_base_at_ceil_sqrt_n() {
+        // n = 10: ⌈√10⌉ = 4 changed items trigger the fold.
+        let n = 10;
+        assert_eq!(fold_threshold(n), 4);
+        let mut live = LiveScores::from_scores(&vec![0.0; n]).unwrap();
+        let first = live.snapshot();
+        let mut published = vec![Arc::clone(&first)];
+        for item in 0..3 {
+            live.set_score(item, 1.0 + item as f64).unwrap();
+            let snap = live.snapshot();
+            assert!(Arc::ptr_eq(&snap.base, &first.base), "item {item}");
+            assert_eq!(snap.overlay.len(), item + 1);
+            published.push(snap);
+        }
+        // The fourth changed item reaches ⌈√n⌉: exactly one fold.
+        live.set_score(3, 4.0).unwrap();
+        let folded = live.snapshot();
+        assert!(!Arc::ptr_eq(&folded.base, &first.base));
+        assert!(folded.overlay.is_empty());
+        assert_eq!(values(&folded)[..5], [1.0, 2.0, 3.0, 4.0, 0.0]);
+        // The next publishes share the fresh base again.
+        live.set_score(9, 5.0).unwrap();
+        let next = live.snapshot();
+        assert!(Arc::ptr_eq(&next.base, &folded.base));
+        assert_eq!(next.overlay.len(), 1);
+        // Snapshots pinned before the fold still read their own values.
+        for (k, snap) in published.iter().enumerate() {
+            let want: Vec<f64> = (0..n)
+                .map(|i| if i < k { 1.0 + i as f64 } else { 0.0 })
+                .collect();
+            assert_eq!(values(snap), want, "publish {k}");
+            assert!(Arc::ptr_eq(&snap.base, &first.base));
+        }
+    }
+
+    #[test]
     fn long_random_walk_matches_rebuild_at_every_step() {
         // Deterministic LCG walk over a small universe with heavy tie
-        // pressure (scores quantized to few distinct values).
-        let mut live =
-            LiveScores::from_scores(&(0..24).map(|i| f64::from(i % 5)).collect::<Vec<_>>())
-                .unwrap();
+        // pressure (scores quantized to few distinct values), crossing
+        // many folds (⌈√24⌉ = 5).
+        let initial: Vec<f64> = (0..24).map(|i| f64::from(i % 5)).collect();
+        let mut live = LiveScores::from_scores(&initial).unwrap();
+        let mut mirror = initial;
         let mut state = 0x243f_6a88_85a3_08d3_u64;
         for step in 0..400 {
             state = state
@@ -451,10 +392,18 @@ mod tests {
             let value = f64::from(((state >> 17) % 7) as u32) - 3.0;
             if step % 3 == 0 {
                 live.increment(item, value).unwrap();
+                mirror[item] += value;
             } else {
                 live.set_score(item, value).unwrap();
+                mirror[item] = value;
             }
-            assert_eq!(*live.snapshot(), rebuilt(&live), "step {step}");
+            let published = values(&live.snapshot());
+            assert_eq!(published, mirror, "step {step}");
+            assert_eq!(
+                GroupedSnapshot::from_scores(&published).unwrap(),
+                GroupedSnapshot::from_scores(&mirror).unwrap(),
+                "step {step}"
+            );
         }
     }
 }

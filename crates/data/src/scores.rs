@@ -19,6 +19,22 @@ use crate::error::DataError;
 use crate::groups::GroupedSnapshot;
 use crate::Result;
 
+/// The check every score owner runs at construction: [`DataError::Empty`]
+/// on an empty slice, else [`DataError::NonFiniteScore`] for the first
+/// NaN or infinite entry.
+pub(crate) fn check_scores(scores: &[f64]) -> Result<()> {
+    if scores.is_empty() {
+        return Err(DataError::Empty);
+    }
+    match scores.iter().position(|v| !v.is_finite()) {
+        Some(index) => Err(DataError::NonFiniteScore {
+            index,
+            value: scores[index],
+        }),
+        None => Ok(()),
+    }
+}
+
 /// An immutable vector of query scores indexed by item/query id.
 ///
 /// ```
@@ -55,14 +71,7 @@ impl ScoreVector {
     /// [`DataError::Empty`] on an empty vector and
     /// [`DataError::NonFiniteScore`] if any entry is NaN or infinite.
     pub fn new(scores: Vec<f64>) -> Result<Self> {
-        if scores.is_empty() {
-            return Err(DataError::Empty);
-        }
-        for (index, &value) in scores.iter().enumerate() {
-            if !value.is_finite() {
-                return Err(DataError::NonFiniteScore { index, value });
-            }
-        }
+        check_scores(&scores)?;
         Ok(Self {
             scores,
             snapshot: OnceLock::new(),

@@ -1,13 +1,17 @@
-//! The incremental-vs-rebuild proptest matrix: after **any** sequence
-//! of `set_score` / `increment` updates, a [`LiveScores`] snapshot must
-//! be structurally identical to `GroupedSnapshot::from_scores` on the
-//! final score vector — same sorted order, group offsets, item → group
-//! table, rank table, and cumulative mass. The update generator leans
-//! on heavy tie pressure (quantized score levels, including signed
-//! zeros) so runs are constantly created, destroyed, split, and merged,
-//! and on occasional large jumps so items cross many ranks at once.
+//! The live-scores contract as a proptest matrix: after **any**
+//! sequence of `set_score` / `increment` updates, every published
+//! [`ScoreSnapshot`] reads exactly the scores a plain mirror vector
+//! holds, item by item, and sorting those scores gives the same
+//! `GroupedSnapshot` the engines would build from the mirror. The
+//! update generator leans on heavy tie pressure (quantized score
+//! levels, including signed zeros) and on occasional large jumps; with
+//! `n < 28` the ⌈√n⌉ fold threshold is at most 6, so most cases cross
+//! several folds. A third property drives the owner with hostile
+//! inputs: every rejected call changes nothing.
 
-use dp_data::{GroupedSnapshot, LiveScores};
+use std::sync::Arc;
+
+use dp_data::{DataError, GroupedSnapshot, LiveScores, ScoreSnapshot};
 use proptest::prelude::*;
 
 /// SplitMix64: one deterministic stream per proptest case seed.
@@ -37,18 +41,57 @@ impl Mix {
             _ => (self.below(levels) as f64) - (levels as f64) / 2.0,
         }
     }
+
+    /// A hostile item: mostly in `0..2n` (half of them out of range),
+    /// sometimes `usize::MAX`.
+    fn hostile_item(&mut self, n: usize) -> usize {
+        match self.below(8) {
+            0 => usize::MAX,
+            _ => self.below(2 * n as u64) as usize,
+        }
+    }
+
+    /// A hostile value or delta: NaN, ±∞, ±0, ±`f64::MAX` or a small
+    /// integer.
+    fn hostile_value(&mut self) -> f64 {
+        match self.below(10) {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => 0.0,
+            4 => -0.0,
+            5 => f64::MAX,
+            6 => -f64::MAX,
+            _ => self.below(7) as f64 - 3.0,
+        }
+    }
 }
 
-fn assert_structurally_identical(live: &mut LiveScores, mirror: &[f64], step: usize) {
-    let incremental = live.snapshot();
-    let rebuilt = GroupedSnapshot::from_scores(mirror).expect("mirror scores are finite");
-    // PartialEq on GroupedSnapshot compares every structural table:
-    // order, positions (rank table), offsets, group scores, cumulative
-    // mass, and the flat item → group table.
+fn values(snap: &ScoreSnapshot) -> Vec<f64> {
+    (0..snap.len_items())
+        .map(|i| snap.score_of_item(i))
+        .collect()
+}
+
+/// Publishes and checks the snapshot against `mirror`: each item reads
+/// its mirror score, and the sorted, grouped form of the published
+/// scores equals the engines' rebuild of the mirror.
+fn publish_and_check(live: &mut LiveScores, mirror: &[f64], step: usize) -> Arc<ScoreSnapshot> {
+    let snap = live.snapshot();
+    assert_eq!(snap.len_items(), mirror.len());
+    for (item, &want) in mirror.iter().enumerate() {
+        assert_eq!(
+            snap.score_of_item(item),
+            want,
+            "step {step}: item {item} diverged from the mirror {mirror:?}"
+        );
+    }
     assert_eq!(
-        *incremental, rebuilt,
-        "step {step}: incremental snapshot diverged from rebuild on {mirror:?}"
+        GroupedSnapshot::from_scores(&values(&snap)).unwrap(),
+        GroupedSnapshot::from_scores(mirror).unwrap(),
+        "step {step}: grouped form diverged from the rebuild of {mirror:?}"
     );
+    snap
 }
 
 proptest! {
@@ -65,9 +108,7 @@ proptest! {
         let initial: Vec<f64> = (0..n).map(|_| mix.score(levels)).collect();
         let mut live = LiveScores::from_scores(&initial).unwrap();
         let mut mirror = initial;
-        assert_structurally_identical(&mut live, &mirror, 0);
-
-        let mut last_epoch = live.snapshot().epoch();
+        let mut last_epoch = publish_and_check(&mut live, &mirror, 0).epoch();
         for step in 1..=steps {
             let item = mix.below(n as u64) as usize;
             match mix.below(4) {
@@ -95,10 +136,8 @@ proptest! {
                     mirror[item] += delta;
                 }
             }
-            assert_structurally_identical(&mut live, &mirror, step);
-
-            // Epochs only move forward, and only when structure moved.
-            let epoch = live.snapshot().epoch();
+            // Epochs only move forward.
+            let epoch = publish_and_check(&mut live, &mirror, step).epoch();
             prop_assert!(epoch >= last_epoch, "epoch went backwards at step {}", step);
             last_epoch = epoch;
         }
@@ -110,27 +149,100 @@ proptest! {
         n in 2usize..20,
         steps in 1usize..40,
     ) {
-        // Epoch-pinning: a snapshot taken mid-sequence must remain
-        // bit-identical to the rebuild of the scores *at that moment*,
-        // no matter what later updates do.
+        // Epoch-pinning: a snapshot taken mid-sequence must keep reading
+        // the scores *at that moment*, no matter what later updates
+        // (and the folds they trigger) do.
         let mut mix = Mix(seed);
         let initial: Vec<f64> = (0..n).map(|_| mix.score(5)).collect();
         let mut live = LiveScores::from_scores(&initial).unwrap();
         let mut mirror = initial;
 
         let mut pinned = Vec::new();
-        for _ in 0..steps {
+        for step in 0..steps {
             let item = mix.below(n as u64) as usize;
             let value = mix.score(5);
             live.set_score(item, value).unwrap();
             mirror[item] = value;
             if mix.below(3) == 0 {
-                pinned.push((live.snapshot(), mirror.clone()));
+                pinned.push((publish_and_check(&mut live, &mirror, step), mirror.clone()));
             }
         }
         for (snap, scores_then) in &pinned {
-            let rebuilt = GroupedSnapshot::from_scores(scores_then).unwrap();
-            prop_assert_eq!(&**snap, &rebuilt);
+            prop_assert_eq!(values(snap), scores_then.clone());
+            prop_assert_eq!(
+                GroupedSnapshot::from_scores(&values(snap)).unwrap(),
+                GroupedSnapshot::from_scores(scores_then).unwrap()
+            );
         }
+    }
+
+    #[test]
+    fn hostile_updates_are_rejected_without_changing_anything(
+        seed in any::<u64>(),
+        n in 1usize..12,
+        steps in 1usize..80,
+    ) {
+        // Items in `0..2n` plus `usize::MAX`; values and deltas from
+        // NaN, ±∞, ±0, ±MAX and small integers. Every call returns, an
+        // accepted call is applied to the mirror, and a rejected one
+        // leaves the scores, the published snapshot and the epoch alone.
+        let mut mix = Mix(seed);
+        let initial: Vec<f64> = (0..n).map(|_| mix.score(3)).collect();
+        let mut live = LiveScores::from_scores(&initial).unwrap();
+        let mut mirror = initial;
+        for step in 0..steps {
+            let item = mix.hostile_item(n);
+            let x = mix.hostile_value();
+            let published = live.snapshot();
+            let epoch = live.current_epoch();
+            let increment = mix.below(2) == 0;
+            let want = match mirror.get(item) {
+                None => Err(DataError::ItemOutOfRange { item, n_items: n }),
+                Some(&old) => {
+                    let new = if increment { old + x } else { x };
+                    if new.is_finite() {
+                        Ok(new)
+                    } else {
+                        Err(DataError::NonFiniteScore { index: item, value: new })
+                    }
+                }
+            };
+            let got = if increment {
+                live.increment(item, x)
+            } else {
+                live.set_score(item, x).map(|()| x)
+            };
+            match (got, want) {
+                (Ok(got), Ok(want)) => {
+                    prop_assert_eq!(got, want, "step {}", step);
+                    mirror[item] = want;
+                }
+                (Err(got), Err(want)) => {
+                    match (&got, &want) {
+                        // NaN payloads never compare equal.
+                        (
+                            DataError::NonFiniteScore { index: a, .. },
+                            DataError::NonFiniteScore { index: b, .. },
+                        ) => prop_assert_eq!(a, b, "step {}", step),
+                        _ => prop_assert_eq!(&got, &want, "step {}", step),
+                    }
+                    prop_assert!(Arc::ptr_eq(&published, &live.snapshot()), "step {}", step);
+                    prop_assert_eq!(live.current_epoch(), epoch, "step {}", step);
+                }
+                (got, want) => prop_assert!(
+                    false,
+                    "step {}: got {:?}, want {:?}",
+                    step,
+                    got,
+                    want
+                ),
+            }
+            for (i, &score) in mirror.iter().enumerate() {
+                prop_assert_eq!(live.score(i).unwrap(), score, "step {} item {}", step, i);
+            }
+        }
+        // Only the per-item reads: ±MAX scores overflow the grouped
+        // form's prefix sums to NaN, which never compares equal.
+        prop_assert_eq!(values(&live.snapshot()), mirror);
     }
 }

@@ -25,19 +25,21 @@ impl Mix {
     }
 }
 
-/// Builds a snapshot at a nonzero epoch by walking a `LiveScores`
-/// through `updates` publish cycles, so round-trips also cover the
-/// epoch field.
-fn snapshot_at_epoch(mix: &mut Mix, n: usize, updates: usize) -> GroupedSnapshot {
+/// Sorts the scores a `LiveScores` holds after `updates` publish
+/// cycles, so round-trips cover score vectors that mix the lattice with
+/// off-lattice singletons. (The nonzero-epoch round trip is pinned by
+/// `persist::tests::roundtrip_is_bit_identical_including_epoch`.)
+fn walked_snapshot(mix: &mut Mix, n: usize, updates: usize) -> GroupedSnapshot {
     let initial: Vec<f64> = (0..n).map(|_| mix.score()).collect();
     let mut live = LiveScores::from_scores(&initial).unwrap();
     for _ in 0..updates {
         let item = (mix.next() % n as u64) as usize;
-        let value = mix.score() + 0.25; // off the lattice: guaranteed structure change
-        let _ = live.set_score(item, value);
-        let _ = live.snapshot(); // publish, advancing the epoch when dirty
+        let value = mix.score() + 0.25; // off the lattice: a new singleton group
+        live.set_score(item, value).unwrap();
+        live.snapshot();
     }
-    (*live.snapshot()).clone()
+    let walked: Vec<f64> = (0..n).map(|i| live.score(i).unwrap()).collect();
+    GroupedSnapshot::from_scores(&walked).unwrap()
 }
 
 proptest! {
@@ -50,7 +52,7 @@ proptest! {
         updates in 0usize..6,
     ) {
         let mut mix = Mix(seed);
-        let snap = snapshot_at_epoch(&mut mix, n, updates);
+        let snap = walked_snapshot(&mut mix, n, updates);
         let bytes = snap.to_bytes();
         let back = GroupedSnapshot::from_bytes(&bytes).unwrap();
         // Structural tables bit-identical...
@@ -67,7 +69,7 @@ proptest! {
         n in 1usize..24,
     ) {
         let mut mix = Mix(seed);
-        let snap = snapshot_at_epoch(&mut mix, n, 1);
+        let snap = walked_snapshot(&mut mix, n, 1);
         let bytes = snap.to_bytes();
         for cut in 0..bytes.len() {
             match GroupedSnapshot::from_bytes(&bytes[..cut]) {
@@ -93,7 +95,7 @@ proptest! {
         bit in 0u32..8,
     ) {
         let mut mix = Mix(seed);
-        let snap = snapshot_at_epoch(&mut mix, n, 1);
+        let snap = walked_snapshot(&mut mix, n, 1);
         let bytes = snap.to_bytes();
         for pos in 0..bytes.len() {
             let mut corrupt = bytes.clone();

@@ -56,8 +56,10 @@
 //! scores — the sweep's single sort), `context_setup_warm_ns`
 //! (`SweepContext::load_or_build` on the persisted snapshot: digest
 //! check + decode + derive, **no sort**), and `score_update_ns` (one
-//! incremental `LiveScores` relocation, sustained over a deterministic
-//! update storm — the no-re-sort path dataset updates ride). Warm loads
+//! `LiveScores` increment plus the publish that follows it, sustained
+//! over a deterministic update storm — what a one-item `update_scores`
+//! batch pays; 256 rounds stay below the ⌈√n⌉ overlay fold at both
+//! scales). Warm loads
 //! are asserted bit-identical to the cold build, and each dataset line
 //! prints a `[warm<cold]` marker CI greps for. Context lines still
 //! carry no `engine` field, so the ratio gate skips them.
@@ -176,8 +178,8 @@ struct CellTiming {
 
 /// Per-dataset context columns: cold build (the sweep's single score
 /// sort + rank table), warm load (persisted snapshot: digest check +
-/// decode + derive, no sort), and one sustained incremental score
-/// update.
+/// decode + derive, no sort), and one sustained live score update
+/// (increment + publish).
 struct ContextSetup {
     dataset: String,
     n: usize,
@@ -261,8 +263,8 @@ fn bench_size(
             "warm load must be bit-identical to the cold build"
         );
     }
-    // The *update* column: sustained incremental relocations through
-    // `LiveScores` — the no-re-sort path `update_scores` batches ride.
+    // The *update* column: sustained increment + publish rounds
+    // through `LiveScores` — what a one-item `update_scores` batch pays.
     let mut live = LiveScores::from_scores(scores.as_slice()).expect("finite scores");
     let update_rounds = 256u64;
     let mut x = seed | 1;
@@ -274,6 +276,7 @@ fn bench_size(
         let item = (x >> 33) as usize % n;
         let delta = if round % 2 == 0 { 1.0 } else { -1.0 } * ((round % 7) as f64 + 0.5);
         live.increment(item, delta).expect("in-range finite update");
+        std::hint::black_box(live.snapshot());
     }
     let score_update_ns = update_start.elapsed().as_nanos() / u128::from(update_rounds);
     setups.push(ContextSetup {

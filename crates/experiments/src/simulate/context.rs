@@ -29,8 +29,7 @@
 //!
 //! The snapshot is pinned for the context's lifetime: cells cloned from
 //! one `SweepContext` share the same `Arc` (a clone is a refcount
-//! bump), so every cell of a sweep reads the same epoch of the dataset
-//! even if a live owner elsewhere publishes newer snapshots.
+//! bump), so every cell of a sweep reads the same sorted view.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -68,8 +67,11 @@ impl SweepContext {
         }
     }
 
-    /// Wraps an already-published snapshot (e.g. from a
-    /// [`LiveScores`](dp_data::LiveScores) owner) without any sort.
+    /// Wraps an already-built snapshot without any sort — the warm
+    /// path of [`load_or_build`](Self::load_or_build), which decodes
+    /// it from the persisted cache. (A live dataset publishes unsorted
+    /// [`ScoreSnapshot`](dp_data::ScoreSnapshot)s; an engine over one
+    /// sorts the current scores once, as [`new`](Self::new) does.)
     pub fn from_snapshot(snapshot: Arc<GroupedSnapshot>) -> Self {
         Self { groups: snapshot }
     }

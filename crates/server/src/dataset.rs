@@ -1,15 +1,18 @@
 //! Per-tenant live datasets behind epoch-swapped snapshots.
 //!
 //! The serving layer's dataset story mirrors `dp-data`'s split between
-//! [`LiveScores`] (the single mutable owner) and [`GroupedSnapshot`]
-//! (immutable, epoch-stamped views):
+//! [`LiveScores`] (the single mutable owner) and [`ScoreSnapshot`]
+//! (immutable, epoch-stamped views). A session only ever reads the
+//! score of the item it names, so neither side sorts:
 //!
 //! - Each tenant owns one [`LiveScores`] guarded by a mutex that only
 //!   the registry's `update` takes, so score churn never contends
 //!   with the query path.
 //! - The *published* snapshot lives behind an `RwLock<Arc<_>>` that is
 //!   swapped — never mutated — when an update batch commits. Readers
-//!   clone the `Arc` and are done with the lock in nanoseconds.
+//!   clone the `Arc` and are done with the lock in nanoseconds, and the
+//!   replaced snapshot is dropped only after the write lock is
+//!   released, so freeing a folded-away base never stalls them.
 //! - `open_session` pins the snapshot current at open time into the
 //!   session entry. A session therefore answers every query against
 //!   one immutable epoch, bit-identical to a sequential run against
@@ -22,7 +25,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
 
-use dp_data::{DataError, GroupedSnapshot, LiveScores};
+use dp_data::{DataError, LiveScores, ScoreSnapshot};
 
 use crate::error::ServerError;
 use crate::store::{Result, TenantId};
@@ -55,7 +58,7 @@ struct TenantDataset {
     live: Mutex<LiveScores>,
     /// What `open_session` pins. Swapped whole; existing clones keep
     /// their epoch.
-    published: RwLock<Arc<GroupedSnapshot>>,
+    published: RwLock<Arc<ScoreSnapshot>>,
 }
 
 /// tenant → dataset. The outer map is read-mostly (registrations are
@@ -67,7 +70,8 @@ pub(crate) struct DatasetRegistry {
 }
 
 impl DatasetRegistry {
-    /// Builds and publishes `tenant`'s initial dataset (epoch 0).
+    /// Validates and copies `tenant`'s initial scores (no sort) and
+    /// publishes them as epoch 0.
     pub(crate) fn register(&self, tenant: TenantId, scores: &[f64]) -> Result<u64> {
         let mut live = LiveScores::from_scores(scores)?;
         let snapshot = live.snapshot();
@@ -96,13 +100,8 @@ impl DatasetRegistry {
 
     /// The currently published snapshot — what a session opened right
     /// now would pin. `None` when the tenant has no dataset.
-    pub(crate) fn snapshot(&self, tenant: TenantId) -> Option<Arc<GroupedSnapshot>> {
-        let dataset = self
-            .tenants
-            .read()
-            .expect("dataset registry poisoned")
-            .get(&tenant)
-            .cloned()?;
+    pub(crate) fn snapshot(&self, tenant: TenantId) -> Option<Arc<ScoreSnapshot>> {
+        let dataset = self.get(tenant).ok()?;
         let published = dataset.published.read().expect("published lock poisoned");
         Some(Arc::clone(&published))
     }
@@ -155,7 +154,13 @@ impl DatasetRegistry {
         }
         let snapshot = live.snapshot();
         let epoch = snapshot.epoch();
-        *dataset.published.write().expect("published lock poisoned") = snapshot;
+        let replaced = std::mem::replace(
+            &mut *dataset.published.write().expect("published lock poisoned"),
+            snapshot,
+        );
+        // The write lock is already released: if `replaced` held the
+        // last pin on a folded-away base, freeing it stalls no reader.
+        drop(replaced);
         Ok(epoch)
     }
 }
@@ -171,7 +176,8 @@ mod tests {
         assert_eq!(registry.register(tenant, &[3.0, 1.0, 2.0]).unwrap(), 0);
         let snap = registry.snapshot(tenant).unwrap();
         assert_eq!(snap.epoch(), 0);
-        assert_eq!(snap.top_c(1), vec![0]);
+        assert_eq!(snap.len_items(), 3);
+        assert_eq!(snap.score_of_item(0), 3.0);
         assert!(registry.snapshot(TenantId(2)).is_none());
     }
 
@@ -203,10 +209,10 @@ mod tests {
             .unwrap();
         assert_eq!(epoch, 1);
         // The old pin is untouched; the new publish sees the update.
-        assert_eq!(pinned.top_c(1), vec![0]);
+        assert_eq!(pinned.score_of_item(1), 1.0);
         let fresh = registry.snapshot(tenant).unwrap();
         assert_eq!(fresh.epoch(), 1);
-        assert_eq!(fresh.top_c(1), vec![1]);
+        assert_eq!(fresh.score_of_item(1), 9.0);
     }
 
     #[test]

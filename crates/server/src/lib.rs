@@ -43,10 +43,11 @@
 //!   [`ServerError::is_retryable`]).
 //!
 //! **Datasets are served too.** [`SessionStore::register_dataset`]
-//! gives a tenant a live score table ([`dp_data::LiveScores`]) behind
-//! an epoch-swapped [`dp_data::GroupedSnapshot`];
-//! [`SessionStore::update_scores`] applies atomic batches of
-//! incremental score changes (no re-sort) and publishes a new epoch;
+//! gives a tenant a live score table ([`dp_data::LiveScores`], copied
+//! unsorted) behind an epoch-swapped [`dp_data::ScoreSnapshot`];
+//! [`SessionStore::update_scores`] applies atomic batches of score
+//! changes to the table's copy-on-write overlay and publishes a new
+//! epoch;
 //! [`SessionStore::open_session`] pins the snapshot current at open
 //! time, so every session answers item-level queries
 //! ([`SessionStore::submit_item`]) against one immutable epoch,

@@ -94,7 +94,7 @@ use std::sync::Mutex;
 
 use std::sync::Arc;
 
-use dp_data::GroupedSnapshot;
+use dp_data::ScoreSnapshot;
 use dp_mechanisms::wal::{replay_records, FsyncPolicy, LedgerWal, WalError, WalSink, RECORD_SIZE};
 use dp_mechanisms::{BudgetLedger, ChargeReceipt, DpRng};
 use svt_core::alg::StandardSvtConfig;
@@ -231,7 +231,7 @@ struct SessionEntry {
     /// item-level query of this session resolves scores against this
     /// one immutable epoch, no matter how many `update_scores` batches
     /// land afterwards. `None` when the tenant had no dataset at open.
-    dataset: Option<Arc<GroupedSnapshot>>,
+    dataset: Option<Arc<ScoreSnapshot>>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -812,11 +812,12 @@ impl SessionStore {
         Ok(driver.ask(query_answer, threshold)?)
     }
 
-    /// Registers `tenant`'s dataset: builds the live score table, sorts
-    /// it once, and publishes the epoch-0 snapshot. Sessions opened from
-    /// now on pin the currently published snapshot; sessions opened
-    /// before this call keep answering [`submit_item`](Self::submit_item)
-    /// with [`ServerError::NoDataset`].
+    /// Registers `tenant`'s dataset: validates and copies the scores
+    /// into the live score table (no sort) and publishes the epoch-0
+    /// snapshot. Sessions opened from now on pin the currently
+    /// published snapshot; sessions opened before this call keep
+    /// answering [`submit_item`](Self::submit_item) with
+    /// [`ServerError::NoDataset`].
     ///
     /// Datasets evolve through [`update_scores`](Self::update_scores) —
     /// re-registering is rejected rather than silently replacing
@@ -840,10 +841,10 @@ impl SessionStore {
 
     /// Applies one atomic batch of score updates to `tenant`'s live
     /// dataset and publishes the resulting snapshot, returning its
-    /// epoch. Each update relocates its item incrementally — no re-sort
-    /// — and existing sessions keep their pinned pre-update snapshots
-    /// untouched; only sessions opened after this returns observe the
-    /// new epoch.
+    /// epoch. Each update rewrites one item's score in the live table's
+    /// overlay — nothing is sorted or rebuilt — and existing sessions
+    /// keep their pinned pre-update snapshots untouched; only sessions
+    /// opened after this returns observe the new epoch.
     ///
     /// A rejected batch (out-of-range item, non-finite resulting score)
     /// applies nothing and the published snapshot does not move.
@@ -1137,8 +1138,10 @@ impl SessionStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dp_data::DataError;
     use dp_mechanisms::wal::MemSink;
     use dp_mechanisms::SvtBudget;
+    use proptest::prelude::*;
 
     fn config(c: usize) -> StandardSvtConfig {
         StandardSvtConfig {
@@ -1696,5 +1699,133 @@ mod tests {
             recovered.ledger_view(tenant).unwrap().spent.to_bits(),
             store.ledger_view(tenant).unwrap().spent.to_bits()
         );
+    }
+
+    /// SplitMix64 stream for the hostile-update proptest.
+    struct Mix(u64);
+
+    impl Mix {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+
+        /// Mostly in `0..2n` (half of them out of range), sometimes
+        /// `usize::MAX`.
+        fn item(&mut self, n: usize) -> usize {
+            match self.below(8) {
+                0 => usize::MAX,
+                _ => self.below(2 * n as u64) as usize,
+            }
+        }
+
+        /// NaN, ±∞, ±0, ±`f64::MAX` or a small integer.
+        fn value(&mut self) -> f64 {
+            match self.below(10) {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => f64::NEG_INFINITY,
+                3 => 0.0,
+                4 => -0.0,
+                5 => f64::MAX,
+                6 => -f64::MAX,
+                _ => self.below(7) as f64 - 3.0,
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn hostile_update_batches_are_rejected_without_changing_anything(
+            seed in any::<u64>(),
+            n in 1usize..12,
+            batches in 1usize..40,
+        ) {
+            // Every batch returns; an accepted one is applied to the
+            // mirror in order, a rejected one (its first bad update
+            // named) leaves the published snapshot, the epoch and the
+            // scores exactly as they were.
+            let mut mix = Mix(seed);
+            let store = SessionStore::new(ServerConfig::default());
+            let tenant = TenantId(1);
+            store.register_tenant(tenant, 1.0).unwrap();
+            let mut mirror: Vec<f64> = (0..n).map(|_| mix.below(5) as f64).collect();
+            store.register_dataset(tenant, &mirror).unwrap();
+            for batch in 0..batches {
+                let updates: Vec<ScoreUpdate> = (0..1 + mix.below(3))
+                    .map(|_| {
+                        let item = mix.item(n);
+                        let x = mix.value();
+                        if mix.below(2) == 0 {
+                            ScoreUpdate::Set { item, score: x }
+                        } else {
+                            ScoreUpdate::Increment { item, delta: x }
+                        }
+                    })
+                    .collect();
+                let published = store.datasets.snapshot(tenant).unwrap();
+                let epoch = store.dataset_epoch(tenant).unwrap();
+                let mut staged = mirror.clone();
+                let mut want = Ok(());
+                for &update in &updates {
+                    let (item, next) = match update {
+                        ScoreUpdate::Set { item, score } => (item, score),
+                        ScoreUpdate::Increment { item, delta } => {
+                            (item, staged.get(item).map_or(f64::NAN, |&s| s + delta))
+                        }
+                    };
+                    if item >= n {
+                        want = Err(ServerError::ItemOutOfRange { item, len: n });
+                        break;
+                    }
+                    if !next.is_finite() {
+                        want = Err(ServerError::Dataset(DataError::NonFiniteScore {
+                            index: item,
+                            value: next,
+                        }));
+                        break;
+                    }
+                    staged[item] = next;
+                }
+                match (store.update_scores(tenant, &updates), want) {
+                    (Ok(got), Ok(())) => {
+                        let changed = staged.iter().zip(&mirror).any(|(a, b)| a != b);
+                        prop_assert_eq!(got, epoch + u64::from(changed), "batch {}", batch);
+                        mirror = staged;
+                    }
+                    (Err(got), Err(want)) => {
+                        // NaN payloads never compare equal: match on the index.
+                        if let (
+                            ServerError::Dataset(DataError::NonFiniteScore { index: a, .. }),
+                            ServerError::Dataset(DataError::NonFiniteScore { index: b, .. }),
+                        ) = (&got, &want)
+                        {
+                            prop_assert_eq!(a, b, "batch {}", batch);
+                        } else {
+                            prop_assert_eq!(&got, &want, "batch {}", batch);
+                        }
+                        let after = store.datasets.snapshot(tenant).unwrap();
+                        prop_assert!(Arc::ptr_eq(&published, &after), "batch {}", batch);
+                        prop_assert_eq!(store.dataset_epoch(tenant).unwrap(), epoch);
+                    }
+                    (got, want) => prop_assert!(
+                        false,
+                        "batch {}: got {:?}, want {:?}",
+                        batch,
+                        got,
+                        want
+                    ),
+                }
+                let now = store.datasets.snapshot(tenant).unwrap();
+                for (item, &score) in mirror.iter().enumerate() {
+                    prop_assert_eq!(now.score_of_item(item), score, "batch {}", batch);
+                }
+            }
+        }
     }
 }

@@ -56,7 +56,9 @@ pub use svt_server as server;
 /// The most commonly used types, re-exported flat.
 pub mod prelude {
     pub use dp_auditor::{audit_event, audit_output_grid, GridAudit, RatioAudit};
-    pub use dp_data::{DatasetSpec, GroupedSnapshot, LiveScores, ScoreVector, TransactionDataset};
+    pub use dp_data::{
+        DatasetSpec, GroupedSnapshot, LiveScores, ScoreSnapshot, ScoreVector, TransactionDataset,
+    };
     pub use dp_mechanisms::{
         geometric_mechanism, ApproxDp, BudgetLedger, DpRng, ExponentialMechanism, Laplace,
         SvtBudget, TwoSidedGeometric,
