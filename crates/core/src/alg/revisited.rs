@@ -102,9 +102,18 @@ impl SvtRevisited {
         self.state.spent_epsilon()
     }
 
-    #[cfg(test)]
+    /// The current instance's threshold noise `ρ`.
     pub(crate) fn rho(&self) -> f64 {
         self.state.rho()
+    }
+
+    /// The query noise `Lap(kcΔ/ε₂)` and the per-instance threshold
+    /// noise `Lap(cΔ/ε₁)`, for samplers that replay this protocol
+    /// without walking items ([`revisited_select_grouped`]).
+    ///
+    /// [`revisited_select_grouped`]: crate::skip_ahead::revisited_select_grouped
+    pub(crate) fn noises(&self) -> (Laplace, Laplace) {
+        (self.query_noise, self.threshold_noise)
     }
 }
 

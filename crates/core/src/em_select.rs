@@ -22,7 +22,7 @@
 //! one key per item — `O(G + c)` draws for `G` distinct scores — which
 //! is what the experiment harness's exact engine runs by default.
 
-use crate::streaming::{DisplacementMap, RunScratch};
+use crate::streaming::RunScratch;
 use crate::{Result, SvtError};
 use dp_data::GroupedSnapshot;
 use dp_mechanisms::{BatchSample, DpRng, ExponentialMechanism, Gumbel, GumbelMax, MechanismError};
@@ -37,10 +37,11 @@ const GUMBEL_CHUNK: usize = 512;
 
 /// Reusable buffers for [`EmTopC::select_into`] and
 /// [`EmTopC::select_grouped_into`]: a noise chunk, the running top-`c`
-/// min-heap, and the grouped sampler's per-group cursors / cross-group
-/// heap / within-group pick map. Lives inside [`RunScratch`] so one
-/// worker-thread scratch serves the SVT and EM engines alike; after
-/// warm-up a selection allocates nothing.
+/// min-heap, and the grouped sampler's per-group cursors and
+/// cross-group heap (its within-group pick map is the one
+/// [`RunScratch`] shares with the SVT-Revisited skip-ahead). Lives
+/// inside [`RunScratch`] so one worker-thread scratch serves the SVT
+/// and EM engines alike; after warm-up a selection allocates nothing.
 ///
 /// ## Tie contract
 ///
@@ -68,10 +69,6 @@ pub struct EmScratch {
     /// Backing storage for the grouped sampler's cross-group max-heap,
     /// kept between runs so the heap never reallocates in steady state.
     heap: Vec<GroupKey>,
-    /// Within-group without-replacement pick state: maps a position in
-    /// the grouped sorted order to the value swapped into it (sparse
-    /// back-to-front Fisher–Yates), generation-stamped for O(1) reset.
-    picks: DisplacementMap,
 }
 
 impl EmScratch {
@@ -271,7 +268,7 @@ impl EmTopC {
         let factor = self.key_factor()?;
         let kernel = scratch.kernel();
         scratch.begin_em_run();
-        let (em, selected) = scratch.em_parts();
+        let (em, _, selected) = scratch.em_parts();
         if scores.is_empty() {
             return Err(SvtError::Mechanism(MechanismError::EmptyCandidates));
         }
@@ -374,7 +371,7 @@ impl EmTopC {
         let factor = self.key_factor()?;
         let kernel = scratch.kernel();
         scratch.begin_em_run();
-        let (em, selected) = scratch.em_parts();
+        let (em, picks, selected) = scratch.em_parts();
         if groups.len_items() == 0 {
             return Err(SvtError::Mechanism(MechanismError::EmptyCandidates));
         }
@@ -383,7 +380,6 @@ impl EmTopC {
         em.groups.reserve(groups.num_groups());
         em.heap.clear();
         em.heap.reserve(groups.num_groups());
-        em.picks.reset();
         // Draw protocol (fixed, documented): one uniform per group for
         // the initial maxima, in group (descending score) order …
         for g in 0..groups.num_groups() {
@@ -410,22 +406,9 @@ impl EmTopC {
                  and take is at most the total item count",
             );
             let cursor = &mut em.groups[group as usize];
-            let offset = groups.offset(group as usize);
-            // Uniform pick among the group's remaining members: sparse
-            // swap-with-last over positions offset..offset+remaining.
-            let r = cursor.remaining;
-            let slot = if r > 1 {
-                offset + rng.index(r as usize) as u32
-            } else {
-                offset
-            };
-            let picked_pos = em.picks.get(slot).unwrap_or(slot);
-            let last = offset + r - 1;
-            if slot != last {
-                let moved = em.picks.get(last).unwrap_or(last);
-                em.picks.replace(slot, moved);
-            }
-            cursor.remaining = r - 1;
+            let picked_pos =
+                picks.pick_uniform(groups.offset(group as usize), cursor.remaining, rng);
+            cursor.remaining -= 1;
             selected.push(groups.item(picked_pos) as usize);
             if cursor.remaining > 0 {
                 let key = cursor

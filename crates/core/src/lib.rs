@@ -26,6 +26,10 @@
 //!   ([`SparseOrder`]), and batched block-wise query noise; same output
 //!   distributions, `O(examined)` per run, built for the experiment
 //!   harness's hot loop.
+//! - [`skip_ahead`] — SVT-Revisited over grouped score runs: the next ⊤
+//!   is drawn per score group instead of per item (⊥s are free and
+//!   tied members exchangeable), `O(c·G)` per run with the item-level
+//!   walk's exact output distribution.
 //! - [`retraversal`] — SVT-ReTr (§5): raise the threshold by multiples
 //!   of the query-noise standard deviation and retraverse unselected
 //!   queries until `c` are found.
@@ -71,6 +75,7 @@ pub mod noninteractive;
 pub mod response;
 pub mod retraversal;
 pub mod session;
+pub mod skip_ahead;
 pub mod streaming;
 pub mod threshold;
 

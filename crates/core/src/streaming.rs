@@ -43,7 +43,8 @@ use crate::alg::SparseVector;
 use crate::alg::StandardSvtConfig;
 use crate::em_select::EmScratch;
 use crate::noninteractive::SvtSelectConfig;
-use crate::session::{ChargePolicy, SessionState};
+use crate::session::SessionState;
+use crate::skip_ahead::SkipGroup;
 use crate::{Result, SvtError};
 use dp_data::GroupedSnapshot;
 use dp_mechanisms::exp_noise::Exponential;
@@ -115,9 +116,10 @@ struct Slot {
 
 /// Open-addressing hash map from position to displaced value, built for
 /// the sparse-permutation access pattern shared by [`SparseOrder`]
-/// (lazy forward Fisher–Yates) and the grouped EM sampler's
-/// within-group swap-with-last draws
-/// ([`EmTopC::select_grouped_into`](crate::em_select::EmTopC::select_grouped_into)),
+/// (lazy forward Fisher–Yates) and the grouped samplers' within-group
+/// swap-with-last draws ([`pick_uniform`](Self::pick_uniform), used by
+/// [`EmTopC::select_grouped_into`](crate::em_select::EmTopC::select_grouped_into)
+/// and [`revisited_select_grouped`](crate::skip_ahead::revisited_select_grouped)),
 /// and nothing else:
 ///
 /// * **no deletions** — once position `i` has been examined it is never
@@ -210,6 +212,30 @@ impl DisplacementMap {
         }
     }
 
+    /// Takes one member uniformly at random from the not-yet-picked
+    /// members of a sorted run `offset .. offset + remaining` and
+    /// returns its sorted position: sparse back-to-front Fisher–Yates,
+    /// where the picked slot takes over the run's last unpicked value,
+    /// so the run's first `remaining - 1` slots hold the members left
+    /// afterwards. Draws one bounded index from `rng`, or none when
+    /// only one member remains.
+    #[inline]
+    pub(crate) fn pick_uniform(&mut self, offset: u32, remaining: u32, rng: &mut DpRng) -> u32 {
+        debug_assert!(remaining > 0, "pick from an exhausted run");
+        let slot = if remaining > 1 {
+            offset + rng.index(remaining as usize) as u32
+        } else {
+            offset
+        };
+        let picked = self.get(slot).unwrap_or(slot);
+        let last = offset + remaining - 1;
+        if slot != last {
+            let moved = self.get(last).unwrap_or(last);
+            self.replace(slot, moved);
+        }
+        picked
+    }
+
     /// Fast-forwards the generation stamp as if `gen - self.gen` resets
     /// had happened (restamping live entries so they stay visible), so
     /// tests can drive the stamp to the wraparound boundary without
@@ -268,7 +294,7 @@ impl DisplacementMap {
 ///
 /// ## Densification
 ///
-/// A run that keeps going (SVT-Revisited's per-⊤ charging examines most
+/// A run that keeps going (SVT-ReTr's high-threshold passes examine most
 /// of the list) would push the displacement map to `O(n)` entries, each
 /// step paying a hash probe. Once the examined count reaches ⅛ of `n`
 /// the order *densifies*: the remaining tail's conceptual values are
@@ -318,10 +344,6 @@ pub struct SparseOrder {
     dense: Vec<u32>,
     /// The position the dense tail starts at; `None` while sparse.
     dense_from: Option<usize>,
-    /// Eager mode ([`reset_eager`](Self::reset_eager)): the whole
-    /// permutation is materialized in `prefix` upfront and this tracks
-    /// how much of it the consumer has examined. `None` in lazy mode.
-    eager_taken: Option<usize>,
 }
 
 impl SparseOrder {
@@ -339,7 +361,6 @@ impl SparseOrder {
         self.len = n;
         self.dense.clear();
         self.dense_from = None;
-        self.eager_taken = None;
     }
 
     /// Rewinds to a fresh permutation of `0..n` and materializes *all*
@@ -351,55 +372,22 @@ impl SparseOrder {
     /// The pass makes exactly the draws that stepping through all `n`
     /// positions lazily would make, in the same order with the same
     /// values, so a full traversal is draw-for-draw identical under
-    /// either mode. Built for whole-list consumers — SVT-Revisited's
-    /// per-⊤ charging examines nearly everything — where lazy stepping
-    /// only adds overhead. Walk the result with
-    /// [`eager_at`](Self::eager_at) and record progress with
-    /// [`mark_taken`](Self::mark_taken) so [`emitted`](Self::emitted)
-    /// keeps reporting the examined count.
+    /// either mode; afterwards all `n` positions read as emitted. The
+    /// layer benchmark times it as the cost floor of a whole-list walk.
     pub fn reset_eager(&mut self, n: usize, rng: &mut DpRng) {
-        self.displaced.reset();
-        self.len = n;
-        self.dense.clear();
-        self.dense_from = None;
-        self.prefix.clear();
+        self.reset(n);
         self.prefix.extend(0..n as u32);
         rng.shuffle_forward(&mut self.prefix);
-        self.eager_taken = Some(0);
     }
 
-    /// Reads position `i` of the eagerly materialized order.
-    ///
-    /// # Panics
-    /// Debug-asserts eager mode; panics if `i` is out of range.
-    #[inline]
-    pub fn eager_at(&self, i: usize) -> u32 {
-        debug_assert!(self.eager_taken.is_some(), "eager_at outside eager mode");
-        self.prefix[i]
-    }
-
-    /// Records that the consumer has examined the first `k` positions
-    /// of the eager order (no-op in lazy mode).
-    pub fn mark_taken(&mut self, k: usize) {
-        if let Some(taken) = &mut self.eager_taken {
-            debug_assert!(k <= self.len);
-            *taken = k;
-        }
-    }
-
-    /// Number of positions emitted so far (in eager mode: examined so
-    /// far, per [`mark_taken`](Self::mark_taken)).
+    /// Number of positions emitted so far.
     pub fn emitted(&self) -> usize {
-        self.eager_taken.unwrap_or(self.prefix.len())
+        self.prefix.len()
     }
 
-    /// The emitted prefix, in examination order (in eager mode: the
-    /// examined prefix of the materialized order).
+    /// The emitted prefix, in examination order.
     pub fn prefix(&self) -> &[u32] {
-        match self.eager_taken {
-            Some(taken) => &self.prefix[..taken],
-            None => &self.prefix,
-        }
+        &self.prefix
     }
 
     /// Emits the next position of the lazy shuffle.
@@ -413,7 +401,6 @@ impl SparseOrder {
     /// Debug-asserts that fewer than `n` positions have been emitted.
     #[inline]
     pub fn step(&mut self, rng: &mut DpRng) -> u32 {
-        debug_assert!(self.eager_taken.is_none(), "step in eager mode");
         let i = self.prefix.len();
         debug_assert!(i < self.len, "SparseOrder::step past the end");
         if self.dense_from.is_none() && (i + 1) * 8 >= self.len {
@@ -464,7 +451,6 @@ impl SparseOrder {
         let n = self.len;
         let start = self.prefix.len();
         let m = out.len();
-        debug_assert!(self.eager_taken.is_none(), "step_block in eager mode");
         debug_assert!(start + m <= n, "SparseOrder::step_block past the end");
         // `(i + 1) * 8 < n` for every position the block touches means
         // no step densifies, and `remaining > 1` throughout (the
@@ -526,14 +512,14 @@ impl SparseOrder {
 /// Reusable per-run buffers for the streaming evaluation paths.
 ///
 /// Construct once per worker thread, pass to every run; nothing in here
-/// is ever allocated proportional to the dataset size, and after the
-/// first few runs the steady state allocates nothing at all. One
-/// scratch serves every streaming path — [`svt_select_from`],
-/// [`select_streaming_from`],
+/// is ever allocated proportional to the item count (the grouped
+/// samplers keep `O(groups)` state), and after the first few runs the
+/// steady state allocates nothing at all. One scratch serves every
+/// streaming path — [`svt_select_from`], [`select_streaming_from`],
 /// [`svt_retraversal_from`](crate::retraversal::svt_retraversal_from),
-/// and [`EmTopC::select_into`](crate::em_select::EmTopC::select_into) —
-/// with the result of the most recent run in
-/// [`selected`](Self::selected).
+/// [`revisited_select_grouped`](crate::skip_ahead::revisited_select_grouped),
+/// and the [`EmTopC`](crate::em_select::EmTopC) samplers — with the
+/// result of the most recent run in [`selected`](Self::selected).
 ///
 /// ```
 /// use dp_mechanisms::DpRng;
@@ -562,9 +548,15 @@ pub struct RunScratch {
     selected: Vec<usize>,
     noise: NoiseBuffer,
     em: EmScratch,
-    /// Threads used to prefill chunked noise streams (SVT-Revisited's
-    /// whole-list runs); the stream is bit-identical for every value.
-    noise_threads: usize,
+    /// Per-group state of the SVT-Revisited skip-ahead.
+    skip: Vec<SkipGroup>,
+    /// The grouped samplers' within-group pick map
+    /// ([`DisplacementMap::pick_uniform`]).
+    picks: DisplacementMap,
+    /// The examined count of a run that walks no examination order
+    /// (the skip-ahead samples it); `None` when the order's emitted
+    /// prefix is the count.
+    examined: Option<usize>,
 }
 
 impl RunScratch {
@@ -594,7 +586,9 @@ impl RunScratch {
             selected: Vec::new(),
             noise: NoiseBuffer::with_kernel(batch, kernel),
             em: EmScratch::new(),
-            noise_threads: 1,
+            skip: Vec::new(),
+            picks: DisplacementMap::default(),
+            examined: None,
         }
     }
 
@@ -604,15 +598,6 @@ impl RunScratch {
         self.noise.kernel()
     }
 
-    /// Sets how many threads prefill chunked noise streams (clamped to
-    /// ≥ 1). Output streams are **bit-identical for every value** — the
-    /// chunked derivation is thread-count-independent by construction
-    /// ([`NoiseBuffer::enable_chunked`]) — so this is purely a
-    /// wall-clock knob for large-`c` runs.
-    pub fn set_noise_threads(&mut self, threads: usize) {
-        self.noise_threads = threads.max(1);
-    }
-
     /// The indices selected by the most recent run, in answer order.
     pub fn selected(&self) -> &[usize] {
         &self.selected
@@ -620,10 +605,12 @@ impl RunScratch {
 
     /// Number of items the most recent streaming run examined before
     /// halting — the quantity the `O(examined)` cost bound refers to.
-    /// (Zero after [`EmTopC::select_into`](crate::em_select::EmTopC::select_into),
-    /// which scans without an examination order.)
+    /// After [`revisited_select_grouped`](crate::skip_ahead::revisited_select_grouped)
+    /// it is the run's sampled examined count (same law as the
+    /// item-level walk's); it reads zero after the EM samplers, which
+    /// scan without an examination order.
     pub fn examined(&self) -> usize {
-        self.order.emitted()
+        self.examined.unwrap_or_else(|| self.order.emitted())
     }
 
     /// Rewinds the buffers for a fresh run over `n` items: implicit
@@ -634,6 +621,7 @@ impl RunScratch {
         self.order.reset(n);
         self.selected.clear();
         self.noise.reset();
+        self.examined = None;
     }
 
     pub(crate) fn selected_len(&self) -> usize {
@@ -669,12 +657,33 @@ impl RunScratch {
     pub(crate) fn begin_em_run(&mut self) {
         self.order.reset(0);
         self.selected.clear();
+        self.examined = None;
+        self.picks.reset();
     }
 
-    /// The EM scratch and the shared selection buffer, borrowed
-    /// together for [`EmTopC::select_into`](crate::em_select::EmTopC::select_into).
-    pub(crate) fn em_parts(&mut self) -> (&mut EmScratch, &mut Vec<usize>) {
-        (&mut self.em, &mut self.selected)
+    /// The EM scratch, the pick map and the shared selection buffer,
+    /// borrowed together for the [`EmTopC`](crate::em_select::EmTopC)
+    /// samplers.
+    pub(crate) fn em_parts(&mut self) -> (&mut EmScratch, &mut DisplacementMap, &mut Vec<usize>) {
+        (&mut self.em, &mut self.picks, &mut self.selected)
+    }
+
+    /// Rewinds for a skip-ahead run (no examination order, empty
+    /// selection and pick map) and lends its per-group state, pick map
+    /// and selection buffer; the caller records the sampled count with
+    /// [`set_examined`](Self::set_examined).
+    pub(crate) fn begin_skip_run(
+        &mut self,
+    ) -> (&mut Vec<SkipGroup>, &mut DisplacementMap, &mut Vec<usize>) {
+        self.order.reset(0);
+        self.selected.clear();
+        self.picks.reset();
+        self.examined = Some(0);
+        (&mut self.skip, &mut self.picks, &mut self.selected)
+    }
+
+    pub(crate) fn set_examined(&mut self, examined: usize) {
+        self.examined = Some(examined);
     }
 }
 
@@ -860,108 +869,6 @@ pub fn svt_select_from<S: ScoreSource + ?Sized>(
     Ok(())
 }
 
-/// Streaming SVT-Revisited selection with batched, chunked query noise.
-///
-/// Samples the same output distribution as running
-/// [`SvtRevisited`](crate::alg::SvtRevisited) through
-/// [`select_streaming_from`] — `c` chained cutoff-1 instances, `ρ`
-/// redrawn after every non-final ⊤ — but with the noise streams
-/// restructured for batching (unlike [`SvtRevisited`]'s caller-RNG
-/// protocol):
-///
-/// 1. fork the query-noise generator off `rng`;
-/// 2. fork the threshold-refresh generator off `rng`;
-/// 3. draw the first instance's `ρ` from `rng` itself;
-/// 4. draw the full examination order from `rng` with one eager
-///    forward Fisher–Yates pass ([`SparseOrder::reset_eager`]) — the
-///    same draws, in the same order, that lazy stepping makes over a
-///    full traversal;
-/// 5. per examined position: one buffered `ν` from the query fork;
-///    after a non-final ⊤, a fresh `ρ` from the refresh fork.
-///
-/// Because SVT-Revisited typically examines most of the list (⊥s are
-/// free), both expensive streams run in whole-list mode: the
-/// examination order is materialized eagerly (a tight shuffle beats
-/// per-step lazy bookkeeping when nearly every step happens), and the
-/// query noise runs in the [`NoiseBuffer`]'s *chunked* mode — the fork
-/// seeds a counter-derived chunk family prefilled by
-/// [`RunScratch::set_noise_threads`] threads, bit-identical for every
-/// thread count.
-///
-/// [`SvtRevisited`]: crate::alg::SvtRevisited
-///
-/// # Errors
-/// Propagates configuration validation; like
-/// [`SvtRevisited::new`](crate::alg::SvtRevisited::new), rejects budgets
-/// with a numeric phase.
-pub fn revisited_select_from<S: ScoreSource + ?Sized>(
-    scores: &S,
-    threshold: f64,
-    config: &SvtSelectConfig,
-    rng: &mut DpRng,
-    scratch: &mut RunScratch,
-) -> Result<()> {
-    let cfg = config.to_standard()?;
-    dp_mechanisms::error::check_sensitivity(cfg.sensitivity).map_err(SvtError::from)?;
-    crate::error::check_cutoff(cfg.c)?;
-    let query_noise = Laplace::new(cfg.query_noise_scale()).map_err(SvtError::from)?;
-    let threshold_noise =
-        Laplace::new(cfg.revisited_threshold_noise_scale()).map_err(SvtError::from)?;
-    let mut noise_rng = rng.fork();
-    let mut threshold_rng = rng.fork();
-    let rho = threshold_noise.sample(rng);
-    let mut state = SessionState::with_policy(cfg, rho, ChargePolicy::PerTop)?;
-    scratch.begin_run(scores.len());
-    let threads = scratch.noise_threads;
-    scratch.noise.enable_chunked(threads);
-    scratch.order.reset_eager(scores.len(), rng);
-    let n = scores.len();
-    // Same two-deep window pipeline as `svt_select_from` (the order is
-    // already materialized, so only the score reads pipeline): window
-    // `w + 1`'s reads are in flight while window `w` is observed.
-    let (mut vals_a, mut vals_b) = ([0.0f64; LOOKAHEAD], [0.0f64; LOOKAHEAD]);
-    let (mut cur_vals, mut nxt_vals) = (&mut vals_a, &mut vals_b);
-    let mut nus = [0.0f64; LOOKAHEAD];
-    let mut base = 0;
-    let mut cur_w = LOOKAHEAD.min(n);
-    for (k, v) in cur_vals.iter_mut().enumerate().take(cur_w) {
-        *v = scores.score(scratch.order.eager_at(k) as usize);
-    }
-    let mut taken = 0;
-    'outer: while cur_w > 0 && !state.is_halted() {
-        let next_base = base + cur_w;
-        let next_w = LOOKAHEAD.min(n - next_base);
-        for (k, v) in nxt_vals.iter_mut().enumerate().take(next_w) {
-            *v = scores.score(scratch.order.eager_at(next_base + k) as usize);
-        }
-        // Block-pull the window's ν values (same stream as per-draw
-        // `next`; a halt strands at most `LOOKAHEAD - 1` of them, which
-        // is unobservable — the fork dies with this call).
-        scratch
-            .noise
-            .take_into(&query_noise, &mut noise_rng, &mut nus[..cur_w]);
-        for (k, &val) in cur_vals.iter().enumerate().take(cur_w) {
-            let item = scratch.order.eager_at(base + k) as usize;
-            taken += 1;
-            let nu = nus[k];
-            if state.observe_unchecked(val, threshold, nu) {
-                scratch.selected.push(item);
-                if state.needs_rho_refresh() {
-                    state.refresh_rho(threshold_noise.sample(&mut threshold_rng))?;
-                }
-            }
-            if state.is_halted() {
-                break 'outer;
-            }
-        }
-        std::mem::swap(&mut cur_vals, &mut nxt_vals);
-        base = next_base;
-        cur_w = next_w;
-    }
-    scratch.order.mark_taken(taken);
-    Ok(())
-}
-
 /// Streaming exponential-noise SVT selection with batched query noise.
 ///
 /// Samples the same output distribution as running
@@ -1068,6 +975,7 @@ mod tests {
     use super::*;
     use crate::alg::Alg1;
     use crate::allocation::BudgetRatio;
+    use crate::skip_ahead::revisited_select_grouped;
     use proptest::prelude::*;
 
     proptest! {
@@ -1155,8 +1063,7 @@ mod tests {
             let mut eager_rng = DpRng::seed_from_u64(seed);
             let mut eager = SparseOrder::new();
             eager.reset_eager(n, &mut eager_rng);
-            let got: Vec<u32> = (0..n).map(|i| eager.eager_at(i)).collect();
-            eager.mark_taken(n);
+            let got = eager.prefix().to_vec();
             let mut step_rng = DpRng::seed_from_u64(seed);
             let mut stepped = SparseOrder::new();
             stepped.reset(n);
@@ -1509,34 +1416,12 @@ mod tests {
     }
 
     #[test]
-    fn revisited_driver_is_noise_thread_count_invariant() {
-        // The whole point of the chunked derivation: more prefill
-        // threads must not change one bit of the output.
-        let scores: Vec<f64> = (0..5000).map(|i| (i % 89) as f64 * 4.0).collect();
-        let cfg = counting(0.5, 12);
-        let reference = {
-            let mut rng = DpRng::seed_from_u64(777);
-            let mut scratch = RunScratch::new();
-            revisited_select_from(&scores[..], 170.0, &cfg, &mut rng, &mut scratch).unwrap();
-            (scratch.selected().to_vec(), scratch.examined())
-        };
-        assert!(reference.1 > 0);
-        for threads in [2usize, 4, 8] {
-            let mut rng = DpRng::seed_from_u64(777);
-            let mut scratch = RunScratch::new();
-            scratch.set_noise_threads(threads);
-            revisited_select_from(&scores[..], 170.0, &cfg, &mut rng, &mut scratch).unwrap();
-            assert_eq!(scratch.selected(), &reference.0[..], "threads {threads}");
-            assert_eq!(scratch.examined(), reference.1, "threads {threads}");
-        }
-    }
-
-    #[test]
     fn revisited_driver_matches_interactive_variant_distribution() {
-        // The batched driver restructures the noise streams (forked +
-        // chunked) but must sample the same output law as SvtRevisited
-        // driven through the generic streaming path.
+        // The grouped skip-ahead draws the next ⊤ per score group but
+        // must sample the same output law as SvtRevisited driven item by
+        // item through the generic streaming path.
         let scores: Vec<f64> = (0..600).map(|i| (i % 40) as f64 * 5.0).collect();
+        let groups = GroupedSnapshot::from_scores(&scores).unwrap();
         let cfg = counting(0.6, 8);
         let std_cfg = cfg.to_standard().unwrap();
         let runs = 300;
@@ -1546,7 +1431,7 @@ mod tests {
         let mut mean_new = 0.0;
         let mut mean_old = 0.0;
         for _ in 0..runs {
-            revisited_select_from(&scores[..], 120.0, &cfg, &mut rng_a, &mut scratch).unwrap();
+            revisited_select_grouped(&groups, 120.0, &cfg, &mut rng_a, &mut scratch).unwrap();
             mean_new += scratch.selected().len() as f64;
             let mut alg = crate::alg::SvtRevisited::new(std_cfg, &mut rng_b).unwrap();
             select_streaming_from(&mut alg, &scores[..], 120.0, &mut rng_b, &mut scratch).unwrap();
@@ -1556,19 +1441,25 @@ mod tests {
         mean_old /= runs as f64;
         assert!(
             (mean_new - mean_old).abs() < 0.6,
-            "batched {mean_new} vs interactive {mean_old}"
+            "skip-ahead {mean_new} vs interactive {mean_old}"
         );
     }
 
     #[test]
     fn revisited_driver_respects_cutoff_and_halts() {
-        let scores = vec![1e9f64; 40];
+        // Every item is a sure ⊤, so the run halts after exactly c
+        // examined items and none of the unselected 37 were seen.
+        let groups = GroupedSnapshot::from_scores(&[1e9f64; 40]).unwrap();
         let cfg = counting(1.0, 3);
         let mut rng = DpRng::seed_from_u64(1041);
         let mut scratch = RunScratch::new();
-        revisited_select_from(&scores[..], 0.0, &cfg, &mut rng, &mut scratch).unwrap();
+        revisited_select_grouped(&groups, 0.0, &cfg, &mut rng, &mut scratch).unwrap();
         assert_eq!(scratch.selected().len(), 3);
         assert_eq!(scratch.examined(), 3, "halt must stop the traversal");
+        let mut distinct = scratch.selected().to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), 3);
     }
 
     #[test]
@@ -1604,14 +1495,9 @@ mod tests {
         let scores: Vec<f64> = (0..3000).map(|i| f64::from(i % 101) * 2.0).collect();
         let groups = dp_data::GroupedSnapshot::from_scores(&scores).unwrap();
         let cfg = counting(0.8, 10);
+        let mut scratch_a = RunScratch::new();
+        let mut scratch_b = RunScratch::new();
         for seed in [7u64, 1009] {
-            let mut rng_a = DpRng::seed_from_u64(seed);
-            let mut scratch_a = RunScratch::new();
-            revisited_select_from(&scores[..], 150.0, &cfg, &mut rng_a, &mut scratch_a).unwrap();
-            let mut rng_b = DpRng::seed_from_u64(seed);
-            let mut scratch_b = RunScratch::new();
-            revisited_select_from(&groups, 150.0, &cfg, &mut rng_b, &mut scratch_b).unwrap();
-            assert_eq!(scratch_a.selected(), scratch_b.selected(), "rv seed {seed}");
             let mut rng_a = DpRng::seed_from_u64(seed);
             exp_noise_select_from(&scores[..], 150.0, &cfg, &mut rng_a, &mut scratch_a).unwrap();
             let mut rng_b = DpRng::seed_from_u64(seed);

@@ -71,15 +71,16 @@
 //! a `*_vectorized` sibling running the same pipeline under
 //! `NoiseKernel::Vectorized` (the batched polynomial-`ln` kernel,
 //! deterministic but not bit-pinned to libm): `exact_batched_vectorized`,
-//! `rv_*` and `exp_*` likewise, and `em_grouped_vectorized`. The SVT-RV
-//! batched paths also switch from the interactive per-draw wrapper to
-//! the forked-stream `revisited_select_from` driver, which buffers its
-//! noise and so actually batches — previously `rv_exact_batched` drew
-//! noise one value at a time through the caller's generator and lost to
-//! its own scalar reference. Two stdout gates ride along: every AOL-scale cell
-//! at or under 100 µs/run prints a `[sub100us] <engine>` marker CI
-//! greps for, and each `(dataset, algorithm)` group asserts its batched
-//! engine is no slower than its scalar reference.
+//! `exp_*` likewise, and `em_grouped_vectorized`. `rv_exact_batched`
+//! times the SVT-Revisited grouped skip-ahead
+//! (`svt_core::skip_ahead::revisited_select_grouped`: one uniform per
+//! score group per ⊤ instead of one order step, `ν` and gather per
+//! item). It draws no batched noise, so it has no `*_vectorized`
+//! sibling: that cell would time the same code twice. Two stdout gates
+//! ride along: every AOL-scale cell at or under 100 µs/run prints a
+//! `[sub100us] <engine>` marker CI greps for, and each
+//! `(dataset, algorithm)` group asserts its batched engine is no slower
+//! than its scalar reference.
 //!
 //! The workload, seeds, and run counts are fixed, so the *work
 //! performed* is identical from machine to machine and run to run; only
@@ -338,32 +339,29 @@ fn bench_size(
     // The post-2017 reference-suite groups: SVT-Revisited and the
     // exponential-noise SVT, each through the scalar reference and the
     // streaming path under both kernels — the same split as the SVT-S
-    // group above.
+    // group above. SVT-Revisited's skip-ahead draws no batched noise,
+    // so its group has no vectorized cell.
     let post2017 = [
         (
             AlgorithmSpec::Revisited {
                 ratio: BudgetRatio::OneToCTwoThirds,
             },
             "SVT-RV-1:c^(2/3)",
-            [
-                "rv_exact_scalar",
-                "rv_exact_batched",
-                "rv_exact_batched_vectorized",
-            ],
+            ("rv_exact_scalar", "rv_exact_batched", None),
         ),
         (
             AlgorithmSpec::ExpNoise {
                 ratio: BudgetRatio::OneToCTwoThirds,
             },
             "SVT-Exp-1:c^(2/3)",
-            [
+            (
                 "exp_exact_scalar",
                 "exp_exact_batched",
-                "exp_exact_batched_vectorized",
-            ],
+                Some("exp_exact_batched_vectorized"),
+            ),
         ),
     ];
-    for (spec, label, [scalar_engine, batched_engine, batched_vec]) in post2017 {
+    for (spec, label, (scalar_engine, batched_engine, batched_vec)) in post2017 {
         let timing = time_runs(seed, scalar_runs, |rng| {
             exact.run_once(&spec, EPSILON, rng).expect("scalar run").ser
         });
@@ -377,6 +375,9 @@ fn bench_size(
         });
         out.push(cell(label, batched_engine, runs, timing));
 
+        let Some(batched_vec) = batched_vec else {
+            continue;
+        };
         let timing = time_runs(seed, runs, |rng| {
             exact
                 .run_once_into(&spec, EPSILON, rng, &mut scratch_vec)
@@ -448,22 +449,18 @@ fn bench_size(
 ///   runner's workers run [`NoiseKernel::Vectorized`]) and must be
 ///   strictly `≤` scalar;
 /// * the **reference** cell exists to keep the libm bit-compat path
-///   honest, and for whole-list algorithms (SVT-RV examines everything)
-///   it does the same libm `ln` per draw as the scalar loop — the
-///   honest margin is only the avoided per-run allocation, well inside
-///   single-core scheduler noise. It gets a 15% allowance so a
-///   same-speed tie can't flip the gate on a noisy box while a real
-///   regression (the old interactive wrapper was 1.8–1.9× scalar)
-///   still trips it.
+///   honest; where the batched path draws per item it does the same
+///   libm `ln` per draw as the scalar loop, so the honest margin can be
+///   as small as the avoided per-run allocation. It gets a 15%
+///   allowance so a same-speed tie can't flip the gate on a noisy box
+///   while a real regression (the old interactive wrapper was
+///   1.8–1.9× scalar) still trips it. SVT-RV's skip-ahead, which has
+///   no vectorized sibling, is held to the strict tier.
 fn assert_batched_beats_scalar(cells: &[CellTiming]) {
     // (strict vectorized cell, reference-kernel cell, scalar reference)
     let pairs = [
         ("exact_batched_vectorized", "exact_batched", "exact_scalar"),
-        (
-            "rv_exact_batched_vectorized",
-            "rv_exact_batched",
-            "rv_exact_scalar",
-        ),
+        ("rv_exact_batched", "rv_exact_batched", "rv_exact_scalar"),
         (
             "exp_exact_batched_vectorized",
             "exp_exact_batched",

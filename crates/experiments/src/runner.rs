@@ -99,9 +99,10 @@ fn cell_seed(config: &ExperimentConfig, alg: &AlgorithmSpec, c: usize) -> u64 {
 /// SplitMix64 at position `run` of the stream seeded by `cell_seed`:
 /// the shared [`counter_seed`] derivation (golden-ratio Weyl increment
 /// plus finalizer) jumps to the run's state in `O(1)` and decorrelates
-/// consecutive positions. The same derivation seeds
-/// `NoiseBuffer`'s per-chunk generators, so one counter-based scheme
-/// covers both the per-run and the intra-run parallelism layers.
+/// consecutive positions. A run draws everything from this one
+/// generator (or from forks of it, as the batched-noise drivers do), so
+/// its output is a pure function of `(cell seed, run index)` and the
+/// thread count cannot move it.
 fn run_rng(cell_seed: u64, run: usize) -> DpRng {
     DpRng::seed_from_u64(counter_seed(cell_seed, run as u64))
 }

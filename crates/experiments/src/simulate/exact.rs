@@ -26,12 +26,12 @@
 //! the `==`-equal value of every member's raw score, so each comparison
 //! `q + ν ≥ T + ρ` branches identically under either resolution. Same
 //! draws, same branches ⇒ the identical index stream for the same
-//! `(cell seed, run index)`, for every algorithm (EM reads the grouped
-//! runs under either source). Because the two sources derive each score
-//! through independent data paths (raw slice vs sort-derived runs plus
-//! the inverse rank table), a single differing selection anywhere in a
-//! sweep fails the runner's equality tests loudly instead of hiding
-//! inside statistical tolerance.
+//! `(cell seed, run index)`, for every algorithm (EM and SVT-Revisited
+//! read the grouped runs under either source). Because the two sources
+//! derive each score through independent data paths (raw slice vs
+//! sort-derived runs plus the inverse rank table), a single differing
+//! selection anywhere in a sweep fails the runner's equality tests
+//! loudly instead of hiding inside statistical tolerance.
 //!
 //! [`SparseOrder`]: svt_core::SparseOrder
 
@@ -43,9 +43,9 @@ use svt_core::alg::{Alg2, ExpNoiseSvt, SvtRevisited};
 use svt_core::em_select::EmTopC;
 use svt_core::noninteractive::{dpbook_select, select_with, svt_select, SvtSelectConfig};
 use svt_core::retraversal::{svt_retraversal, svt_retraversal_from};
+use svt_core::skip_ahead::revisited_select_grouped;
 use svt_core::streaming::{
-    exp_noise_select_from, revisited_select_from, select_streaming_from, svt_select_from,
-    RunScratch, ScoreSource,
+    exp_noise_select_from, select_streaming_from, svt_select_from, RunScratch, ScoreSource,
 };
 use svt_core::Result;
 
@@ -188,10 +188,11 @@ impl<'a, S: ScoreSource + ?Sized> ExactContext<'a, S> {
 
     /// Executes one run of `alg` through the zero-copy streaming path:
     /// sparse lazy Fisher–Yates up to the abort point, reusable
-    /// `scratch` buffers, and block-batched noise — Laplace for the SVT
-    /// variants, lazy per-group Gumbel order statistics
-    /// ([`EmTopC::select_grouped_into`] over the sweep-shared grouped
-    /// runs) for EM, so no path ever pays one draw per item.
+    /// `scratch` buffers, and block-batched Laplace noise for the
+    /// halting SVT variants; the sweep-shared grouped runs for EM (lazy
+    /// per-group Gumbel order statistics, [`EmTopC::select_grouped_into`])
+    /// and SVT-Revisited (per-group skip-ahead,
+    /// [`revisited_select_grouped`]), which never pay one draw per item.
     ///
     /// Samples the same output distribution as
     /// [`run_once`](ExactContext::run_once); the SVT
@@ -230,7 +231,7 @@ impl<'a, S: ScoreSource + ?Sized> ExactContext<'a, S> {
             }
             AlgorithmSpec::Revisited { ratio } => {
                 let cfg = SvtSelectConfig::counting(epsilon, self.c, *ratio);
-                revisited_select_from(self.scores, threshold, &cfg, rng, scratch)?;
+                revisited_select_grouped(self.sweep.groups(), threshold, &cfg, rng, scratch)?;
             }
             AlgorithmSpec::ExpNoise { ratio } => {
                 let cfg = SvtSelectConfig::counting(epsilon, self.c, *ratio);

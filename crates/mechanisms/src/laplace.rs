@@ -15,7 +15,7 @@
 
 use crate::error::MechanismError;
 use crate::fastmath;
-use crate::rng::{counter_seed, DpRng};
+use crate::rng::DpRng;
 use crate::sample::{BatchSample, NoiseKernel};
 use crate::Result;
 
@@ -248,33 +248,12 @@ impl BatchSample for Laplace {
 /// [`NoiseKernel::Vectorized`] changes only the transform applied to
 /// the batched uniforms — the generator consumes the identical word
 /// sequence either way.
-///
-/// ## Chunked mode (intra-run parallelism)
-///
-/// [`enable_chunked`](Self::enable_chunked) switches refills to a
-/// *counter-derived* noise stream: the first refill draws one `u64`
-/// base seed from the caller's generator, and chunk `k` (a fixed
-/// [`CHUNK_LEN`](Self::CHUNK_LEN) samples) is then filled from a fresh
-/// generator seeded with [`counter_seed`]`(base, k)`. The assembled
-/// stream is a pure function of the base seed — independent of the
-/// consumer's read pattern **and of the prefill thread count**, so a
-/// multi-threaded prefill (thread `t` of `T` fills chunk `k·T + t`) is
-/// bit-identical to the single-threaded one. This is what lets a
-/// single large-`c` run parallelize its own noise generation without
-/// changing its output.
 #[derive(Debug, Clone)]
 pub struct NoiseBuffer {
     buf: Vec<f64>,
     cursor: usize,
     batch: usize,
     kernel: NoiseKernel,
-    /// `Some(threads)` while chunked mode is on.
-    chunked: Option<usize>,
-    /// Root of the counter-derived chunk family; drawn lazily at the
-    /// first chunked refill.
-    base_seed: Option<u64>,
-    /// Index of the next chunk to generate.
-    next_chunk: u64,
 }
 
 impl NoiseBuffer {
@@ -282,11 +261,6 @@ impl NoiseBuffer {
     /// small enough that a typical early-aborting SVT run wastes little
     /// prefetched noise.
     pub const DEFAULT_BATCH: usize = 256;
-
-    /// Samples per counter-derived chunk in chunked mode. Fixed so the
-    /// chunk → seed mapping (and hence the stream) never depends on
-    /// thread count or batch configuration.
-    pub const CHUNK_LEN: usize = 4_096;
 
     /// Creates an empty buffer with the default batch size.
     pub fn new() -> Self {
@@ -307,9 +281,6 @@ impl NoiseBuffer {
             cursor: 0,
             batch: batch.max(1),
             kernel,
-            chunked: None,
-            base_seed: None,
-            next_chunk: 0,
         }
     }
 
@@ -319,38 +290,17 @@ impl NoiseBuffer {
         self.kernel
     }
 
-    /// Discards any prefetched noise and leaves chunked mode; the next
-    /// [`next`](Self::next) refills from the generator it is handed.
+    /// Discards any prefetched noise; the next [`next`](Self::next)
+    /// refills from the generator it is handed.
     #[inline]
     pub fn reset(&mut self) {
         self.cursor = self.buf.len();
-        self.chunked = None;
-        self.base_seed = None;
-        self.next_chunk = 0;
-    }
-
-    /// Switches refills to the counter-derived chunked stream (see the
-    /// type docs), prefilled by `threads` threads (clamped to ≥ 1; `1`
-    /// generates inline with no thread spawn). Discards any buffered
-    /// noise; the base seed is drawn from the generator passed to the
-    /// first refilling call.
-    pub fn enable_chunked(&mut self, threads: usize) {
-        self.cursor = self.buf.len();
-        self.chunked = Some(threads.max(1));
-        self.base_seed = None;
-        self.next_chunk = 0;
-    }
-
-    /// Whether chunked mode is active.
-    #[inline]
-    pub fn is_chunked(&self) -> bool {
-        self.chunked.is_some()
     }
 
     /// The next prefetched sample of `dist`, refilling from `rng` when
     /// the buffer is exhausted.
     #[inline]
-    pub fn next<D: BatchSample + Sync>(&mut self, dist: &D, rng: &mut DpRng) -> f64 {
+    pub fn next<D: BatchSample>(&mut self, dist: &D, rng: &mut DpRng) -> f64 {
         if self.cursor >= self.buf.len() {
             self.refill(dist, rng);
         }
@@ -359,42 +309,9 @@ impl NoiseBuffer {
         v
     }
 
-    fn refill<D: BatchSample + Sync>(&mut self, dist: &D, rng: &mut DpRng) {
-        match self.chunked {
-            None => {
-                self.buf.resize(self.batch, 0.0);
-                dist.sample_into_kernel(rng, &mut self.buf, self.kernel);
-                self.cursor = 0;
-            }
-            Some(threads) => self.refill_chunked(dist, rng, threads),
-        }
-    }
-
-    /// One chunked refill: generates `threads` whole chunks — chunk
-    /// indices `next_chunk .. next_chunk + threads` — in parallel when
-    /// `threads > 1`. Chunk `k`'s samples depend only on
-    /// `(base_seed, k, kernel)`, so the stream is identical for every
-    /// thread count.
-    fn refill_chunked<D: BatchSample + Sync>(&mut self, dist: &D, rng: &mut DpRng, threads: usize) {
-        let base = *self.base_seed.get_or_insert_with(|| rng.next_u64());
-        let first = self.next_chunk;
-        let kernel = self.kernel;
-        self.buf.resize(threads * Self::CHUNK_LEN, 0.0);
-        if threads == 1 {
-            let mut chunk_rng = DpRng::seed_from_u64(counter_seed(base, first));
-            dist.sample_into_kernel(&mut chunk_rng, &mut self.buf, kernel);
-        } else {
-            std::thread::scope(|scope| {
-                for (k, part) in self.buf.chunks_mut(Self::CHUNK_LEN).enumerate() {
-                    let seed = counter_seed(base, first + k as u64);
-                    scope.spawn(move || {
-                        let mut chunk_rng = DpRng::seed_from_u64(seed);
-                        dist.sample_into_kernel(&mut chunk_rng, part, kernel);
-                    });
-                }
-            });
-        }
-        self.next_chunk = first + threads as u64;
+    fn refill<D: BatchSample>(&mut self, dist: &D, rng: &mut DpRng) {
+        self.buf.resize(self.batch, 0.0);
+        dist.sample_into_kernel(rng, &mut self.buf, self.kernel);
         self.cursor = 0;
     }
 
@@ -402,9 +319,8 @@ impl NoiseBuffer {
     /// exactly the values that many successive [`next`](Self::next)
     /// calls would return, consuming the same generator draws — with
     /// the per-draw cursor check and bounds bookkeeping hoisted out to
-    /// one `memcpy` per buffered span. Works in both plain and chunked
-    /// mode (refills are whole batches/chunks either way).
-    pub fn take_into<D: BatchSample + Sync>(&mut self, dist: &D, rng: &mut DpRng, out: &mut [f64]) {
+    /// one `memcpy` per buffered span.
+    pub fn take_into<D: BatchSample>(&mut self, dist: &D, rng: &mut DpRng, out: &mut [f64]) {
         let mut filled = 0;
         while filled < out.len() {
             if self.cursor >= self.buf.len() {
@@ -428,16 +344,7 @@ impl NoiseBuffer {
     /// generator runs — never the values handed out — so prefetching
     /// more than is ultimately consumed (e.g. a session halts mid-batch)
     /// is harmless: the surplus is served to later calls unchanged.
-    ///
-    /// # Panics
-    /// In chunked mode — chunked refills are whole fixed-size chunks,
-    /// so `prefetch`'s partial top-up would break the counter-derived
-    /// stream layout. Chunked consumers just call [`next`](Self::next).
     pub fn prefetch<D: BatchSample>(&mut self, dist: &D, rng: &mut DpRng, n: usize) {
-        assert!(
-            self.chunked.is_none(),
-            "NoiseBuffer::prefetch is not supported in chunked mode"
-        );
         let available = self.buf.len() - self.cursor;
         if available >= n {
             return;
@@ -720,73 +627,6 @@ mod tests {
         for (r, v) in reference.iter().zip(&via_kernel) {
             assert!(((v - r) / r).abs() <= 1e-12);
         }
-    }
-
-    #[test]
-    fn chunked_stream_is_bit_identical_across_thread_counts() {
-        let l = lap(2.0);
-        let draws = NoiseBuffer::CHUNK_LEN + NoiseBuffer::CHUNK_LEN / 2;
-        let reference: Vec<u64> = {
-            let mut rng = DpRng::seed_from_u64(31_337);
-            let mut buf = NoiseBuffer::new();
-            buf.enable_chunked(1);
-            (0..draws)
-                .map(|_| buf.next(&l, &mut rng).to_bits())
-                .collect()
-        };
-        for threads in [2usize, 3, 4] {
-            let mut rng = DpRng::seed_from_u64(31_337);
-            let mut buf = NoiseBuffer::new();
-            buf.enable_chunked(threads);
-            let got: Vec<u64> = (0..draws)
-                .map(|_| buf.next(&l, &mut rng).to_bits())
-                .collect();
-            assert_eq!(got, reference, "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn chunked_stream_depends_only_on_the_base_seed_draw() {
-        // Two buffers fed by generators in the same state produce the
-        // same chunked stream regardless of kernel-independent details
-        // like how much was consumed before comparing, and the caller's
-        // generator is advanced by exactly one word (the base seed).
-        let l = lap(0.7);
-        let mut rng_a = DpRng::seed_from_u64(9);
-        let mut rng_b = DpRng::seed_from_u64(9);
-        let mut buf_a = NoiseBuffer::new();
-        let mut buf_b = NoiseBuffer::new();
-        buf_a.enable_chunked(1);
-        buf_b.enable_chunked(4);
-        let a = buf_a.next(&l, &mut rng_a);
-        let b = buf_b.next(&l, &mut rng_b);
-        assert_eq!(a.to_bits(), b.to_bits());
-        assert_eq!(rng_a.next_u64(), rng_b.next_u64());
-    }
-
-    #[test]
-    fn reset_leaves_chunked_mode() {
-        let l = lap(1.0);
-        let mut rng = DpRng::seed_from_u64(77);
-        let mut buf = NoiseBuffer::new();
-        buf.enable_chunked(2);
-        assert!(buf.is_chunked());
-        let _ = buf.next(&l, &mut rng);
-        buf.reset();
-        assert!(!buf.is_chunked());
-        // Back on the plain path: prefetch is allowed again.
-        buf.prefetch(&l, &mut rng, 4);
-        assert!(buf.buffered() >= 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "chunked mode")]
-    fn prefetch_panics_in_chunked_mode() {
-        let l = lap(1.0);
-        let mut rng = DpRng::seed_from_u64(1);
-        let mut buf = NoiseBuffer::new();
-        buf.enable_chunked(2);
-        buf.prefetch(&l, &mut rng, 4);
     }
 
     #[test]

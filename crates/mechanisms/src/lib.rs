@@ -42,9 +42,10 @@
 //!   `fill_open_uniform`) that are bit-identical to the scalar draws.
 //! - [`NoiseBuffer`] — reusable prefetched-noise scratch feeding the
 //!   simulation engines from any [`BatchSample`] distribution
-//!   ([`Laplace::sample_into`], [`Gumbel::sample_into`]), with an
-//!   optional counter-derived chunked mode whose noise stream is
-//!   bit-identical across prefill thread counts.
+//!   ([`Laplace::sample_into`], [`Gumbel::sample_into`]).
+//! - [`Binomial`] — an exact binomial sampler (inversion for small
+//!   means, Hörmann's BTRS otherwise; no normal approximation), which
+//!   the skip-ahead SVT-Revisited sampler draws its examined counts from.
 //! - [`fastmath`] + [`NoiseKernel`] — the vectorized noise-kernel
 //!   layer: a batched polynomial `ln` (relative error ≤ 1e-12,
 //!   platform- and thread-count-deterministic) and the two-kernel
@@ -62,6 +63,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod binomial;
 pub mod budget;
 pub mod composition;
 pub mod error;
@@ -78,6 +80,7 @@ pub mod rng;
 pub mod sample;
 pub mod wal;
 
+pub use binomial::Binomial;
 pub use budget::SvtBudget;
 pub use composition::ApproxDp;
 pub use error::MechanismError;

@@ -32,11 +32,8 @@ const FILL_CHUNK: usize = 128;
 ///
 /// This is how the workspace turns one drawn `u64` into arbitrarily
 /// many independent, **order-free** child seeds: the sweep runner keys
-/// per-run generators by `(cell seed, run index)`, and
-/// [`crate::NoiseBuffer`]'s chunked mode keys per-chunk noise
-/// generators by `(run base seed, chunk index)` — so chunk `k` can be
-/// filled by any thread, in any order, and the assembled stream is
-/// bit-identical to the single-threaded fill.
+/// per-run generators by `(cell seed, run index)`, so run `k` can be
+/// executed by any thread, in any order, with the same result.
 #[inline]
 pub fn counter_seed(base: u64, index: u64) -> u64 {
     let mut z = base.wrapping_add(index.wrapping_add(1).wrapping_mul(0x9e37_79b9_7f4a_7c15));

@@ -523,30 +523,4 @@ proptest! {
             prop_assert!((r - v).abs() <= tol, "index {}: {} vs {}", i, r, v);
         }
     }
-
-    #[test]
-    fn chunked_noise_stream_is_thread_count_invariant(
-        b in scale_strategy(),
-        seed in any::<u64>(),
-        threads in 2usize..6,
-        draws in 1usize..400,
-    ) {
-        // The intra-run parallelism contract: the chunked stream is a
-        // pure function of the base seed, so any thread count replays
-        // the single-threaded stream bit for bit.
-        let l = Laplace::new(b).unwrap();
-        let mut single_rng = DpRng::seed_from_u64(seed);
-        let mut multi_rng = DpRng::seed_from_u64(seed);
-        let mut single = dp_mechanisms::NoiseBuffer::new();
-        single.enable_chunked(1);
-        let mut multi = dp_mechanisms::NoiseBuffer::new();
-        multi.enable_chunked(threads);
-        for i in 0..draws {
-            prop_assert_eq!(
-                single.next(&l, &mut single_rng).to_bits(),
-                multi.next(&l, &mut multi_rng).to_bits(),
-                "draw {}", i
-            );
-        }
-    }
 }
