@@ -24,9 +24,30 @@
 use crate::alg::{SparseVector, StandardSvtConfig};
 use crate::response::SvtAnswer;
 use crate::session::SessionState;
+use crate::streaming::SvtNoise;
 use crate::{Result, SvtError};
 use dp_mechanisms::exp_noise::Exponential;
 use dp_mechanisms::DpRng;
+
+/// The exponential SVT's noise family: both scales as Algorithm 7's,
+/// and no numeric phase (see the module docs).
+impl SvtNoise for Exponential {
+    fn for_config(config: &StandardSvtConfig) -> Result<(Self, Self)> {
+        dp_mechanisms::error::check_sensitivity(config.sensitivity).map_err(SvtError::from)?;
+        crate::error::check_cutoff(config.c)?;
+        let query_noise = Exponential::new(config.query_noise_scale()).map_err(SvtError::from)?;
+        let threshold_noise =
+            Exponential::new(config.threshold_noise_scale()).map_err(SvtError::from)?;
+        if config.budget.has_numeric_phase() {
+            return Err(SvtError::from(
+                dp_mechanisms::MechanismError::InvalidParameter(
+                    "one-sided exponential noise is not DP for numeric release",
+                ),
+            ));
+        }
+        Ok((threshold_noise, query_noise))
+    }
+}
 
 /// The exponential-noise SVT. Satisfies `(ε₁+ε₂)`-DP with one-sided
 /// `Exp` perturbations at the Laplace scales.
@@ -63,18 +84,7 @@ impl ExpNoiseSvt {
     /// budget with a numeric phase — one-sided noise is not DP for
     /// numeric release (see the module docs).
     pub fn new(config: StandardSvtConfig, rng: &mut DpRng) -> Result<Self> {
-        dp_mechanisms::error::check_sensitivity(config.sensitivity).map_err(SvtError::from)?;
-        crate::error::check_cutoff(config.c)?;
-        let query_noise = Exponential::new(config.query_noise_scale()).map_err(SvtError::from)?;
-        let threshold_noise =
-            Exponential::new(config.threshold_noise_scale()).map_err(SvtError::from)?;
-        if config.budget.has_numeric_phase() {
-            return Err(SvtError::from(
-                dp_mechanisms::MechanismError::InvalidParameter(
-                    "one-sided exponential noise is not DP for numeric release",
-                ),
-            ));
-        }
+        let (threshold_noise, query_noise) = Exponential::for_config(&config)?;
         let rho = threshold_noise.sample(rng);
         Ok(Self {
             state: SessionState::new(config, rho)?,

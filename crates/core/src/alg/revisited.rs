@@ -25,7 +25,7 @@
 
 use crate::alg::{SparseVector, StandardSvtConfig};
 use crate::response::SvtAnswer;
-use crate::session::{ChargePolicy, SessionState};
+use crate::session::SessionState;
 use crate::{Result, SvtError};
 use dp_mechanisms::laplace::Laplace;
 use dp_mechanisms::DpRng;
@@ -84,7 +84,7 @@ impl SvtRevisited {
         }
         let rho = threshold_noise.sample(rng);
         Ok(Self {
-            state: SessionState::with_policy(config, rho, ChargePolicy::PerTop)?,
+            state: SessionState::new(config, rho)?,
             query_noise,
             threshold_noise,
         })
@@ -96,10 +96,12 @@ impl SvtRevisited {
         self.state.config()
     }
 
-    /// Privacy budget consumed so far: `positives · ε/c`.
+    /// Privacy budget consumed so far: `positives · ε/c` — each ⊤
+    /// closes one cutoff-1 instance of budget `ε/c`; ⊥s are free.
     #[inline]
     pub fn spent_epsilon(&self) -> f64 {
-        self.state.spent_epsilon()
+        let config = self.state.config();
+        config.budget.total() * self.state.positives() as f64 / config.c as f64
     }
 
     /// The current instance's threshold noise `ρ`.
@@ -122,7 +124,7 @@ impl SparseVector for SvtRevisited {
         self.state.check(query_answer, threshold)?;
         let nu = self.query_noise.sample(rng);
         let positive = self.state.observe_unchecked(query_answer, threshold, nu);
-        if positive && self.state.needs_rho_refresh() {
+        if positive && !self.state.is_halted() {
             // The ⊤ closed an instance; open the next one. Drawn from
             // the caller's rng immediately (the Alg. 2 refresh pattern),
             // so a ⊥ consumes exactly one draw and a non-final ⊤ two.

@@ -34,6 +34,7 @@
 use crate::alg::SparseVector;
 use crate::response::SvtAnswer;
 use crate::session::SessionState;
+use crate::streaming::SvtNoise;
 use crate::{Result, SvtError};
 use dp_mechanisms::laplace::Laplace;
 use dp_mechanisms::{DpRng, SvtBudget};
@@ -135,6 +136,18 @@ pub struct StandardSvt {
     numeric_noise: Option<Laplace>,
 }
 
+/// Algorithm 7's noise family: `ρ = Lap(Δ/ε₁)`, `ν = Lap(kcΔ/ε₂)`.
+impl SvtNoise for Laplace {
+    fn for_config(config: &StandardSvtConfig) -> Result<(Self, Self)> {
+        dp_mechanisms::error::check_sensitivity(config.sensitivity).map_err(SvtError::from)?;
+        crate::error::check_cutoff(config.c)?;
+        Ok((
+            Laplace::new(config.threshold_noise_scale()).map_err(SvtError::from)?,
+            Laplace::new(config.query_noise_scale()).map_err(SvtError::from)?,
+        ))
+    }
+}
+
 impl StandardSvt {
     /// Line 1: validates the configuration and draws `ρ = Lap(Δ/ε₁)`.
     ///
@@ -145,12 +158,8 @@ impl StandardSvt {
     /// # Errors
     /// Rejects non-positive sensitivity, `c == 0`, or an invalid budget.
     pub fn new(config: StandardSvtConfig, rng: &mut DpRng) -> Result<Self> {
-        dp_mechanisms::error::check_sensitivity(config.sensitivity).map_err(SvtError::from)?;
-        crate::error::check_cutoff(config.c)?;
-        let rho = Laplace::new(config.threshold_noise_scale())
-            .map_err(SvtError::from)?
-            .sample(rng);
-        let query_noise = Laplace::new(config.query_noise_scale()).map_err(SvtError::from)?;
+        let (threshold_noise, query_noise) = Laplace::for_config(&config)?;
+        let rho = threshold_noise.sample(rng);
         let numeric_noise = if config.budget.has_numeric_phase() {
             Some(Laplace::new(config.numeric_noise_scale()).map_err(SvtError::from)?)
         } else {

@@ -369,7 +369,6 @@ impl EmTopC {
         scratch: &mut RunScratch,
     ) -> Result<()> {
         let factor = self.key_factor()?;
-        let kernel = scratch.kernel();
         scratch.begin_em_run();
         let (em, picks, selected) = scratch.em_parts();
         if groups.len_items() == 0 {
@@ -385,9 +384,7 @@ impl EmTopC {
         for g in 0..groups.num_groups() {
             let dist = Gumbel::new(factor * groups.score(g), 1.0).map_err(SvtError::from)?;
             let mut keys = GumbelMax::new(dist, groups.len(g)).map_err(SvtError::from)?;
-            let key = keys
-                .next_key_with(rng, kernel)
-                .expect("score groups are nonempty");
+            let key = keys.next_key(rng).expect("score groups are nonempty");
             em.groups.push(GroupCursor {
                 keys,
                 remaining: groups.len(g) as u32,
@@ -413,7 +410,7 @@ impl EmTopC {
             if cursor.remaining > 0 {
                 let key = cursor
                     .keys
-                    .next_key_with(rng, kernel)
+                    .next_key(rng)
                     .expect("remaining members imply remaining order statistics");
                 heap.push(GroupKey { key, group });
             }
@@ -782,10 +779,12 @@ mod tests {
         // fill is stream-equivalent to scalar draws, so both samplers
         // consume the same uniforms, compute bit-identical keys, and
         // must emit the identical selection.
+        // The per-item fill runs the scratch's kernel and GumbelMax
+        // always runs libm, so the scratch takes the Reference kernel.
         let em = EmTopC::new(0.7, 25, 1.0, true).unwrap();
         let scores: Vec<f64> = (0..4000).map(|i| (8000 - i) as f64).collect();
         let g = grouped(&scores);
-        let mut scratch = RunScratch::new();
+        let mut scratch = RunScratch::with_noise_batch(dp_mechanisms::NoiseBuffer::DEFAULT_BATCH);
         for seed in [3u64, 641, 0xfeed_f00d] {
             let mut rng = DpRng::seed_from_u64(seed);
             em.select_into(&scores, &mut rng, &mut scratch).unwrap();

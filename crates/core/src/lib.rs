@@ -23,25 +23,26 @@
 //!   non-interactive setting (SVT-S and SVT-DPBook over a score vector).
 //! - [`streaming`] — the zero-copy evaluation path: reusable
 //!   [`RunScratch`] buffers, the sparse lazy Fisher–Yates traversal
-//!   ([`SparseOrder`]), and batched block-wise query noise; same output
-//!   distributions, `O(examined)` per run, built for the experiment
-//!   harness's hot loop.
+//!   ([`SparseOrder`]), batched block-wise query noise, and the one
+//!   pipelined item walk that SVT-S, the exponential-noise SVT and every
+//!   SVT-ReTr pass run; same output distributions, `O(examined)` per
+//!   run, built for the experiment harness's hot loop.
 //! - [`skip_ahead`] — SVT-Revisited over grouped score runs: the next ⊤
 //!   is drawn per score group instead of per item (⊥s are free and
 //!   tied members exchangeable), `O(c·G)` per run with the item-level
 //!   walk's exact output distribution.
 //! - [`retraversal`] — SVT-ReTr (§5): raise the threshold by multiples
 //!   of the query-noise standard deviation and retraverse unselected
-//!   queries until `c` are found.
+//!   queries until `c` are found (streamed by the same walk as SVT-S).
 //! - [`em_select`] — the Exponential Mechanism alternative: `c` peeled
 //!   selections with budget `ε/c` each (§5).
 //! - [`session`] — the pure/impure split underneath every interactive
 //!   surface: [`SessionState`], the `Send`-able Algorithm 7 state
-//!   machine (no RNG, no ledger; [`session::ChargePolicy`] selects
-//!   Algorithm 7's upfront charging or SVT-Revisited's ⊤-only rule),
-//!   and [`SessionDriver`], the one interactive session: the thin I/O
-//!   layer that feeds the state batched noise — what the multi-tenant
-//!   `svt-server` crate parks in its sharded session store.
+//!   machine (no RNG, no ledger, no charge rule — SVT-Revisited keeps
+//!   its ⊤-only rule itself), and [`SessionDriver`], the one
+//!   interactive session: the thin I/O layer that feeds the state
+//!   batched noise — what the multi-tenant `svt-server` crate parks in
+//!   its sharded session store.
 //! - [`interactive`] — the *corrected* answer-from-history mediator of
 //!   §3.4 (`|q̃ − q(D)| + ν ≥ T + ρ`), run on a [`SessionDriver`].
 //! - [`analysis`] — the §5 closed-form utility bounds `α_SVT` and
@@ -87,7 +88,7 @@ pub use allocation::BudgetRatio;
 pub use approx::{ApproxSvt, ApproxSvtConfig, ApproxSvtPlan};
 pub use error::SvtError;
 pub use response::{SvtAnswer, SvtRun};
-pub use session::{ChargePolicy, SessionDriver, SessionState};
+pub use session::{SessionDriver, SessionState};
 pub use streaming::{select_streaming_from, svt_select_from, RunScratch, ScoreSource, SparseOrder};
 pub use threshold::Thresholds;
 

@@ -84,7 +84,7 @@ pub fn svt_select(
     rng: &mut DpRng,
 ) -> Result<Vec<usize>> {
     let mut alg = StandardSvt::new(config.to_standard()?, rng)?;
-    run_selection(&mut alg, scores, threshold, rng)
+    select_with(&mut alg, scores, threshold, rng)
 }
 
 /// Runs a freshly shuffled SVT-DPBook (Alg. 2) pass — the Figure-4
@@ -101,11 +101,19 @@ pub fn dpbook_select(
     rng: &mut DpRng,
 ) -> Result<Vec<usize>> {
     let mut alg = Alg2::new(epsilon, sensitivity, c, rng)?;
-    run_selection(&mut alg, scores, threshold, rng)
+    select_with(&mut alg, scores, threshold, rng)
 }
 
-/// Shared driver: shuffle, stream, collect ⊤ indices.
-pub(crate) fn run_selection<A: SparseVector>(
+/// Runs a freshly shuffled pass of any [`SparseVector`] over `scores`
+/// against a constant `threshold`; returns the indices answered ⊤, in
+/// answer order. The shared driver of [`svt_select`] and
+/// [`dpbook_select`]; it terminates for the paper's unbounded variants
+/// too (Alg. 5/6 traverse the list exactly once in the non-interactive
+/// setting).
+///
+/// # Errors
+/// Propagates the first error from [`SparseVector::respond`].
+pub fn select_with<A: SparseVector>(
     alg: &mut A,
     scores: &[f64],
     threshold: f64,
@@ -124,23 +132,6 @@ pub(crate) fn run_selection<A: SparseVector>(
         }
     }
     Ok(selected)
-}
-
-/// Convenience: selection that errors if the algorithm would run forever
-/// on an unbounded variant. (The paper's unbounded variants, Alg. 5/6,
-/// traverse the full list exactly once in the non-interactive setting,
-/// so `run_selection` terminates for them too; this alias documents the
-/// intent.)
-///
-/// # Errors
-/// Propagates the first error from [`SparseVector::respond`].
-pub fn select_with<A: SparseVector>(
-    alg: &mut A,
-    scores: &[f64],
-    threshold: f64,
-    rng: &mut DpRng,
-) -> Result<Vec<usize>> {
-    run_selection(alg, scores, threshold, rng)
 }
 
 #[cfg(test)]

@@ -21,6 +21,7 @@ use crate::alg::{SparseVector, StandardSvt};
 use crate::noninteractive::SvtSelectConfig;
 use crate::streaming::{BatchedSvt, RunScratch};
 use crate::{Result, SvtError};
+use dp_mechanisms::laplace::Laplace;
 use dp_mechanisms::DpRng;
 
 /// What "one D" of threshold increment means.
@@ -161,12 +162,14 @@ pub struct RetraversalRun {
 /// batched-noise equivalent of [`svt_retraversal`]. Same output
 /// distribution and pass semantics (lazy shuffle on the first pass,
 /// survivors re-examined in the same relative order with fresh `ν` and
-/// the same `ρ`), but the permutation buffer and noise prefetch live in
-/// `scratch` and survivors are compacted in place, so a run allocates
-/// nothing. Two sources reporting `==`-equal scores per item (a raw
-/// slice and its grouped runs) consume identical draws and emit
-/// bit-identical selections and pass counts from the same generator
-/// state.
+/// the same `ρ`), run by the streaming layer's one fixed-`ρ` walk
+/// (the one SVT-S runs, with more than one pass): the permutation
+/// buffer and noise prefetch live in `scratch` and survivors are
+/// compacted in place, so a run allocates nothing, and
+/// [`RunScratch::examined`] reports the first pass's count. Two sources
+/// reporting `==`-equal scores per item (a raw slice and its grouped
+/// runs) consume identical draws and emit bit-identical selections and
+/// pass counts from the same generator state.
 ///
 /// # Errors
 /// Propagates configuration validation; rejects `max_passes == 0`.
@@ -183,35 +186,13 @@ pub fn svt_retraversal_from<S: crate::streaming::ScoreSource + ?Sized>(
         ));
     }
     let threshold = base_threshold + config.threshold_increase()?;
-    let mut svt = BatchedSvt::new(&config.select.to_standard()?, rng)?;
-    let c = config.select.c;
-    scratch.begin_run(scores.len());
-    let mut live = scores.len();
-    let mut passes = 0;
-    while scratch.selected_len() < c && passes < config.max_passes && !svt.is_halted() && live > 0 {
-        passes += 1;
-        let first_pass = passes == 1;
-        let mut write = 0;
-        for read in 0..live {
-            if svt.is_halted() {
-                break;
-            }
-            let item = if first_pass {
-                // Lazy shuffle: emits the next position of a uniformly
-                // random order, materializing only what is examined.
-                scratch.step_order(rng)
-            } else {
-                scratch.order_at(read)
-            };
-            if svt.crosses(scores.score(item as usize), threshold, scratch.noise_mut()) {
-                scratch.push_selected(item as usize);
-            } else {
-                scratch.order_set(write, item);
-                write += 1;
-            }
-        }
-        live = write;
-    }
+    let passes = BatchedSvt::<Laplace>::new(&config.select.to_standard()?, rng)?.walk(
+        scores,
+        threshold,
+        config.max_passes,
+        rng,
+        scratch,
+    );
     Ok(RetraversalRun {
         passes,
         threshold_used: threshold,

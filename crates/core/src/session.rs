@@ -40,31 +40,16 @@
 //! stream is unaffected by whether numeric outputs are on.
 //!
 //! The caller-RNG references ([`StandardSvt`](crate::alg::StandardSvt),
-//! [`SvtRevisited`](crate::alg::SvtRevisited) with its
-//! [`ChargePolicy::PerTop`], [`ExpNoiseSvt`](crate::alg::ExpNoiseSvt))
-//! and the streaming engines wrap [`SessionState`] directly.
+//! [`SvtRevisited`](crate::alg::SvtRevisited), which redraws `ρ` through
+//! [`SessionState::refresh_rho`] and keeps its own ⊤-only charge rule,
+//! [`ExpNoiseSvt`](crate::alg::ExpNoiseSvt)) and the streaming engines
+//! wrap [`SessionState`] directly.
 
 use crate::alg::StandardSvtConfig;
 use crate::response::SvtAnswer;
 use crate::{Result, SvtError};
 use dp_mechanisms::laplace::Laplace;
-use dp_mechanisms::{DpRng, MechanismError, NoiseBuffer};
-
-/// How a session charges its privacy budget.
-///
-/// The paper's Algorithm 7 commits the whole `ε` when the session
-/// opens; Kaplan–Mansour–Stemmer's *SVT Revisited* (arXiv:2010.00917)
-/// instead runs `c` chained cutoff-1 instances of `ε/c` each, so budget
-/// is consumed only when an instance closes with a ⊤ answer and a
-/// session that never crosses the threshold spends (almost) nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChargePolicy {
-    /// Algorithm 7: the full `ε₁ + ε₂ (+ ε₃)` budget is spent at open.
-    Upfront,
-    /// SVT-Revisited: `ε/c` is spent per ⊤ answer; after each non-final
-    /// ⊤ the threshold noise `ρ` must be redrawn (a fresh instance).
-    PerTop,
-}
+use dp_mechanisms::{DpRng, NoiseBuffer};
 
 /// The pure SVT session state machine: Algorithm 7 minus the noise
 /// source.
@@ -79,35 +64,16 @@ pub struct SessionState {
     rho: f64,
     count: usize,
     halted: bool,
-    policy: ChargePolicy,
-    needs_refresh: bool,
 }
 
 impl SessionState {
     /// Builds a session state from a configuration and an
-    /// already-drawn threshold noise `ρ`, charging upfront
-    /// (Algorithm 7's rule).
+    /// already-drawn threshold noise `ρ`.
     ///
     /// # Errors
     /// Rejects non-positive sensitivity, `c == 0`, budgets implying
     /// invalid noise scales, and a non-finite `ρ`.
     pub fn new(config: StandardSvtConfig, rho: f64) -> Result<Self> {
-        Self::with_policy(config, rho, ChargePolicy::Upfront)
-    }
-
-    /// Builds a session state under an explicit [`ChargePolicy`].
-    ///
-    /// Under [`ChargePolicy::PerTop`] the interpretation of the budget
-    /// changes: `ε₁`/`ε₂` are split evenly across `c` cutoff-1
-    /// instances, so the per-instance threshold scale is
-    /// [`StandardSvtConfig::revisited_threshold_noise_scale`] (a factor
-    /// `c` wider than Algorithm 7's) while the per-instance query scale
-    /// coincides with [`StandardSvtConfig::query_noise_scale`].
-    ///
-    /// # Errors
-    /// Same as [`new`](Self::new); additionally rejects a numeric phase
-    /// under `PerTop` (SVT-Revisited defines no numeric release).
-    pub fn with_policy(config: StandardSvtConfig, rho: f64, policy: ChargePolicy) -> Result<Self> {
         dp_mechanisms::error::check_sensitivity(config.sensitivity).map_err(SvtError::from)?;
         crate::error::check_cutoff(config.c)?;
         // Scale validation mirrors StandardSvt::new; the Laplace values
@@ -115,11 +81,6 @@ impl SessionState {
         Laplace::new(config.threshold_noise_scale()).map_err(SvtError::from)?;
         Laplace::new(config.query_noise_scale()).map_err(SvtError::from)?;
         if config.budget.has_numeric_phase() {
-            if policy == ChargePolicy::PerTop {
-                return Err(SvtError::from(MechanismError::InvalidParameter(
-                    "per-top charging (SVT-Revisited) has no numeric phase",
-                )));
-            }
             Laplace::new(config.numeric_noise_scale()).map_err(SvtError::from)?;
         }
         crate::error::check_finite(rho, "threshold noise")?;
@@ -128,8 +89,6 @@ impl SessionState {
             rho,
             count: 0,
             halted: false,
-            policy,
-            needs_refresh: false,
         })
     }
 
@@ -157,45 +116,17 @@ impl SessionState {
         self.halted
     }
 
-    /// The budget-charging rule in force.
-    #[inline]
-    pub fn charge_policy(&self) -> ChargePolicy {
-        self.policy
-    }
-
-    /// Privacy budget consumed so far under the session's
-    /// [`ChargePolicy`]: the full budget for [`ChargePolicy::Upfront`],
-    /// `positives · ε/c` for [`ChargePolicy::PerTop`].
-    #[inline]
-    pub fn spent_epsilon(&self) -> f64 {
-        match self.policy {
-            ChargePolicy::Upfront => self.config.budget.total(),
-            ChargePolicy::PerTop => {
-                self.config.budget.total() * self.count as f64 / self.config.c as f64
-            }
-        }
-    }
-
-    /// Under [`ChargePolicy::PerTop`]: does the session need a fresh
-    /// threshold noise `ρ` before the next query? True exactly after a
-    /// non-final ⊤ answer, until [`refresh_rho`](Self::refresh_rho) is
-    /// called. Always false under [`ChargePolicy::Upfront`].
-    #[inline]
-    pub fn needs_rho_refresh(&self) -> bool {
-        self.needs_refresh
-    }
-
-    /// Installs a freshly drawn threshold noise `ρ`, opening the next
-    /// cutoff-1 instance of a [`ChargePolicy::PerTop`] session.
+    /// Installs a freshly drawn threshold noise `ρ` — how
+    /// [`SvtRevisited`](crate::alg::SvtRevisited) opens its next cutoff-1
+    /// instance after a non-final ⊤.
     ///
     /// # Errors
-    /// [`SvtError::NonFiniteInput`] on a non-finite `rho` (the pending
-    /// refresh, if any, stays pending).
+    /// [`SvtError::NonFiniteInput`] on a non-finite `rho` (the old `ρ`
+    /// stays in force).
     #[inline]
     pub fn refresh_rho(&mut self, rho: f64) -> Result<()> {
         crate::error::check_finite(rho, "threshold noise")?;
         self.rho = rho;
-        self.needs_refresh = false;
         Ok(())
     }
 
@@ -227,12 +158,7 @@ impl SessionState {
     pub fn observe_unchecked(&mut self, query_answer: f64, threshold: f64, nu: f64) -> bool {
         if query_answer + nu >= threshold + self.rho {
             self.count += 1;
-            if self.count >= self.config.c {
-                self.halted = true;
-                self.needs_refresh = false;
-            } else if self.policy == ChargePolicy::PerTop {
-                self.needs_refresh = true;
-            }
+            self.halted = self.count >= self.config.c;
             true
         } else {
             false
@@ -505,40 +431,15 @@ mod tests {
     }
 
     #[test]
-    fn per_top_state_charges_per_positive_and_requests_refreshes() {
-        let mut s = SessionState::with_policy(config(3, 0.0), 0.0, ChargePolicy::PerTop).unwrap();
-        assert_eq!(s.charge_policy(), ChargePolicy::PerTop);
-        assert_eq!(s.spent_epsilon(), 0.0);
-        assert!(!s.observe(1.0, 2.0, 0.0).unwrap());
-        assert_eq!(s.spent_epsilon(), 0.0, "⊥ is free");
-        assert!(!s.needs_rho_refresh());
-        assert!(s.observe(3.0, 2.0, 0.0).unwrap());
-        assert!((s.spent_epsilon() - 0.5 / 3.0).abs() < 1e-12);
-        assert!(s.needs_rho_refresh(), "non-final ⊤ opens a new instance");
+    fn refresh_rho_installs_only_finite_noise() {
+        let mut s = SessionState::new(config(3, 0.0), 0.5).unwrap();
         assert!(s.refresh_rho(f64::NAN).is_err());
-        assert!(s.needs_rho_refresh(), "failed refresh stays pending");
+        assert_eq!(s.rho(), 0.5, "a rejected refresh keeps the old ρ");
         s.refresh_rho(1.5).unwrap();
         assert_eq!(s.rho(), 1.5);
-        assert!(!s.needs_rho_refresh());
-        assert!(s.observe(10.0, 2.0, 0.0).unwrap());
-        s.refresh_rho(0.0).unwrap();
-        assert!(s.observe(10.0, 2.0, 0.0).unwrap());
-        assert!(s.is_halted());
-        assert!(!s.needs_rho_refresh(), "the final ⊤ needs no refresh");
-        assert!((s.spent_epsilon() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn upfront_state_spends_everything_at_open() {
-        let s = SessionState::new(config(3, 0.5), 0.0).unwrap();
-        assert_eq!(s.charge_policy(), ChargePolicy::Upfront);
-        assert!((s.spent_epsilon() - 1.0).abs() < 1e-12);
-        assert!(!s.needs_rho_refresh());
-    }
-
-    #[test]
-    fn per_top_rejects_numeric_phase() {
-        assert!(SessionState::with_policy(config(2, 0.5), 0.0, ChargePolicy::PerTop).is_err());
+        // The new ρ moves the comparison q + ν ≥ T + ρ.
+        assert!(!s.observe(1.0, 0.0, 0.0).unwrap());
+        assert!(s.observe(1.5, 0.0, 0.0).unwrap());
     }
 
     #[test]

@@ -17,22 +17,31 @@
 //!   the prefix of a full [`DpRng::shuffle_forward`] (proven by
 //!   property test), so the traversal order is a uniformly random
 //!   permutation either way.
-//! * **Batched noise** — the standard SVT's per-query `ν` comes from a
-//!   [`NoiseBuffer`] refilled block-wise via [`Laplace::sample_into`],
+//! * **Batched noise** — the fixed-`ρ` SVTs' per-query `ν` comes from a
+//!   [`NoiseBuffer`] refilled block-wise via [`BatchSample::sample_into`],
 //!   drawn from a dedicated forked generator so the handed-out noise
 //!   stream is bit-identical for every batch size.
 //!
-//! ## Draw protocol (the reproducibility contract)
+//! ## One walk for every fixed-`ρ` SVT
 //!
-//! [`svt_select_from`] consumes randomness in this fixed order, which is
-//! what makes its output a pure function of the run generator,
-//! independent of noise batch size:
+//! SVT-S ([`svt_select_from`]), the exponential-noise SVT
+//! ([`exp_noise_select_from`]) and every pass of SVT-ReTr
+//! ([`svt_retraversal_from`](crate::retraversal::svt_retraversal_from))
+//! are Algorithm 7 over a stream of queries with `ρ` drawn once; they
+//! differ only in the noise family (Laplace or one-sided exponential,
+//! fixed by the algorithm as a type) and in how many passes over the
+//! unselected items they may make. They share one item walk, which
+//! consumes randomness in this fixed order — what makes its output a
+//! pure function of the run generator, independent of noise batch
+//! size:
 //!
 //! 1. fork the query-noise generator off the run generator;
-//! 2. draw `ρ = Lap(Δ/ε₁)` from the run generator;
-//! 3. per examined position `i`: one [`DpRng::shuffle_step`] from the
-//!    run generator, then one `ν = Lap(·/ε₂)` from the (buffered)
-//!    noise generator.
+//! 2. draw `ρ` from the run generator;
+//! 3. in pass 1, per examined position `i`: one [`DpRng::shuffle_step`]
+//!    from the run generator, then one `ν` from the (buffered) noise
+//!    generator;
+//! 4. in each later pass (SVT-ReTr only), per re-examined survivor, in
+//!    its pass-1 order: one `ν` from the noise generator.
 //!
 //! The streaming paths release set membership only (⊤/⊥ — what the
 //! non-interactive selection experiments consume); the optional `ε₃`
@@ -45,21 +54,22 @@ use crate::em_select::EmScratch;
 use crate::noninteractive::SvtSelectConfig;
 use crate::session::SessionState;
 use crate::skip_ahead::SkipGroup;
-use crate::{Result, SvtError};
+use crate::Result;
 use dp_data::GroupedSnapshot;
 use dp_mechanisms::exp_noise::Exponential;
 use dp_mechanisms::laplace::Laplace;
-use dp_mechanisms::{DpRng, NoiseBuffer, NoiseKernel};
+use dp_mechanisms::{BatchSample, DpRng, NoiseBuffer, NoiseKernel};
 
 /// Per-item score access for the streaming selection paths.
 ///
-/// The streaming algorithms ([`svt_select_from`],
-/// [`select_streaming_from`],
-/// [`svt_retraversal_from`](crate::retraversal::svt_retraversal_from))
-/// only ever ask two questions — how many items are there, and what is
-/// item `i`'s score — so they are generic over this trait, and the
-/// *same* code path serves both a dense score slice and the
-/// index-preserving grouped runs of an immutable [`GroupedSnapshot`]
+/// The streaming algorithms (the fixed-`ρ` walk behind
+/// [`svt_select_from`], [`exp_noise_select_from`] and
+/// [`svt_retraversal_from`](crate::retraversal::svt_retraversal_from),
+/// and [`select_streaming_from`]) only ever ask two questions — how
+/// many items are there, and what is item `i`'s score — so they are
+/// generic over this trait, and the *same* code path serves both a
+/// dense score slice and the index-preserving grouped runs of an
+/// immutable [`GroupedSnapshot`]
 /// (which resolves an item through its group in `O(1)`). A snapshot is
 /// epoch-stamped and never mutated after publication, so a selection
 /// path holding one is *epoch-pinned*: live score updates elsewhere
@@ -306,8 +316,9 @@ impl DisplacementMap {
 /// one-off `O(n)` materialization is only paid after `Ω(n)` steps,
 /// keeping the `O(examined)` bound.
 ///
-/// The emitted prefix is stored densely and can be re-read (and
-/// compacted in place) by multi-pass consumers like SVT-ReTr.
+/// The emitted prefix is stored densely; before each of SVT-ReTr's
+/// later passes the fixed-`ρ` walk compacts the survivors at its front
+/// and re-reads them there.
 ///
 /// ```
 /// use dp_mechanisms::DpRng;
@@ -484,29 +495,6 @@ impl SparseOrder {
             .extend((i..self.len).map(|p| self.displaced.get(p as u32).unwrap_or(p as u32)));
         self.dense_from = Some(i);
     }
-
-    /// Drops stepped-but-unexamined positions from the prefix. The
-    /// batched drivers step a small lookahead window ahead of the
-    /// comparisons (see [`svt_select_from`]); a halt mid-window leaves
-    /// stepped positions that were never examined, and this trims them
-    /// so [`emitted`](Self::emitted)/[`prefix`](Self::prefix) report
-    /// exactly the examined count.
-    pub(crate) fn truncate_prefix(&mut self, k: usize) {
-        self.prefix.truncate(k);
-    }
-
-    /// Reads position `i` of the emitted prefix.
-    #[inline]
-    pub(crate) fn prefix_at(&self, i: usize) -> u32 {
-        self.prefix[i]
-    }
-
-    /// Overwrites position `i` of the emitted prefix (used by SVT-ReTr
-    /// to compact survivors in place between passes).
-    #[inline]
-    pub(crate) fn prefix_set(&mut self, i: usize, value: u32) {
-        self.prefix[i] = value;
-    }
 }
 
 /// Reusable per-run buffers for the streaming evaluation paths.
@@ -515,7 +503,8 @@ impl SparseOrder {
 /// is ever allocated proportional to the item count (the grouped
 /// samplers keep `O(groups)` state), and after the first few runs the
 /// steady state allocates nothing at all. One scratch serves every
-/// streaming path — [`svt_select_from`], [`select_streaming_from`],
+/// streaming path — [`svt_select_from`], [`exp_noise_select_from`],
+/// [`select_streaming_from`],
 /// [`svt_retraversal_from`](crate::retraversal::svt_retraversal_from),
 /// [`revisited_select_grouped`](crate::skip_ahead::revisited_select_grouped),
 /// and the [`EmTopC`](crate::em_select::EmTopC) samplers — with the
@@ -604,7 +593,8 @@ impl RunScratch {
     }
 
     /// Number of items the most recent streaming run examined before
-    /// halting — the quantity the `O(examined)` cost bound refers to.
+    /// halting — the quantity the `O(examined)` cost bound refers to
+    /// (for SVT-ReTr, the items its first pass examined).
     /// After [`revisited_select_grouped`](crate::skip_ahead::revisited_select_grouped)
     /// it is the run's sampled examined count (same law as the
     /// item-level walk's); it reads zero after the EM samplers, which
@@ -622,33 +612,6 @@ impl RunScratch {
         self.selected.clear();
         self.noise.reset();
         self.examined = None;
-    }
-
-    pub(crate) fn selected_len(&self) -> usize {
-        self.selected.len()
-    }
-
-    pub(crate) fn push_selected(&mut self, item: usize) {
-        self.selected.push(item);
-    }
-
-    /// One lazy-shuffle step: emits the item examined at the next
-    /// position.
-    #[inline]
-    pub(crate) fn step_order(&mut self, rng: &mut DpRng) -> u32 {
-        self.order.step(rng)
-    }
-
-    pub(crate) fn order_at(&self, i: usize) -> u32 {
-        self.order.prefix_at(i)
-    }
-
-    pub(crate) fn order_set(&mut self, i: usize, value: u32) {
-        self.order.prefix_set(i, value);
-    }
-
-    pub(crate) fn noise_mut(&mut self) -> &mut NoiseBuffer {
-        &mut self.noise
     }
 
     /// Rewinds for an EM selection: empty selection and a zero-length
@@ -693,37 +656,79 @@ impl Default for RunScratch {
     }
 }
 
-/// Lookahead depth of the batched drivers' traversal windows: order
-/// positions are examined this many at a time so the per-item score
-/// reads — one random access each, a guaranteed cache miss at
-/// AOL-scale list sizes — issue together and overlap in the memory
-/// system. Chosen to sit near typical miss-level parallelism limits;
-/// the window is a pure scheduling change (no draw moves, no output
-/// changes).
+/// Lookahead depth of the walk's windows: positions are examined this
+/// many at a time so the per-item score reads — one random access
+/// each, a guaranteed cache miss at AOL-scale list sizes — issue
+/// together and overlap in the memory system. Chosen to sit near
+/// typical miss-level parallelism limits; the window is a pure
+/// scheduling change (no draw the run uses moves, no output changes).
 const LOOKAHEAD: usize = 16;
 
-/// The comparison core of Algorithm 7 with prefetched query noise:
-/// `ρ` fixed at construction, one buffered `ν` per query, halt at `c`.
-/// Shared by [`svt_select_from`] and the retraversal streaming path.
-pub(crate) struct BatchedSvt {
-    noise_rng: DpRng,
-    state: SessionState,
-    query_noise: Laplace,
+/// The noise family of a fixed-`ρ` SVT — Laplace for Algorithm 7 (SVT-S,
+/// SVT-ReTr), one-sided [`Exponential`] for
+/// [`ExpNoiseSvt`](crate::alg::ExpNoiseSvt). `ρ` and every `ν` come from
+/// one family, so the algorithm fixes it as a type.
+pub(crate) trait SvtNoise: BatchSample + Sized {
+    /// Validates `config` for this family and builds its threshold
+    /// noise (`ρ`, scale `Δ/ε₁`) and query noise (`ν`, scale `kcΔ/ε₂`),
+    /// in that order.
+    fn for_config(config: &StandardSvtConfig) -> Result<(Self, Self)>;
 }
 
-impl BatchedSvt {
-    /// Validates exactly like [`StandardSvt::new`] and performs steps
+/// Algorithm 7's comparison core with prefetched query noise from the
+/// family `N`: `ρ` fixed at construction, one buffered `ν` per query,
+/// halt at `c`. [`walk`](Self::walk) is the one item walk of every
+/// fixed-`ρ` SVT (see the module docs).
+pub(crate) struct BatchedSvt<N> {
+    noise_rng: DpRng,
+    state: SessionState,
+    query_noise: N,
+}
+
+/// One lookahead window of a walk: the items at the next `len`
+/// positions of a pass and their scores.
+#[derive(Default)]
+struct Window {
+    items: [u32; LOOKAHEAD],
+    scores: [f64; LOOKAHEAD],
+    len: usize,
+}
+
+impl Window {
+    /// Takes the pass's positions `from..from + len`: stepped off the
+    /// lazy order in pass 1, re-read from the compacted survivors at
+    /// the front of its prefix afterwards; then issues their score
+    /// reads back to back.
+    #[inline]
+    fn fill<S: ScoreSource + ?Sized>(
+        &mut self,
+        order: &mut SparseOrder,
+        first_pass: bool,
+        from: usize,
+        len: usize,
+        rng: &mut DpRng,
+        scores: &S,
+    ) {
+        let items = &mut self.items[..len];
+        if first_pass {
+            order.step_block(rng, items);
+        } else {
+            items.copy_from_slice(&order.prefix[from..from + len]);
+        }
+        for (score, &item) in self.scores.iter_mut().zip(items.iter()) {
+            *score = scores.score(item as usize);
+        }
+        self.len = len;
+    }
+}
+
+impl<N: SvtNoise> BatchedSvt<N> {
+    /// Validates through [`SvtNoise::for_config`] and performs steps
     /// 1–2 of the module-level draw protocol.
-    ///
-    /// [`StandardSvt::new`]: crate::alg::StandardSvt::new
     pub(crate) fn new(config: &StandardSvtConfig, rng: &mut DpRng) -> Result<Self> {
-        dp_mechanisms::error::check_sensitivity(config.sensitivity).map_err(SvtError::from)?;
-        crate::error::check_cutoff(config.c)?;
+        let (threshold_noise, query_noise) = N::for_config(config)?;
         let noise_rng = rng.fork();
-        let rho = Laplace::new(config.threshold_noise_scale())
-            .map_err(SvtError::from)?
-            .sample(rng);
-        let query_noise = Laplace::new(config.query_noise_scale()).map_err(SvtError::from)?;
+        let rho = threshold_noise.sample_one(rng);
         Ok(Self {
             noise_rng,
             state: SessionState::new(*config, rho)?,
@@ -731,38 +736,85 @@ impl BatchedSvt {
         })
     }
 
-    pub(crate) fn is_halted(&self) -> bool {
-        self.state.is_halted()
-    }
-
-    /// Lines 3–9 of Algorithm 7 for one query: does `q + ν ≥ T + ρ`?
-    /// Scores are validated upstream, so the unchecked transition
-    /// applies; callers stop at [`is_halted`](Self::is_halted).
-    #[inline]
-    pub(crate) fn crosses(
-        &mut self,
-        query_answer: f64,
+    /// The one fixed-`ρ` item walk: pass 1 over a lazily shuffled order
+    /// of all items, then — while fewer than `c` are selected and fewer
+    /// than `max_passes` passes have run — another pass over the
+    /// unselected items in their pass-1 order, with fresh `ν` and the
+    /// same `ρ`. The selection lands in `scratch`, in answer order, and
+    /// its examined count is pass 1's. Returns the number of passes.
+    ///
+    /// Each pass runs a two-deep pipeline of [`LOOKAHEAD`]-sized
+    /// windows: while one window is observed, the next has already been
+    /// taken and its score reads issued, so those cache misses resolve
+    /// under the observations instead of stalling them. A pass that a
+    /// later pass may follow compacts its survivors at the front of the
+    /// order's prefix as it observes them; a write never passes the
+    /// window being read, so the next pass re-reads them in their pass-1
+    /// order. The last allowed pass writes nothing back: a store per
+    /// item queues behind the in-flight score reads, and with it SVT-S's
+    /// AOL-scale runs took ~30 % longer. The pipeline moves no draw the
+    /// run uses: order steps stay pass 1's only draws from `rng`, in the
+    /// same order, but a halt in pass 1 leaves `rng` up to
+    /// `2 · LOOKAHEAD - 1` order draws further on than a per-item loop
+    /// would. Query noise is pulled a window at a time from the `ν` fork
+    /// — the same stream, up to `LOOKAHEAD - 1` values past a halt,
+    /// which is unobservable: the fork is dropped with the walk and the
+    /// buffer reset next run.
+    pub(crate) fn walk<S: ScoreSource + ?Sized>(
+        mut self,
+        scores: &S,
         threshold: f64,
-        noise: &mut NoiseBuffer,
-    ) -> bool {
-        let nu = noise.next(&self.query_noise, &mut self.noise_rng);
-        self.state.observe_unchecked(query_answer, threshold, nu)
-    }
-
-    /// Pulls the next `out.len()` query-noise values in one block —
-    /// the same ν stream [`crosses`](Self::crosses) consumes, without
-    /// the per-draw buffer bookkeeping. Pair with
-    /// [`observe`](Self::observe).
-    #[inline]
-    pub(crate) fn take_noise(&mut self, noise: &mut NoiseBuffer, out: &mut [f64]) {
-        noise.take_into(&self.query_noise, &mut self.noise_rng, out);
-    }
-
-    /// [`crosses`](Self::crosses) with the ν drawn up front by
-    /// [`take_noise`](Self::take_noise).
-    #[inline]
-    pub(crate) fn observe(&mut self, query_answer: f64, threshold: f64, nu: f64) -> bool {
-        self.state.observe_unchecked(query_answer, threshold, nu)
+        max_passes: usize,
+        rng: &mut DpRng,
+        scratch: &mut RunScratch,
+    ) -> usize {
+        scratch.begin_run(scores.len());
+        let RunScratch {
+            order,
+            selected,
+            noise,
+            ..
+        } = scratch;
+        let (mut window_a, mut window_b) = (Window::default(), Window::default());
+        let mut nus = [0.0f64; LOOKAHEAD];
+        let (mut live, mut passes) = (scores.len(), 0);
+        while live > 0 && passes < max_passes && !self.state.is_halted() {
+            passes += 1;
+            let (first_pass, compact) = (passes == 1, passes < max_passes);
+            let (mut cur, mut next) = (&mut window_a, &mut window_b);
+            cur.fill(order, first_pass, 0, LOOKAHEAD.min(live), rng, scores);
+            let mut taken = cur.len;
+            let (mut read, mut write) = (0, 0);
+            'pass: while cur.len > 0 {
+                let ahead = LOOKAHEAD.min(live - taken);
+                next.fill(order, first_pass, taken, ahead, rng, scores);
+                taken += ahead;
+                noise.take_into(&self.query_noise, &mut self.noise_rng, &mut nus[..cur.len]);
+                let window = cur.items.iter().zip(&cur.scores).zip(&nus);
+                for ((&item, &score), &nu) in window.take(cur.len) {
+                    read += 1;
+                    if self.state.observe_unchecked(score, threshold, nu) {
+                        selected.push(item as usize);
+                        if self.state.is_halted() {
+                            break 'pass;
+                        }
+                    } else {
+                        if compact {
+                            order.prefix[write] = item;
+                        }
+                        write += 1;
+                    }
+                }
+                std::mem::swap(&mut cur, &mut next);
+            }
+            if first_pass {
+                // Drop positions stepped ahead of a halt, so `emitted()`
+                // is the examined count.
+                order.prefix.truncate(read);
+            }
+            live = write;
+        }
+        passes
     }
 }
 
@@ -796,16 +848,10 @@ impl BatchedSvt {
 /// The draw protocol (see the module docs) depends only on `len()` and
 /// on the comparisons' outcomes, so two sources reporting `==`-equal
 /// scores per item — e.g. a raw slice and its [`GroupedSnapshot`] — yield
-/// bit-identical selections from the same generator state.
-///
-/// Internally the traversal runs a two-deep pipeline of
-/// `LOOKAHEAD`-sized windows: order positions are stepped ahead of
-/// the comparisons so their score reads issue back-to-back and the
-/// cache misses resolve under the previous window's observations. The
-/// pipeline changes no draw value (the order steps are the loop's only
-/// draws from `rng`) and hence no selection; on an early halt it only
-/// means `rng` has advanced by up to `2 · LOOKAHEAD - 1` extra order
-/// draws.
+/// bit-identical selections from the same generator state. On an early
+/// halt `rng` has advanced by up to `2 · LOOKAHEAD - 1` order draws
+/// beyond the examined items (the walk's lookahead; no selection
+/// depends on them).
 ///
 /// # Errors
 /// Propagates configuration validation.
@@ -816,70 +862,17 @@ pub fn svt_select_from<S: ScoreSource + ?Sized>(
     rng: &mut DpRng,
     scratch: &mut RunScratch,
 ) -> Result<()> {
-    let mut svt = BatchedSvt::new(&config.to_standard()?, rng)?;
-    scratch.begin_run(scores.len());
-    let n = scores.len();
-    // Two-deep software pipeline over the lookahead windows: while
-    // window `w` is being observed, window `w + 1` has already been
-    // stepped and its score reads issued, so those cache misses (one
-    // per item at AOL-scale list sizes) resolve under the observation
-    // compute instead of stalling it. The draws are unchanged — order
-    // steps stay the loop's only draws from `rng`, in the same order —
-    // but on an early halt `rng` has advanced by up to
-    // `2 · LOOKAHEAD - 1` extra order draws. Query noise is pulled one
-    // window at a time from the ν fork — same stream, and up to
-    // `LOOKAHEAD - 1` values past a halt, which is unobservable: the
-    // fork is discarded with this call and the buffer reset next run.
-    let (mut items_a, mut items_b) = ([0u32; LOOKAHEAD], [0u32; LOOKAHEAD]);
-    let (mut vals_a, mut vals_b) = ([0.0f64; LOOKAHEAD], [0.0f64; LOOKAHEAD]);
-    let mut nus = [0.0f64; LOOKAHEAD];
-    let (mut cur_items, mut cur_vals) = (&mut items_a, &mut vals_a);
-    let (mut nxt_items, mut nxt_vals) = (&mut items_b, &mut vals_b);
-    let mut cur_w = LOOKAHEAD.min(n);
-    scratch.order.step_block(rng, &mut cur_items[..cur_w]);
-    for k in 0..cur_w {
-        cur_vals[k] = scores.score(cur_items[k] as usize);
-    }
-    let mut stepped = cur_w;
-    let mut examined = 0;
-    'outer: while cur_w > 0 && !svt.is_halted() {
-        let next_w = LOOKAHEAD.min(n - stepped);
-        if next_w > 0 {
-            scratch.order.step_block(rng, &mut nxt_items[..next_w]);
-            for k in 0..next_w {
-                nxt_vals[k] = scores.score(nxt_items[k] as usize);
-            }
-            stepped += next_w;
-        }
-        svt.take_noise(&mut scratch.noise, &mut nus[..cur_w]);
-        for k in 0..cur_w {
-            examined += 1;
-            if svt.observe(cur_vals[k], threshold, nus[k]) {
-                scratch.selected.push(cur_items[k] as usize);
-            }
-            if svt.is_halted() {
-                break 'outer;
-            }
-        }
-        std::mem::swap(&mut cur_items, &mut nxt_items);
-        std::mem::swap(&mut cur_vals, &mut nxt_vals);
-        cur_w = next_w;
-    }
-    scratch.order.truncate_prefix(examined);
+    BatchedSvt::<Laplace>::new(&config.to_standard()?, rng)?
+        .walk(scores, threshold, 1, rng, scratch);
     Ok(())
 }
 
-/// Streaming exponential-noise SVT selection with batched query noise.
-///
-/// Samples the same output distribution as running
-/// [`ExpNoiseSvt`](crate::alg::ExpNoiseSvt) through
-/// [`select_streaming_from`], with the query noise restructured for
-/// batching exactly like [`svt_select_from`]'s:
-///
-/// 1. fork the query-noise generator off `rng`;
-/// 2. draw `ρ = Exp(Δ/ε₁)` from `rng` itself;
-/// 3. per examined position: one shuffle step from `rng`, one buffered
-///    `ν = Exp(kcΔ/ε₂)` from the fork.
+/// Streaming exponential-noise SVT selection: [`svt_select_from`]'s walk
+/// with one-sided `Exp` noise ([`ExpNoiseSvt`](crate::alg::ExpNoiseSvt)'s
+/// family) — `ρ = Exp(Δ/ε₁)` from `rng`, one buffered `ν = Exp(kcΔ/ε₂)`
+/// per examined item from the fork. Samples the same output
+/// distribution as running `ExpNoiseSvt` through
+/// [`select_streaming_from`].
 ///
 /// # Errors
 /// Propagates configuration validation; like
@@ -892,32 +885,8 @@ pub fn exp_noise_select_from<S: ScoreSource + ?Sized>(
     rng: &mut DpRng,
     scratch: &mut RunScratch,
 ) -> Result<()> {
-    let cfg = config.to_standard()?;
-    dp_mechanisms::error::check_sensitivity(cfg.sensitivity).map_err(SvtError::from)?;
-    crate::error::check_cutoff(cfg.c)?;
-    let query_noise = Exponential::new(cfg.query_noise_scale()).map_err(SvtError::from)?;
-    let threshold_noise = Exponential::new(cfg.threshold_noise_scale()).map_err(SvtError::from)?;
-    if cfg.budget.has_numeric_phase() {
-        return Err(SvtError::from(
-            dp_mechanisms::MechanismError::InvalidParameter(
-                "one-sided exponential noise is not DP for numeric release",
-            ),
-        ));
-    }
-    let mut noise_rng = rng.fork();
-    let rho = threshold_noise.sample(rng);
-    let mut state = SessionState::new(cfg, rho)?;
-    scratch.begin_run(scores.len());
-    for _ in 0..scores.len() {
-        if state.is_halted() {
-            break;
-        }
-        let item = scratch.order.step(rng) as usize;
-        let nu = scratch.noise.next(&query_noise, &mut noise_rng);
-        if state.observe_unchecked(scores.score(item), threshold, nu) {
-            scratch.selected.push(item);
-        }
-    }
+    BatchedSvt::<Exponential>::new(&config.to_standard()?, rng)?
+        .walk(scores, threshold, 1, rng, scratch);
     Ok(())
 }
 
@@ -927,7 +896,7 @@ pub fn exp_noise_select_from<S: ScoreSource + ?Sized>(
 /// [`SparseVector::respond`].
 ///
 /// This is the allocation-free counterpart of
-/// [`run_selection`](crate::noninteractive::select_with); it exists so
+/// [`select_with`](crate::noninteractive::select_with); it exists so
 /// order-dependent variants (SVT-DPBook's per-⊤ threshold refresh) get
 /// the zero-copy treatment too, even though their noise cannot be
 /// prefetched — and can run off the grouped score runs with draws, and
@@ -1193,6 +1162,120 @@ mod tests {
             }
             for i in 0..n {
                 prop_assert_eq!(map.get(i.wrapping_mul(stride)), Some(i), "key {} lost", i);
+            }
+        }
+    }
+
+    /// The walk's reference, one item at a time and with no lookahead:
+    /// the draw protocol step by step (lazy order step, one scalar `ν`
+    /// from the fork, observe), then SVT-ReTr's survivor passes over a
+    /// plain vector. Returns the selection, pass 1's examined count and
+    /// the number of passes.
+    fn naive_walk<N: SvtNoise, S: ScoreSource + ?Sized>(
+        scores: &S,
+        threshold: f64,
+        config: &StandardSvtConfig,
+        max_passes: usize,
+        rng: &mut DpRng,
+    ) -> (Vec<usize>, usize, usize) {
+        let (threshold_noise, query_noise) = N::for_config(config).unwrap();
+        let mut noise_rng = rng.fork();
+        let mut state = SessionState::new(*config, threshold_noise.sample_one(rng)).unwrap();
+        let mut order = SparseOrder::new();
+        order.reset(scores.len());
+        let (mut selected, mut survivors) = (Vec::new(), Vec::new());
+        let (mut live, mut examined, mut passes) = (scores.len(), 0, 0);
+        while live > 0 && passes < max_passes && !state.is_halted() {
+            passes += 1;
+            let mut visit = std::mem::take(&mut survivors).into_iter();
+            for _ in 0..live {
+                let item = if passes == 1 {
+                    examined += 1;
+                    order.step(rng)
+                } else {
+                    visit.next().unwrap()
+                };
+                let nu = query_noise.sample_one(&mut noise_rng);
+                if state.observe_unchecked(scores.score(item as usize), threshold, nu) {
+                    selected.push(item as usize);
+                    if state.is_halted() {
+                        break;
+                    }
+                } else {
+                    survivors.push(item);
+                }
+            }
+            live = survivors.len();
+        }
+        (selected, examined, passes)
+    }
+
+    /// Runs the walk and [`naive_walk`] from the same seed over one
+    /// source and asserts equal selections, examined counts and passes.
+    fn assert_walk_matches_naive<N: SvtNoise, S: ScoreSource + ?Sized>(
+        scores: &S,
+        threshold: f64,
+        config: &StandardSvtConfig,
+        max_passes: usize,
+        batch: usize,
+        seed: u64,
+    ) {
+        let mut rng = DpRng::seed_from_u64(seed);
+        let mut scratch = RunScratch::with_noise_batch(batch);
+        let passes = BatchedSvt::<N>::new(config, &mut rng).unwrap().walk(
+            scores,
+            threshold,
+            max_passes,
+            &mut rng,
+            &mut scratch,
+        );
+        let mut rng = DpRng::seed_from_u64(seed);
+        let (selected, examined, naive_passes) =
+            naive_walk::<N, S>(scores, threshold, config, max_passes, &mut rng);
+        let at = format!("n={} max_passes={max_passes} batch={batch}", scores.len());
+        assert_eq!(scratch.selected(), &selected[..], "selection, {at}");
+        assert_eq!(scratch.examined(), examined, "examined, {at}");
+        assert_eq!(passes, naive_passes, "passes, {at}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn walk_matches_the_naive_per_item_loop(
+            seed in any::<u64>(),
+            size in 0usize..3,
+            frac in 0.0f64..1.0,
+            distinct in 1u64..60,
+            c in 1usize..12,
+            halting in any::<bool>(),
+            max_passes in 2usize..6,
+            batch in 1usize..40,
+        ) {
+            // n = 0, below one lookahead window, or many windows long.
+            let n = match size {
+                0 => 0,
+                1 => 1 + (frac * (LOOKAHEAD - 1) as f64) as usize,
+                _ => 6 * LOOKAHEAD + (frac * 500.0) as usize,
+            };
+            let scores: Vec<f64> = (0..n as u64)
+                .map(|i| ((i.wrapping_mul(0x9e37_79b9) ^ seed) % distinct) as f64 * 4.0)
+                .collect();
+            // A halting cell puts the threshold under most scores; an
+            // exhausting one above all of them, so SVT-ReTr needs passes.
+            let threshold = if halting { 20.0 } else { 4.0 * distinct as f64 + 30.0 };
+            let config = SvtSelectConfig::counting(0.5 + 4.0 * frac, c, BudgetRatio::OneToCTwoThirds)
+                .to_standard()
+                .unwrap();
+            // SVT-S, SVT-Exp (one pass each) and SVT-ReTr (capped passes).
+            assert_walk_matches_naive::<Laplace, _>(&scores[..], threshold, &config, 1, batch, seed);
+            assert_walk_matches_naive::<Exponential, _>(&scores[..], threshold, &config, 1, batch, seed);
+            assert_walk_matches_naive::<Laplace, _>(&scores[..], threshold, &config, max_passes, batch, seed);
+            if n > 0 {
+                let groups = GroupedSnapshot::from_scores(&scores).unwrap();
+                assert_walk_matches_naive::<Laplace, _>(&groups, threshold, &config, 1, batch, seed);
+                assert_walk_matches_naive::<Exponential, _>(&groups, threshold, &config, 1, batch, seed);
+                assert_walk_matches_naive::<Laplace, _>(&groups, threshold, &config, max_passes, batch, seed);
             }
         }
     }

@@ -12,6 +12,9 @@ pub enum DataError {
         /// The offending value.
         value: f64,
     },
+    /// Every score is finite but their absolute sum `Σ|score|`
+    /// overflows `f64`, so cumulative score mass would not be finite.
+    ScoreMassOverflow,
     /// An operation required a nonempty score vector or dataset.
     Empty,
     /// An item identifier was out of range.
@@ -47,6 +50,7 @@ impl fmt::Display for DataError {
             Self::NonFiniteScore { index, value } => {
                 write!(f, "score {index} is not finite: {value}")
             }
+            Self::ScoreMassOverflow => write!(f, "the absolute sum of the scores overflows f64"),
             Self::Empty => write!(f, "operation requires nonempty data"),
             Self::ItemOutOfRange { item, n_items } => {
                 write!(

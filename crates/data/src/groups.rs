@@ -60,10 +60,6 @@ pub struct RankCut {
     pub top_sum: f64,
 }
 
-/// The historical name of [`GroupedSnapshot`], kept as an alias for
-/// call sites that predate the snapshot/live split.
-pub type GroupedScores = GroupedSnapshot;
-
 /// An immutable, epoch-stamped view of scores grouped by exact value,
 /// in decreasing score order, with the member item indices of every
 /// group and the inverse item → rank table.
@@ -503,18 +499,27 @@ mod tests {
 
     #[test]
     fn top_c_matches_score_vector_top_c_including_ties() {
-        let v = vec![3.0, 5.0, 5.0, 1.0, 4.0, 5.0, 4.0];
-        let sv = ScoreVector::new(v.clone()).unwrap();
-        let g = GroupedSnapshot::from_scores(&v).unwrap();
-        for c in 0..=v.len() + 2 {
-            let want: Vec<u32> = sv.top_c(c).into_iter().map(|i| i as u32).collect();
-            assert_eq!(g.top_c(c), &want[..], "c={c}");
-            for item in 0..v.len() {
-                assert_eq!(
-                    g.is_top(item, c),
-                    want.contains(&(item as u32)),
-                    "c={c} item={item}"
-                );
+        for v in [
+            vec![3.0, 5.0, 5.0, 1.0, 4.0, 5.0, 4.0],
+            (0..500).map(|i| f64::from((i * 37) % 83)).collect(),
+        ] {
+            let sv = ScoreVector::new(v.clone()).unwrap();
+            let g = GroupedSnapshot::from_scores(&v).unwrap();
+            // Reference: a full sort by score desc, then index asc.
+            let mut sorted: Vec<u32> = (0..v.len() as u32).collect();
+            sorted.sort_by(|&a, &b| v[b as usize].total_cmp(&v[a as usize]).then(a.cmp(&b)));
+            for c in 0..=v.len() + 2 {
+                let want = &sorted[..c.min(v.len())];
+                assert_eq!(g.top_c(c), want, "c={c}");
+                let from_vector: Vec<u32> = sv.top_c(c).into_iter().map(|i| i as u32).collect();
+                assert_eq!(from_vector, want, "c={c}");
+                let mut in_top = vec![false; v.len()];
+                for &item in want {
+                    in_top[item as usize] = true;
+                }
+                for (item, &top) in in_top.iter().enumerate() {
+                    assert_eq!(g.is_top(item, c), top, "c={c} item={item}");
+                }
             }
         }
     }

@@ -55,12 +55,11 @@ pub mod live;
 pub mod persist;
 pub mod queries;
 pub mod scores;
-pub mod topk;
 
 pub use dataset::{ItemId, TransactionDataset};
 pub use error::DataError;
 pub use generators::catalog::DatasetSpec;
-pub use groups::{GroupedScores, GroupedSnapshot, RankCut};
+pub use groups::{GroupedSnapshot, RankCut};
 pub use live::{LiveScores, ScoreSnapshot};
 pub use persist::{scores_digest, SnapshotCodecError};
 pub use scores::ScoreVector;

@@ -21,17 +21,33 @@ use crate::Result;
 
 /// The check every score owner runs at construction: [`DataError::Empty`]
 /// on an empty slice, else [`DataError::NonFiniteScore`] for the first
-/// NaN or infinite entry.
+/// NaN or infinite entry, else [`DataError::ScoreMassOverflow`] when
+/// `Σ|score|` overflows. A finite absolute mass bounds every cumulative
+/// score sum and threshold midpoint derived from the scores.
 pub(crate) fn check_scores(scores: &[f64]) -> Result<()> {
     if scores.is_empty() {
         return Err(DataError::Empty);
+    }
+    // Σ|score| is finite exactly when every entry is and their mass
+    // fits. Four running sums keep the additions from queueing behind
+    // one another, so the accepting path costs less than a per-entry scan.
+    let mut lanes = [0.0f64; 4];
+    let mut chunks = scores.chunks_exact(4);
+    for chunk in &mut chunks {
+        for (lane, v) in lanes.iter_mut().zip(chunk) {
+            *lane += v.abs();
+        }
+    }
+    let tail: f64 = chunks.remainder().iter().map(|v| v.abs()).sum();
+    if (lanes.iter().sum::<f64>() + tail).is_finite() {
+        return Ok(());
     }
     match scores.iter().position(|v| !v.is_finite()) {
         Some(index) => Err(DataError::NonFiniteScore {
             index,
             value: scores[index],
         }),
-        None => Ok(()),
+        None => Err(DataError::ScoreMassOverflow),
     }
 }
 
@@ -225,6 +241,14 @@ mod tests {
         let err = ScoreVector::new(vec![1.0, f64::NAN]).unwrap_err();
         assert!(matches!(err, DataError::NonFiniteScore { index: 1, .. }));
         assert!(ScoreVector::new(vec![0.0]).is_ok());
+        // Finite entries whose absolute mass overflows are rejected too.
+        assert!(ScoreVector::new(vec![f64::MAX, -1.0]).is_ok());
+        for v in [vec![f64::MAX, f64::MAX], vec![f64::MAX, -f64::MAX, 1.0]] {
+            assert_eq!(
+                ScoreVector::new(v).unwrap_err(),
+                DataError::ScoreMassOverflow
+            );
+        }
     }
 
     #[test]

@@ -61,8 +61,10 @@
 //! batch pays; 256 rounds stay below the ⌈√n⌉ overlay fold at both
 //! scales). Warm loads
 //! are asserted bit-identical to the cold build, and each dataset line
-//! prints a `[warm<cold]` marker CI greps for. Context lines still
-//! carry no `engine` field, so the ratio gate skips them.
+//! prints a `[warm<cold]` marker when the warm load beat the sort (CI
+//! checks the same inequality on the JSON's `context_setup` rows).
+//! Context lines still carry no `engine` field, so the ratio gate skips
+//! them.
 //!
 //! Schema 9 adds the kernel-policy dimension. Every batched cell above
 //! is now explicitly pinned to `NoiseKernel::Reference` (the libm path
@@ -70,13 +72,15 @@
 //! exactly what those cells have always measured), and each group gains
 //! a `*_vectorized` sibling running the same pipeline under
 //! `NoiseKernel::Vectorized` (the batched polynomial-`ln` kernel,
-//! deterministic but not bit-pinned to libm): `exact_batched_vectorized`,
-//! `exp_*` likewise, and `em_grouped_vectorized`. `rv_exact_batched`
-//! times the SVT-Revisited grouped skip-ahead
-//! (`svt_core::skip_ahead::revisited_select_grouped`: one uniform per
-//! score group per ⊤ instead of one order step, `ν` and gather per
-//! item). It draws no batched noise, so it has no `*_vectorized`
-//! sibling: that cell would time the same code twice. Two stdout gates
+//! deterministic but not bit-pinned to libm): `exact_batched_vectorized`
+//! and `exp_*` likewise. `rv_exact_batched` times the SVT-Revisited
+//! grouped skip-ahead (`svt_core::skip_ahead::revisited_select_grouped`:
+//! one uniform per score group per ⊤ instead of one order step, `ν` and
+//! gather per item). It draws no batched noise, so it has no
+//! `*_vectorized` sibling: that cell would time the same code twice.
+//! The grouped EM sampler peels its Gumbel keys one at a time through
+//! libm under either kernel, so `em_grouped_vectorized` is no longer
+//! timed either. Two stdout gates
 //! ride along: every AOL-scale cell at or under 100 µs/run prints a
 //! `[sub100us] <engine>` marker CI greps for, and each
 //! `(dataset, algorithm)` group asserts its batched engine is no slower
@@ -426,16 +430,6 @@ fn bench_size(
             .ser
     });
     out.push(cell("EM", "em_grouped_exact", runs, timing));
-
-    // The grouped EM sampler under the vectorized Gumbel kernel (the
-    // per-key double-log path through the polynomial ln).
-    let timing = time_runs(seed, runs, |rng| {
-        exact
-            .run_once_into(&AlgorithmSpec::Em, EPSILON, rng, &mut scratch_vec)
-            .expect("vectorized em grouped run")
-            .ser
-    });
-    out.push(cell("EM", "em_grouped_vectorized", runs, timing));
 }
 
 /// The satellite gate: within each `(dataset, algorithm)` group the
@@ -614,7 +608,6 @@ fn parse_baseline(text: &str) -> Vec<BaselineCell> {
             "em_peel",
             "em_batched",
             "em_grouped_exact",
-            "em_grouped_vectorized",
         ];
         if let Some(&engine) = known.iter().find(|&&e| e == engine) {
             cells.push((dataset, algorithm, engine, ns));

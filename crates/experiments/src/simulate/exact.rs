@@ -187,12 +187,14 @@ impl<'a, S: ScoreSource + ?Sized> ExactContext<'a, S> {
     }
 
     /// Executes one run of `alg` through the zero-copy streaming path:
-    /// sparse lazy Fisher–Yates up to the abort point, reusable
-    /// `scratch` buffers, and block-batched Laplace noise for the
-    /// halting SVT variants; the sweep-shared grouped runs for EM (lazy
+    /// SVT-S, SVT-Exp and SVT-ReTr run `svt-core`'s one pipelined
+    /// fixed-`ρ` walk (sparse lazy Fisher–Yates up to the abort point,
+    /// reusable `scratch` buffers, block-batched query noise);
+    /// SVT-DPBook walks items through [`select_streaming_from`]; EM (lazy
     /// per-group Gumbel order statistics, [`EmTopC::select_grouped_into`])
     /// and SVT-Revisited (per-group skip-ahead,
-    /// [`revisited_select_grouped`]), which never pay one draw per item.
+    /// [`revisited_select_grouped`]) read the sweep-shared grouped runs
+    /// and never pay one draw per item.
     ///
     /// Samples the same output distribution as
     /// [`run_once`](ExactContext::run_once); the SVT

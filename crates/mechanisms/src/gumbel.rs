@@ -22,7 +22,7 @@
 use crate::error::MechanismError;
 use crate::fastmath;
 use crate::rng::DpRng;
-use crate::sample::{BatchSample, NoiseKernel};
+use crate::sample::BatchSample;
 use crate::Result;
 
 /// A Gumbel distribution with location `mu` and scale `beta > 0`.
@@ -225,38 +225,24 @@ impl GumbelMax {
     /// Emits the next (largest remaining) order statistic, or `None`
     /// once all `m` keys have been peeled. Each call consumes exactly
     /// one uniform from `rng`.
+    ///
+    /// Both logarithms are libm's: called one value at a time, the
+    /// scalar polynomial [`fastmath::ln`] is the slower of the two (only
+    /// its batched form pays), so peeling has one transform whatever
+    /// kernel a caller's noise buffers run.
     #[inline]
     pub fn next_key(&mut self, rng: &mut DpRng) -> Option<f64> {
-        self.next_key_with(rng, NoiseKernel::Reference)
-    }
-
-    /// [`next_key`](Self::next_key) with an explicit transform kernel:
-    /// under [`NoiseKernel::Vectorized`] both logarithms go through the
-    /// polynomial [`fastmath::ln`], so grouped-EM key peeling agrees
-    /// bit-for-bit with any other consumer running the same kernel.
-    /// Either kernel consumes exactly one uniform per call.
-    ///
-    /// The internal `ln_u` accumulator is kernel-specific state: peel a
-    /// given `GumbelMax` under one kernel, not a mix.
-    #[inline]
-    pub fn next_key_with(&mut self, rng: &mut DpRng, kernel: NoiseKernel) -> Option<f64> {
         if self.next_rank == 0 {
             return None;
         }
         let u = rng.open_uniform();
-        let (ln_u, ln_neg) = match kernel {
-            NoiseKernel::Reference => {
-                self.ln_u += u.ln() / self.next_rank as f64;
-                (self.ln_u, (-self.ln_u).ln())
-            }
-            NoiseKernel::Vectorized => {
-                self.ln_u += fastmath::ln(u) / self.next_rank as f64;
-                (self.ln_u, fastmath::ln(-self.ln_u))
-            }
-        };
-        debug_assert!(ln_u < 0.0, "uniform order statistic must stay in (0,1)");
+        self.ln_u += u.ln() / self.next_rank as f64;
+        debug_assert!(
+            self.ln_u < 0.0,
+            "uniform order statistic must stay in (0,1)"
+        );
         self.next_rank -= 1;
-        Some(self.dist.mu - self.dist.beta * ln_neg)
+        Some(self.dist.mu - self.dist.beta * (-self.ln_u).ln())
     }
 }
 
@@ -425,40 +411,6 @@ mod tests {
                 assert!((f - r).abs() <= tol, "len {len} i {i}: {r} vs {f}");
             }
         }
-    }
-
-    #[test]
-    fn next_key_with_reference_matches_next_key_and_vectorized_stays_close() {
-        let g = Gumbel::new(3.0, 0.5).unwrap();
-        let mut rng_a = DpRng::seed_from_u64(881);
-        let mut rng_b = DpRng::seed_from_u64(881);
-        let mut rng_c = DpRng::seed_from_u64(881);
-        let mut plain = GumbelMax::new(g, 1_000_000).unwrap();
-        let mut refk = GumbelMax::new(g, 1_000_000).unwrap();
-        let mut veck = GumbelMax::new(g, 1_000_000).unwrap();
-        let mut prev = f64::INFINITY;
-        for _ in 0..50 {
-            let a = plain.next_key(&mut rng_a).unwrap();
-            let b = refk
-                .next_key_with(&mut rng_b, NoiseKernel::Reference)
-                .unwrap();
-            let c = veck
-                .next_key_with(&mut rng_c, NoiseKernel::Vectorized)
-                .unwrap();
-            assert_eq!(a.to_bits(), b.to_bits());
-            let tol = 1e-11 * a.abs().max(1.0);
-            assert!((c - a).abs() <= tol, "{a} vs {c}");
-            // The vectorized peel must also descend strictly.
-            assert!(c < prev);
-            prev = c;
-        }
-        // All three consumed one uniform per key.
-        assert_eq!(rng_a.next_u64(), rng_b.next_u64());
-        let mut rng_d = DpRng::seed_from_u64(881);
-        for _ in 0..50 {
-            rng_d.open_uniform();
-        }
-        assert_eq!(rng_c.next_u64(), rng_d.next_u64());
     }
 
     #[test]

@@ -2,9 +2,13 @@
 //! must hold for arbitrary configurations.
 
 use proptest::prelude::*;
+use sparse_vector::experiments::simulate::exact::ExactContext;
+use sparse_vector::experiments::simulate::SweepContext;
+use sparse_vector::experiments::spec::AlgorithmSpec;
 use sparse_vector::prelude::*;
 use sparse_vector::svt::alg::run_svt;
 use sparse_vector::svt::allocation;
+use sparse_vector::svt::RunScratch;
 
 fn scores_strategy() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(0.0f64..1e6, 2..120)
@@ -253,5 +257,47 @@ proptest! {
             "certified {} on identical mechanisms",
             grid.epsilon_lower_bound()
         );
+    }
+
+    #[test]
+    fn hostile_scores_err_or_give_finite_cuts(
+        picks in prop::collection::vec(0usize..12, 0..40),
+        c in 0usize..48,
+        seed in any::<u64>(),
+    ) {
+        // Extreme magnitudes (±f64::MAX, whose mass overflows once two
+        // meet), non-finite entries and signed zeros. Every constructor
+        // returns Err or a value whose cut is finite; a grouped run
+        // returns Err or finite metrics, and nothing panics.
+        const POOL: [f64; 12] = [
+            f64::MAX, -f64::MAX, 1e308, -1e308, f64::NAN, f64::INFINITY,
+            f64::NEG_INFINITY, 0.0, -0.0, 1.0, 7.0, f64::MIN_POSITIVE,
+        ];
+        let v: Vec<f64> = picks.iter().map(|&i| POOL[i]).collect();
+        let grouped = GroupedSnapshot::from_scores(&v);
+        let sv = match ScoreVector::new(v.clone()) {
+            Ok(sv) => sv,
+            Err(_) => {
+                prop_assert!(grouped.is_err(), "the two constructors must agree on {:?}", v);
+                continue;
+            }
+        };
+        let cut = grouped.unwrap().rank_cut(c);
+        prop_assert!(cut.threshold.is_finite() && cut.top_sum.is_finite(), "{:?}: {:?}", v, cut);
+        let sweep = SweepContext::new(&sv);
+        let ctx = ExactContext::grouped(&sweep, c);
+        prop_assert!(ctx.threshold().is_finite() && ctx.top_sum().is_finite());
+        let ratio = BudgetRatio::OneToCTwoThirds;
+        let algs = AlgorithmSpec::figure4_lineup()
+            .into_iter()
+            .chain(AlgorithmSpec::figure5_lineup())
+            .chain([AlgorithmSpec::Revisited { ratio }, AlgorithmSpec::ExpNoise { ratio }]);
+        let mut scratch = RunScratch::new();
+        for alg in algs {
+            let mut rng = DpRng::seed_from_u64(seed);
+            if let Ok(out) = ctx.run_once_into(&alg, 0.5, &mut rng, &mut scratch) {
+                prop_assert!(out.ser.is_finite() && out.fnr.is_finite(), "{:?} on {:?}", alg, v);
+            }
+        }
     }
 }
