@@ -172,7 +172,10 @@ pub struct RetraversalRun {
 /// pass counts from the same generator state.
 ///
 /// # Errors
-/// Propagates configuration validation; rejects `max_passes == 0`.
+/// Propagates configuration validation; rejects `max_passes == 0`; then,
+/// as [`svt_retraversal`]'s first comparison does, rejects a raised
+/// threshold that is not finite (a non-finite base threshold or
+/// increment) with [`SvtError::NonFiniteInput`].
 pub fn svt_retraversal_from<S: crate::streaming::ScoreSource + ?Sized>(
     scores: &S,
     base_threshold: f64,
@@ -186,9 +189,8 @@ pub fn svt_retraversal_from<S: crate::streaming::ScoreSource + ?Sized>(
         ));
     }
     let threshold = base_threshold + config.threshold_increase()?;
-    let passes = BatchedSvt::<Laplace>::new(&config.select.to_standard()?, rng)?.walk(
+    let passes = BatchedSvt::<Laplace>::new(&config.select.to_standard()?, threshold, rng)?.walk(
         scores,
-        threshold,
         config.max_passes,
         rng,
         scratch,

@@ -676,13 +676,14 @@ pub(crate) trait SvtNoise: BatchSample + Sized {
 }
 
 /// Algorithm 7's comparison core with prefetched query noise from the
-/// family `N`: `ρ` fixed at construction, one buffered `ν` per query,
-/// halt at `c`. [`walk`](Self::walk) is the one item walk of every
-/// fixed-`ρ` SVT (see the module docs).
+/// family `N`: `ρ` and the threshold fixed at construction, one
+/// buffered `ν` per query, halt at `c`. [`walk`](Self::walk) is the one
+/// item walk of every fixed-`ρ` SVT (see the module docs).
 pub(crate) struct BatchedSvt<N> {
     noise_rng: DpRng,
     state: SessionState,
     query_noise: N,
+    threshold: f64,
 }
 
 /// One lookahead window of a walk: the items at the next `len`
@@ -723,16 +724,26 @@ impl Window {
 }
 
 impl<N: SvtNoise> BatchedSvt<N> {
-    /// Validates through [`SvtNoise::for_config`] and performs steps
-    /// 1–2 of the module-level draw protocol.
-    pub(crate) fn new(config: &StandardSvtConfig, rng: &mut DpRng) -> Result<Self> {
+    /// Validates through [`SvtNoise::for_config`], rejects a
+    /// non-finite `threshold` as the scalar references' first `respond`
+    /// does, and performs steps 1–2 of the module-level draw protocol.
+    /// The walk compares against this one validated threshold, so it
+    /// checks nothing per item.
+    ///
+    /// # Errors
+    /// The configuration errors of `for_config`, then
+    /// [`SvtError::NonFiniteInput`](crate::SvtError::NonFiniteInput) on
+    /// a NaN or infinite `threshold`; either way before any draw.
+    pub(crate) fn new(config: &StandardSvtConfig, threshold: f64, rng: &mut DpRng) -> Result<Self> {
         let (threshold_noise, query_noise) = N::for_config(config)?;
+        crate::error::check_finite(threshold, "threshold")?;
         let noise_rng = rng.fork();
         let rho = threshold_noise.sample_one(rng);
         Ok(Self {
             noise_rng,
             state: SessionState::new(*config, rho)?,
             query_noise,
+            threshold,
         })
     }
 
@@ -763,7 +774,6 @@ impl<N: SvtNoise> BatchedSvt<N> {
     pub(crate) fn walk<S: ScoreSource + ?Sized>(
         mut self,
         scores: &S,
-        threshold: f64,
         max_passes: usize,
         rng: &mut DpRng,
         scratch: &mut RunScratch,
@@ -793,7 +803,7 @@ impl<N: SvtNoise> BatchedSvt<N> {
                 let window = cur.items.iter().zip(&cur.scores).zip(&nus);
                 for ((&item, &score), &nu) in window.take(cur.len) {
                     read += 1;
-                    if self.state.observe_unchecked(score, threshold, nu) {
+                    if self.state.observe_unchecked(score, self.threshold, nu) {
                         selected.push(item as usize);
                         if self.state.is_halted() {
                             break 'pass;
@@ -854,7 +864,10 @@ impl<N: SvtNoise> BatchedSvt<N> {
 /// depends on them).
 ///
 /// # Errors
-/// Propagates configuration validation.
+/// Propagates configuration validation, then rejects a non-finite
+/// `threshold` with [`SvtError::NonFiniteInput`](crate::SvtError::NonFiniteInput),
+/// as [`svt_select`](crate::noninteractive::svt_select)'s first
+/// comparison does.
 pub fn svt_select_from<S: ScoreSource + ?Sized>(
     scores: &S,
     threshold: f64,
@@ -862,8 +875,8 @@ pub fn svt_select_from<S: ScoreSource + ?Sized>(
     rng: &mut DpRng,
     scratch: &mut RunScratch,
 ) -> Result<()> {
-    BatchedSvt::<Laplace>::new(&config.to_standard()?, rng)?
-        .walk(scores, threshold, 1, rng, scratch);
+    BatchedSvt::<Laplace>::new(&config.to_standard()?, threshold, rng)?
+        .walk(scores, 1, rng, scratch);
     Ok(())
 }
 
@@ -878,6 +891,7 @@ pub fn svt_select_from<S: ScoreSource + ?Sized>(
 /// Propagates configuration validation; like
 /// [`ExpNoiseSvt::new`](crate::alg::ExpNoiseSvt::new), rejects budgets
 /// with a numeric phase (one-sided noise is not DP for numeric release).
+/// Then rejects a non-finite `threshold` as [`svt_select_from`] does.
 pub fn exp_noise_select_from<S: ScoreSource + ?Sized>(
     scores: &S,
     threshold: f64,
@@ -885,8 +899,8 @@ pub fn exp_noise_select_from<S: ScoreSource + ?Sized>(
     rng: &mut DpRng,
     scratch: &mut RunScratch,
 ) -> Result<()> {
-    BatchedSvt::<Exponential>::new(&config.to_standard()?, rng)?
-        .walk(scores, threshold, 1, rng, scratch);
+    BatchedSvt::<Exponential>::new(&config.to_standard()?, threshold, rng)?
+        .walk(scores, 1, rng, scratch);
     Ok(())
 }
 
@@ -1222,13 +1236,9 @@ mod tests {
     ) {
         let mut rng = DpRng::seed_from_u64(seed);
         let mut scratch = RunScratch::with_noise_batch(batch);
-        let passes = BatchedSvt::<N>::new(config, &mut rng).unwrap().walk(
-            scores,
-            threshold,
-            max_passes,
-            &mut rng,
-            &mut scratch,
-        );
+        let passes = BatchedSvt::<N>::new(config, threshold, &mut rng)
+            .unwrap()
+            .walk(scores, max_passes, &mut rng, &mut scratch);
         let mut rng = DpRng::seed_from_u64(seed);
         let (selected, examined, naive_passes) =
             naive_walk::<N, S>(scores, threshold, config, max_passes, &mut rng);
@@ -1304,6 +1314,57 @@ mod tests {
 
     fn counting(epsilon: f64, c: usize) -> SvtSelectConfig {
         SvtSelectConfig::counting(epsilon, c, BudgetRatio::OneToCTwoThirds)
+    }
+
+    #[test]
+    fn non_finite_thresholds_err_where_the_scalar_references_do() {
+        // Each scalar reference fails its first comparison on a NaN or
+        // ±∞ threshold — for SVT-ReTr also on one a NaN or ±∞ increment
+        // raises it to. The streaming entry points must fail the same
+        // way, not select nothing (NaN, +∞; SVT-ReTr after all its
+        // passes) or the first c items examined (−∞); finite thresholds
+        // stay accepted by both.
+        use crate::alg::ExpNoiseSvt;
+        use crate::noninteractive::{select_with, svt_select};
+        use crate::retraversal::{svt_retraversal, svt_retraversal_from, RetraversalConfig};
+        use crate::SvtError;
+        let scores = [30.0, 20.0, 10.0, 5.0, 1.0];
+        let cfg = counting(1.0, 2);
+        let retr = |increment| RetraversalConfig {
+            increment,
+            ..RetraversalConfig::paper(1.0, 2, 1.0)
+        };
+        let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let mut cases: Vec<(f64, f64)> = bad.iter().map(|&t| (t, 1.0)).collect();
+        cases.extend(bad.iter().map(|&d| (15.0, d)));
+        cases.extend([(15.0, 1.0), (-1e9, 0.0), (1e9, 5.0)]);
+        for (threshold, increment) in cases {
+            let raised = threshold + retr(increment).threshold_increase().unwrap();
+            let expect = |t: f64| (!t.is_finite()).then_some(SvtError::NonFiniteInput("threshold"));
+            let at = format!("threshold {threshold}, increment {increment}");
+            let mut rng = DpRng::seed_from_u64(3);
+            let mut scratch = RunScratch::new();
+
+            let scalar = svt_select(&scores, threshold, &cfg, &mut rng).err();
+            let streaming = svt_select_from(&scores[..], threshold, &cfg, &mut rng, &mut scratch);
+            assert_eq!(scalar, expect(threshold), "SVT-S reference, {at}");
+            assert_eq!(streaming.err(), scalar, "SVT-S, {at}");
+
+            let scalar = ExpNoiseSvt::new(cfg.to_standard().unwrap(), &mut rng)
+                .and_then(|mut alg| select_with(&mut alg, &scores, threshold, &mut rng))
+                .err();
+            let streaming =
+                exp_noise_select_from(&scores[..], threshold, &cfg, &mut rng, &mut scratch);
+            assert_eq!(scalar, expect(threshold), "SVT-Exp reference, {at}");
+            assert_eq!(streaming.err(), scalar, "SVT-Exp, {at}");
+
+            let config = retr(increment);
+            let scalar = svt_retraversal(&scores, threshold, &config, &mut rng).err();
+            let streaming =
+                svt_retraversal_from(&scores[..], threshold, &config, &mut rng, &mut scratch);
+            assert_eq!(scalar, expect(raised), "SVT-ReTr reference, {at}");
+            assert_eq!(streaming.err(), scalar, "SVT-ReTr, {at}");
+        }
     }
 
     #[test]

@@ -6,11 +6,13 @@
 //! SplitMix64 mix, no pre-forked generator vector — so `runs` can grow
 //! without any per-run memory, and a run's randomness is a pure function
 //! of its coordinates. The runner flattens the **whole cell grid** into
-//! one task list and splits it across `std::thread::scope` workers — so
-//! a sweep keeps every core busy even when individual cells are small,
-//! and results are bit-identical regardless of thread count *and* of how
-//! tasks are scheduled (each run derives its own generator; outcomes are
-//! aggregated in run order per cell).
+//! one run-index range, and `std::thread::scope` workers claim its runs
+//! one at a time from a shared cursor — so a sweep keeps every core busy
+//! even when individual cells are small or their runs' costs differ
+//! several-fold by algorithm, and results are bit-identical regardless
+//! of thread count *and* of how runs are scheduled (each run derives its
+//! own generator; outcomes are put back by run index and aggregated in
+//! run order per cell).
 //!
 //! The engine is zero-copy over shared per-dataset state: a
 //! [`SweepContext`] (the dataset's one score sort — grouped runs plus
@@ -26,6 +28,7 @@ use crate::simulate::{RunOutcome, SweepContext};
 use crate::spec::{AlgorithmSpec, ExperimentConfig, SimulationMode};
 use dp_data::ScoreVector;
 use dp_mechanisms::{counter_seed, DpRng};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use svt_core::streaming::{RunScratch, ScoreSource};
 use svt_core::Result;
 
@@ -87,13 +90,15 @@ impl PreparedDataset {
 }
 
 /// The cell-specific master seed every run of a `(algorithm, c)` cell
-/// derives from, so cells are independent of one another.
+/// derives from, so cells are independent of one another: member
+/// `config.seed` of the [`counter_seed`] family rooted at the cell's
+/// label hash plus `c`, i.e. the SplitMix64 finalizer over
+/// `hash + c + (seed + 1)·φ`. The finalizer is what keeps master seeds
+/// apart: a cell seed linear in `seed·φ` would step by the same `φ` as
+/// [`run_rng`]'s run positions, so run `r` of master seed `s + 1` would
+/// be run `r + 1` of seed `s`.
 fn cell_seed(config: &ExperimentConfig, alg: &AlgorithmSpec, c: usize) -> u64 {
-    config
-        .seed
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(c as u64)
-        .wrapping_add(hash_label(&alg.label()))
+    counter_seed(hash_label(&alg.label()).wrapping_add(c as u64), config.seed)
 }
 
 /// SplitMix64 at position `run` of the stream seeded by `cell_seed`:
@@ -123,14 +128,23 @@ struct GridCell<'e, 'a, S: ScoreSource + ?Sized> {
 /// Executes every run of every cell across the worker pool and returns
 /// the outcomes grouped per cell, in run order.
 ///
-/// The grid is flattened cell-major into one global run-index range and
-/// split into contiguous chunks, one per worker; each worker walks its
-/// range, deriving every run's generator on the fly from its
-/// `(cell seed, run index)` coordinates, and reuses a single
-/// [`RunScratch`] across all its runs. Because a run's randomness is a
-/// pure function of its coordinates and outcomes are reassembled by
-/// position, thread count and scheduling cannot change the result — and
-/// nothing is ever allocated per run beyond its outcome.
+/// The grid is flattened cell-major into one global run-index range,
+/// and the workers claim its runs one at a time from a shared cursor,
+/// so a worker that drew cheap runs claims more of them and no worker
+/// idles while another holds a backlog. Each worker derives a run's
+/// generator from its `(cell seed, run index)` coordinates, reuses one
+/// [`RunScratch`] across all its runs, and returns `(run index,
+/// outcome)` pairs, which are put back by index. Because a run's
+/// randomness is a pure function of its coordinates, thread count and
+/// scheduling cannot change the result — and nothing is ever allocated
+/// per run beyond its outcome.
+///
+/// A failing run moves the cursor to the end, so no worker claims
+/// another run. Every run below the cursor was claimed and is finished
+/// by its worker, so the first error in run order, the one returned, is
+/// the one a single thread stops at. The cursor publishes no data
+/// (outcomes cross threads through the scope's joins), so `Relaxed`
+/// ordering is enough.
 fn execute_grid<S: ScoreSource + Sync + ?Sized>(
     cells: &[GridCell<'_, '_, S>],
     epsilon: f64,
@@ -145,52 +159,46 @@ fn execute_grid<S: ScoreSource + Sync + ?Sized>(
     }
     starts.push(total);
 
-    let threads = threads.clamp(1, total.max(1));
-    let chunk_size = total.div_ceil(threads).max(1);
-    let chunk_results: Vec<Result<Vec<RunOutcome>>> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        let mut begin = 0usize;
-        while begin < total {
-            let end = (begin + chunk_size).min(total);
-            let starts = &starts;
-            handles.push(scope.spawn(move || {
-                let mut scratch = RunScratch::new();
-                let mut out = Vec::with_capacity(end - begin);
-                // The cell containing the chunk's first global index.
-                let mut cell_idx = starts.partition_point(|&s| s <= begin) - 1;
-                for global in begin..end {
-                    while global >= starts[cell_idx + 1] {
-                        cell_idx += 1;
-                    }
-                    let cell = &cells[cell_idx];
-                    let mut rng = run_rng(cell.seed, global - starts[cell_idx]);
-                    out.push(
-                        cell.ctx
-                            .run_once_into(cell.alg, epsilon, &mut rng, &mut scratch)?,
-                    );
-                }
-                Ok(out)
-            }));
-            begin = end;
+    let cursor = AtomicUsize::new(0);
+    let worker = || {
+        let mut scratch = RunScratch::new();
+        let mut done = Vec::new();
+        loop {
+            let global = cursor.fetch_add(1, Ordering::Relaxed);
+            if global >= total {
+                return done;
+            }
+            let cell_idx = starts.partition_point(|&s| s <= global) - 1;
+            let cell = &cells[cell_idx];
+            let mut rng = run_rng(cell.seed, global - starts[cell_idx]);
+            let outcome = cell
+                .ctx
+                .run_once_into(cell.alg, epsilon, &mut rng, &mut scratch);
+            if outcome.is_err() {
+                cursor.fetch_max(total, Ordering::Relaxed);
+            }
+            done.push((global, outcome));
         }
+    };
+    let mut runs: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads.clamp(1, total.max(1)))
+            .map(|_| scope.spawn(worker))
+            .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("worker thread must not panic"))
+            .flat_map(|h| h.join().expect("worker thread must not panic"))
             .collect()
     });
-
-    // Reassemble the flattened order (chunks are contiguous), then split
-    // back into per-cell groups.
-    let mut flat = Vec::with_capacity(total);
-    for chunk in chunk_results {
-        flat.extend(chunk?);
-    }
-    let mut grouped = Vec::with_capacity(cells.len());
-    let mut rest = flat.into_iter();
-    for cell in cells {
-        grouped.push(rest.by_ref().take(cell.runs).collect());
-    }
-    Ok(grouped)
+    runs.sort_unstable_by_key(|(run, _)| *run);
+    let outcomes: Vec<_> = runs
+        .into_iter()
+        .map(|(_, outcome)| outcome)
+        .collect::<Result<_>>()?;
+    let mut rest = outcomes.into_iter();
+    Ok(cells
+        .iter()
+        .map(|cell| rest.by_ref().take(cell.runs).collect())
+        .collect())
 }
 
 /// Aggregates one cell's outcomes (in run order) into a [`CellResult`].
@@ -545,6 +553,36 @@ mod tests {
     }
 
     #[test]
+    fn consecutive_master_seeds_share_no_run() {
+        // Repeats at `--seed s` and `--seed s + 1` must be independent:
+        // no run generator of a cell's first 64 runs under one master
+        // seed may reappear under the other, at any position.
+        let first_words = |seed: u64, alg: &AlgorithmSpec, c: usize| {
+            let cfg = ExperimentConfig {
+                seed,
+                ..toy_config()
+            };
+            let cell = cell_seed(&cfg, alg, c);
+            (0..64)
+                .map(|run| run_rng(cell, run).next_u64())
+                .collect::<std::collections::HashSet<u64>>()
+        };
+        for alg in &full_lineup() {
+            for c in [1usize, 5, 100] {
+                for seed in [0u64, 1, 42, 0xdead_beef, u64::MAX - 1] {
+                    let (a, b) = (first_words(seed, alg, c), first_words(seed + 1, alg, c));
+                    assert_eq!(a.len(), 64, "{alg:?} c={c} seed={seed}");
+                    assert!(
+                        a.is_disjoint(&b),
+                        "{alg:?} c={c}: seeds {seed} and {} share runs",
+                        seed + 1
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn grouped_mode_runs_dpbook() {
         // The grouped score source handles SVT-DPBook's per-⊤
         // threshold refresh like any other variant.
@@ -661,8 +699,12 @@ mod tests {
 
     #[test]
     fn sweep_is_independent_of_thread_count() {
+        // Workers claim runs as they free up, so which worker runs what
+        // differs between thread counts (and between calls); the cells
+        // must not. The full lineup's per-run costs are skewed, and 25
+        // runs per cell is a multiple of none of the thread counts.
         let data = toy_dataset();
-        let algs = [
+        let pair = [
             AlgorithmSpec::Standard {
                 ratio: BudgetRatio::OneToOne,
             },
@@ -671,13 +713,54 @@ mod tests {
                 increment_d: 2.0,
             },
         ];
-        let mut one = toy_config();
-        one.threads = 1;
-        let mut many = toy_config();
-        many.threads = 13;
-        let a = run_sweep(&data, &algs, &one).unwrap();
-        let b = run_sweep(&data, &algs, &many).unwrap();
-        assert_eq!(a, b, "thread count changed sweep results");
+        for (algs, runs) in [(&pair[..], 24), (&full_lineup()[..], 25)] {
+            let cfg = |threads| ExperimentConfig {
+                runs,
+                threads,
+                ..toy_config()
+            };
+            let a = run_sweep(&data, algs, &cfg(1)).unwrap();
+            for threads in [2, 3, 8, 13] {
+                let b = run_sweep(&data, algs, &cfg(threads)).unwrap();
+                assert_eq!(a, b, "{threads} threads changed sweep results");
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_returns_the_first_failing_cells_error_at_any_thread_count() {
+        // Two failing cells with different errors: at ε = f64::MAX, EM's
+        // Gumbel location overflows, and every c = 0 cell rejects its
+        // cutoff. Grid order is algorithm-major, so SVT-S's c = 0 cell
+        // fails first, after a cell whose runs succeed; with 2 runs per
+        // cell, 13 workers may also claim runs of EM's cells. However
+        // the workers interleave, the sweep returns SVT-S's c = 0 error.
+        let data = toy_dataset();
+        let algs = [
+            AlgorithmSpec::Standard {
+                ratio: BudgetRatio::OneToOne,
+            },
+            AlgorithmSpec::Em,
+        ];
+        let cfg = |threads| ExperimentConfig {
+            epsilon: f64::MAX,
+            runs: 2,
+            c_values: vec![5, 0],
+            threads,
+            ..toy_config()
+        };
+        let first = run_cell(&data, &algs[0], 5, &cfg(1));
+        assert!(first.is_ok(), "{first:?}");
+        let want = run_cell(&data, &algs[0], 0, &cfg(1)).unwrap_err();
+        let em = run_cell(&data, &algs[1], 5, &cfg(1)).unwrap_err();
+        assert_ne!(want, em, "the two failing cells must fail differently");
+        for threads in [1, 2, 13] {
+            assert_eq!(
+                run_sweep(&data, &algs, &cfg(threads)).unwrap_err(),
+                want,
+                "{threads} threads"
+            );
+        }
     }
 
     #[test]
