@@ -11,76 +11,39 @@
 //! `EM` series of Figure 5 — the method the paper recommends over SVT in
 //! the non-interactive setting.
 //!
-//! Three samplers of the same output distribution are provided:
+//! Two samplers of the same output distribution are provided:
 //! [`EmTopC::select`] peels literally (`c` rounds of
-//! [`ExponentialMechanism`], kept as the allocating reference);
-//! [`EmTopC::select_into`] exploits the Gumbel-max equivalence — one
-//! scratch-buffered `O(n log c)` pass with block-batched keys;
-//! [`EmTopC::select_grouped_into`] additionally exploits Gumbel
-//! *max-stability* over runs of tied scores ([`GroupedSnapshot`]) to
-//! draw one lazy order-statistics sampler per score *group* instead of
-//! one key per item — `O(G + c)` draws for `G` distinct scores — which
-//! is what the experiment harness's exact engine runs by default.
+//! [`ExponentialMechanism`], kept as the allocating reference), and
+//! [`EmTopC::select_grouped_into`] exploits the Gumbel-max equivalence
+//! and Gumbel *max-stability* over runs of tied scores
+//! ([`GroupedSnapshot`]) to draw one lazy order-statistics sampler per
+//! score *group* instead of one key per item — `O(G + c)` draws for `G`
+//! distinct scores — which is what the experiment harness's exact
+//! engine runs. Neither reads a [`NoiseKernel`](dp_mechanisms::NoiseKernel):
+//! both transform their uniforms through libm.
+//!
+//! ## Tie contract
+//!
+//! Perturbed *keys* are continuous, so exact key ties only arise from
+//! `f64` rounding; when they do, the grouped sampler's cross-group heap
+//! breaks them by group index, so its output stays a pure function of
+//! the generator. The contract both samplers actually promise — and
+//! that the tie tests pin — is distributional: items with equal
+//! *scores* are selected with equal probability, in every selection
+//! round. `select` inherits this from exact softmax weights and
+//! `select_grouped_into` holds it by construction (a winning tied-score
+//! group expands uniformly among its not-yet-selected members).
 
 use crate::streaming::RunScratch;
 use crate::{Result, SvtError};
 use dp_data::GroupedSnapshot;
-use dp_mechanisms::{BatchSample, DpRng, ExponentialMechanism, Gumbel, GumbelMax, MechanismError};
+use dp_mechanisms::{DpRng, ExponentialMechanism, Gumbel, GumbelMax, MechanismError};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// How many standard-Gumbel keys [`EmTopC::select_into`] draws per
-/// block-wise refill. Purely an amortization knob: the key stream is
-/// bit-identical for every chunking (the [`dp_mechanisms::BatchSample`]
-/// contract), so this cannot affect any selection.
-const GUMBEL_CHUNK: usize = 512;
-
-/// Reusable buffers for [`EmTopC::select_into`] and
-/// [`EmTopC::select_grouped_into`]: a noise chunk, the running top-`c`
-/// min-heap, and the grouped sampler's per-group cursors and
-/// cross-group heap (its within-group pick map is the one
-/// [`RunScratch`] shares with the SVT-Revisited skip-ahead). Lives
-/// inside [`RunScratch`] so one worker-thread scratch serves the SVT
-/// and EM engines alike; after warm-up a selection allocates nothing.
-///
-/// ## Tie contract
-///
-/// Perturbed *keys* are continuous, so exact key ties only arise from
-/// `f64` rounding; when they do, [`EmTopC::select_into`]'s heap keeps
-/// the **earliest-seen** index (the sift comparisons are strict, so an
-/// incoming equal key never evicts an incumbent) and the final
-/// selection order among bit-equal keys is unspecified
-/// (`sort_unstable`). The contract all three samplers actually promise
-/// — and that the tie tests pin — is distributional: items with equal
-/// *scores* are selected with equal probability, in every selection
-/// round. `select` inherits this from exact softmax weights,
-/// `select_into` from i.i.d. per-item keys, and `select_grouped_into`
-/// by construction (a winning tied-score group expands uniformly among
-/// its not-yet-selected members).
-#[derive(Debug, Clone, Default)]
-pub struct EmScratch {
-    /// Block of standard Gumbel draws (refilled per `GUMBEL_CHUNK`
-    /// scores).
-    noise: Vec<f64>,
-    /// Min-heap of the `c` best `(key, index)` pairs seen so far.
-    top: Vec<(f64, u32)>,
-    /// Per-group lazy order-statistics cursors (grouped sampler).
-    groups: Vec<GroupCursor>,
-    /// Backing storage for the grouped sampler's cross-group max-heap,
-    /// kept between runs so the heap never reallocates in steady state.
-    heap: Vec<GroupKey>,
-}
-
-impl EmScratch {
-    /// Creates empty scratch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// One score-group's sampler state inside [`EmScratch`].
+/// One score group's sampler state, kept in [`RunScratch`].
 #[derive(Debug, Clone)]
-struct GroupCursor {
+pub(crate) struct GroupCursor {
     /// Lazy descending order statistics of the group's i.i.d.
     /// `Gumbel(φ_g, 1)` keys.
     keys: GumbelMax,
@@ -92,7 +55,7 @@ struct GroupCursor {
 /// max-heap (ties — probability zero — break by group index so the heap
 /// order is deterministic).
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct GroupKey {
+pub(crate) struct GroupKey {
     key: f64,
     group: u32,
 }
@@ -107,41 +70,6 @@ impl Ord for GroupKey {
         self.key
             .total_cmp(&other.key)
             .then(self.group.cmp(&other.group))
-    }
-}
-
-/// Restores the min-heap property upward from `heap[i]` (keyed on the
-/// `f64`; all keys are finite by construction).
-fn sift_up(heap: &mut [(f64, u32)], mut i: usize) {
-    while i > 0 {
-        let parent = (i - 1) / 2;
-        if heap[i].0 < heap[parent].0 {
-            heap.swap(i, parent);
-            i = parent;
-        } else {
-            break;
-        }
-    }
-}
-
-/// Restores the min-heap property downward from `heap[0]`.
-fn sift_down(heap: &mut [(f64, u32)]) {
-    let mut i = 0;
-    loop {
-        let left = 2 * i + 1;
-        let right = left + 1;
-        let mut smallest = i;
-        if left < heap.len() && heap[left].0 < heap[smallest].0 {
-            smallest = left;
-        }
-        if right < heap.len() && heap[right].0 < heap[smallest].0 {
-            smallest = right;
-        }
-        if smallest == i {
-            break;
-        }
-        heap.swap(i, smallest);
-        i = smallest;
     }
 }
 
@@ -198,134 +126,43 @@ impl EmTopC {
     /// # Errors
     /// [`SvtError::Mechanism`] on empty/non-finite scores.
     pub fn select(&self, scores: &[f64], rng: &mut DpRng) -> Result<Vec<usize>> {
-        let per_round = self.epsilon_per_round();
-        let em = if self.monotonic {
-            ExponentialMechanism::new_monotonic(per_round, self.sensitivity)
-        } else {
-            ExponentialMechanism::new(per_round, self.sensitivity)
-        }
-        .map_err(SvtError::from)?;
-        em.select_without_replacement(scores, self.c, rng)
+        self.round_mechanism()?
+            .select_without_replacement(scores, self.c, rng)
             .map_err(SvtError::from)
     }
 
-    /// The exponent factor `ε_round/(kΔ)` this selector applies to
-    /// scores (`k = 1` monotonic, `k = 2` general) — validated exactly
-    /// like [`select`](Self::select).
-    fn key_factor(&self) -> Result<f64> {
+    /// One peeling round's mechanism: budget `ε/c`, with monotonic or
+    /// general scoring. Its exponent factor `ε_round/(kΔ)` (`k = 1`
+    /// monotonic, `k = 2` general) is the grouped sampler's key scale.
+    fn round_mechanism(&self) -> Result<ExponentialMechanism> {
         let per_round = self.epsilon_per_round();
-        let em = if self.monotonic {
+        if self.monotonic {
             ExponentialMechanism::new_monotonic(per_round, self.sensitivity)
         } else {
             ExponentialMechanism::new(per_round, self.sensitivity)
         }
-        .map_err(SvtError::from)?;
-        Ok(em.log_weight_factor())
-    }
-
-    /// Scratch-buffered top-`c` selection: the zero-allocation,
-    /// batched-noise equivalent of [`select`](Self::select). The
-    /// selection lands in [`RunScratch::selected`], in selection order.
-    ///
-    /// Samples the same output distribution as `select` via the
-    /// Gumbel-max equivalence: perturbing every score once with
-    /// `Gumbel(0, 1/f)` noise (`f` the exponent factor) and keeping the
-    /// `c` largest perturbed scores is distributionally identical to
-    /// `c` rounds of Exponential Mechanism peeling — but costs one
-    /// `O(n log c)` pass instead of `c` full passes, and draws its keys
-    /// block-wise through [`Gumbel::sample_into`] (bit-identical for
-    /// every chunk size). Steady state allocates nothing: the noise
-    /// chunk, the top-`c` heap, and the selection buffer all live in
-    /// `scratch`.
-    ///
-    /// ```
-    /// use dp_mechanisms::DpRng;
-    /// use svt_core::em_select::EmTopC;
-    /// use svt_core::streaming::RunScratch;
-    ///
-    /// let supports = [900.0, 850.0, 20.0, 15.0, 10.0, 5.0];
-    /// let em = EmTopC::new(2.0, 2, 1.0, /*monotonic=*/true)?;
-    /// let mut rng = DpRng::seed_from_u64(7);
-    /// let mut scratch = RunScratch::new();
-    /// em.select_into(&supports, &mut rng, &mut scratch)?;
-    /// let mut picked = scratch.selected().to_vec();
-    /// picked.sort_unstable();
-    /// assert_eq!(picked, vec![0, 1]);
-    /// # Ok::<(), svt_core::SvtError>(())
-    /// ```
-    ///
-    /// # Errors
-    /// [`SvtError::Mechanism`] on empty or non-finite scores. Scores
-    /// are validated as they stream past, so on a non-finite score the
-    /// generator has already consumed some noise (the selection buffer
-    /// is left empty either way).
-    pub fn select_into(
-        &self,
-        scores: &[f64],
-        rng: &mut DpRng,
-        scratch: &mut RunScratch,
-    ) -> Result<()> {
-        let factor = self.key_factor()?;
-        let kernel = scratch.kernel();
-        scratch.begin_em_run();
-        let (em, _, selected) = scratch.em_parts();
-        if scores.is_empty() {
-            return Err(SvtError::Mechanism(MechanismError::EmptyCandidates));
-        }
-        let take = self.c.min(scores.len());
-        em.top.clear();
-        em.top.reserve(take);
-        if em.noise.len() != GUMBEL_CHUNK {
-            em.noise.resize(GUMBEL_CHUNK, 0.0);
-        }
-        let gumbel = Gumbel::standard();
-        let mut index = 0u32;
-        for chunk in scores.chunks(GUMBEL_CHUNK) {
-            let keys = &mut em.noise[..chunk.len()];
-            gumbel.sample_into_kernel(rng, keys, kernel);
-            for (&score, key) in chunk.iter().zip(keys.iter_mut()) {
-                if !score.is_finite() {
-                    return Err(SvtError::Mechanism(MechanismError::NonFiniteScore {
-                        index: index as usize,
-                        score,
-                    }));
-                }
-                *key += factor * score;
-                if em.top.len() < take {
-                    em.top.push((*key, index));
-                    let last = em.top.len() - 1;
-                    sift_up(&mut em.top, last);
-                } else if *key > em.top[0].0 {
-                    em.top[0] = (*key, index);
-                    sift_down(&mut em.top);
-                }
-                index += 1;
-            }
-        }
-        // Selection order = decreasing perturbed key (round order under
-        // the peeling equivalence).
-        em.top.sort_unstable_by(|a, b| b.0.total_cmp(&a.0));
-        selected.extend(em.top.iter().map(|&(_, i)| i as usize));
-        Ok(())
+        .map_err(SvtError::from)
     }
 
     /// Grouped top-`c` selection: the `O(G + c)`-draws equivalent of
-    /// [`select_into`](Self::select_into) over the index-preserving
-    /// grouped score runs (`G` = number of distinct scores). The
-    /// selection lands in [`RunScratch::selected`], in selection order,
-    /// exactly like the other samplers.
+    /// [`select`](Self::select) over the index-preserving grouped score
+    /// runs (`G` = number of distinct scores). The selection lands in
+    /// [`RunScratch::selected`], in selection order.
     ///
-    /// Samples the same output distribution as [`select`](Self::select)
-    /// and `select_into` through two identities layered on the
-    /// Gumbel-max equivalence:
+    /// Samples the same output distribution as `select` through two
+    /// identities layered on the Gumbel-max equivalence (perturbing
+    /// every score once with `Gumbel(0, 1/f)` noise, `f` the exponent
+    /// factor, and keeping the `c` largest perturbed scores in
+    /// decreasing order is distributionally identical to `c` rounds of
+    /// peeling):
     ///
     /// * **across groups** — within a run of `m` tied scores the `m`
     ///   perturbed keys are i.i.d. `Gumbel(φ_g, 1)`, so the group's key
     ///   order statistics can be peeled lazily in descending order by
     ///   [`GumbelMax`] (the maximum in one draw via the `ln m` location
     ///   shift, successors via the exponential-spacings recurrence); a
-    ///   max-heap across groups then replays the global descending key
-    ///   order that `select_into` materializes item by item;
+    ///   max-heap across groups then replays the global descending
+    ///   order of one key per item without drawing those keys;
     /// * **within a group** — i.i.d. keys are exchangeable, so the
     ///   member holding the group's `k`-th largest key is uniform among
     ///   the not-yet-selected members; the expansion draws it by sparse
@@ -368,33 +205,32 @@ impl EmTopC {
         rng: &mut DpRng,
         scratch: &mut RunScratch,
     ) -> Result<()> {
-        let factor = self.key_factor()?;
-        scratch.begin_em_run();
-        let (em, picks, selected) = scratch.em_parts();
+        let factor = self.round_mechanism()?.log_weight_factor();
+        let (cursors, heap_storage, picks, selected) = scratch.begin_em_run();
         if groups.len_items() == 0 {
             return Err(SvtError::Mechanism(MechanismError::EmptyCandidates));
         }
         let take = self.c.min(groups.len_items());
-        em.groups.clear();
-        em.groups.reserve(groups.num_groups());
-        em.heap.clear();
-        em.heap.reserve(groups.num_groups());
+        cursors.clear();
+        cursors.reserve(groups.num_groups());
+        heap_storage.clear();
+        heap_storage.reserve(groups.num_groups());
         // Draw protocol (fixed, documented): one uniform per group for
         // the initial maxima, in group (descending score) order …
         for g in 0..groups.num_groups() {
             let dist = Gumbel::new(factor * groups.score(g), 1.0).map_err(SvtError::from)?;
             let mut keys = GumbelMax::new(dist, groups.len(g)).map_err(SvtError::from)?;
             let key = keys.next_key(rng).expect("score groups are nonempty");
-            em.groups.push(GroupCursor {
+            cursors.push(GroupCursor {
                 keys,
                 remaining: groups.len(g) as u32,
             });
-            em.heap.push(GroupKey {
+            heap_storage.push(GroupKey {
                 key,
                 group: g as u32,
             });
         }
-        let mut heap = BinaryHeap::from(std::mem::take(&mut em.heap));
+        let mut heap = BinaryHeap::from(std::mem::take(heap_storage));
         // … then per selection round: the member pick for the winning
         // group, then (if the group is not exhausted) its next key.
         for _ in 0..take {
@@ -402,7 +238,7 @@ impl EmTopC {
                 "every non-exhausted group keeps one key in the heap, \
                  and take is at most the total item count",
             );
-            let cursor = &mut em.groups[group as usize];
+            let cursor = &mut cursors[group as usize];
             let picked_pos =
                 picks.pick_uniform(groups.offset(group as usize), cursor.remaining, rng);
             cursor.remaining -= 1;
@@ -415,7 +251,7 @@ impl EmTopC {
                 heap.push(GroupKey { key, group });
             }
         }
-        em.heap = heap.into_vec();
+        *heap_storage = heap.into_vec();
         Ok(())
     }
 }
@@ -467,118 +303,6 @@ mod tests {
         let mut rng = DpRng::seed_from_u64(463);
         let picked = em.select(&[1.0, 2.0, 3.0], &mut rng).unwrap();
         assert_eq!(picked.len(), 3);
-    }
-
-    #[test]
-    fn select_into_selects_c_distinct_indices_in_key_order() {
-        let em = EmTopC::new(1.0, 10, 1.0, true).unwrap();
-        let scores: Vec<f64> = (0..3000).map(|i| (i % 211) as f64).collect();
-        let mut rng = DpRng::seed_from_u64(571);
-        let mut scratch = RunScratch::new();
-        for _ in 0..20 {
-            em.select_into(&scores, &mut rng, &mut scratch).unwrap();
-            assert_eq!(scratch.selected().len(), 10);
-            let mut s = scratch.selected().to_vec();
-            s.sort_unstable();
-            s.dedup();
-            assert_eq!(s.len(), 10);
-        }
-    }
-
-    #[test]
-    fn select_into_generous_budget_recovers_exact_top_c() {
-        let em = EmTopC::new(1000.0, 5, 1.0, true).unwrap();
-        let scores: Vec<f64> = (0..50).map(|i| (i * i) as f64).collect();
-        let mut rng = DpRng::seed_from_u64(577);
-        let mut scratch = RunScratch::new();
-        em.select_into(&scores, &mut rng, &mut scratch).unwrap();
-        let mut picked = scratch.selected().to_vec();
-        picked.sort_unstable();
-        assert_eq!(picked, vec![45, 46, 47, 48, 49]);
-        // And the selection order is best-first under that budget.
-        assert_eq!(scratch.selected()[0], 49);
-    }
-
-    #[test]
-    fn select_into_exhausts_small_pools_and_validates() {
-        let em = EmTopC::new(1.0, 10, 1.0, false).unwrap();
-        let mut rng = DpRng::seed_from_u64(587);
-        let mut scratch = RunScratch::new();
-        em.select_into(&[1.0, 2.0, 3.0], &mut rng, &mut scratch)
-            .unwrap();
-        assert_eq!(scratch.selected().len(), 3);
-        assert!(em.select_into(&[], &mut rng, &mut scratch).is_err());
-        assert!(em
-            .select_into(&[1.0, f64::NAN], &mut rng, &mut scratch)
-            .is_err());
-        assert!(scratch.selected().is_empty(), "error leaves no selection");
-    }
-
-    #[test]
-    fn select_into_is_seed_deterministic_across_scratch_reuse() {
-        let em = EmTopC::new(0.4, 12, 1.0, true).unwrap();
-        let scores: Vec<f64> = (0..2000).map(|i| (i % 97) as f64 * 2.0).collect();
-        let run = |scratch: &mut RunScratch, seed: u64| {
-            let mut rng = DpRng::seed_from_u64(seed);
-            em.select_into(&scores, &mut rng, scratch).unwrap();
-            scratch.selected().to_vec()
-        };
-        let mut fresh = RunScratch::new();
-        let a = run(&mut fresh, 11);
-        let mut reused = RunScratch::new();
-        run(&mut reused, 99); // dirty the scratch with a different seed
-        let b = run(&mut reused, 11);
-        assert_eq!(a, b, "dirty scratch must not leak into the next run");
-    }
-
-    #[test]
-    fn select_into_matches_peeling_distribution() {
-        // The Gumbel-max one-shot and literal peeling sample the same
-        // distribution; compare first-pick frequencies on a small
-        // instance where the exact probabilities are known.
-        let em = EmTopC::new(3.0, 1, 1.0, true).unwrap();
-        let scores = [0.0, 1.0, 2.0];
-        let probs = dp_mechanisms::ExponentialMechanism::new_monotonic(3.0, 1.0)
-            .unwrap()
-            .selection_probabilities(&scores)
-            .unwrap();
-        let mut rng = DpRng::seed_from_u64(593);
-        let mut scratch = RunScratch::new();
-        let trials = 60_000;
-        let mut counts = [0usize; 3];
-        for _ in 0..trials {
-            em.select_into(&scores, &mut rng, &mut scratch).unwrap();
-            counts[scratch.selected()[0]] += 1;
-        }
-        for i in 0..3 {
-            let f = counts[i] as f64 / trials as f64;
-            assert!((f - probs[i]).abs() < 0.012, "i={i}: {f} vs {}", probs[i]);
-        }
-    }
-
-    #[test]
-    fn select_into_matches_peeling_on_full_set_distribution() {
-        // Full ordered-outcome comparison against the peeling reference
-        // (4 candidates, c = 2 → 12 ordered outcomes).
-        let em = EmTopC::new(2.0, 2, 1.0, true).unwrap();
-        let scores = [0.0, 0.5, 1.0, 1.5];
-        let mut rng = DpRng::seed_from_u64(599);
-        let mut scratch = RunScratch::new();
-        let trials = 40_000;
-        let key = |v: &[usize]| v[0] * 4 + v[1];
-        let mut peel_counts = [0usize; 16];
-        let mut shot_counts = [0usize; 16];
-        for _ in 0..trials {
-            let a = em.select(&scores, &mut rng).unwrap();
-            peel_counts[key(&a)] += 1;
-            em.select_into(&scores, &mut rng, &mut scratch).unwrap();
-            shot_counts[key(scratch.selected())] += 1;
-        }
-        for i in 0..16 {
-            let p = peel_counts[i] as f64 / trials as f64;
-            let s = shot_counts[i] as f64 / trials as f64;
-            assert!((p - s).abs() < 0.015, "outcome {i}: peel {p} vs shot {s}");
-        }
     }
 
     fn grouped(scores: &[f64]) -> GroupedSnapshot {
@@ -674,7 +398,7 @@ mod tests {
 
     #[test]
     fn select_grouped_into_matches_select_and_select_into_on_full_set_distribution() {
-        // Full ordered-outcome comparison of all three samplers on an
+        // Full ordered-outcome comparison of the two samplers on an
         // instance with a tied pair (4 candidates, c = 2 → 12 ordered
         // outcomes).
         let em = EmTopC::new(2.0, 2, 1.0, true).unwrap();
@@ -685,37 +409,28 @@ mod tests {
         let trials = 40_000;
         let key = |v: &[usize]| v[0] * 4 + v[1];
         let mut peel_counts = [0usize; 16];
-        let mut shot_counts = [0usize; 16];
         let mut grouped_counts = [0usize; 16];
         for _ in 0..trials {
             let a = em.select(&scores, &mut rng).unwrap();
             peel_counts[key(&a)] += 1;
-            em.select_into(&scores, &mut rng, &mut scratch).unwrap();
-            shot_counts[key(scratch.selected())] += 1;
             em.select_grouped_into(&g, &mut rng, &mut scratch).unwrap();
             grouped_counts[key(scratch.selected())] += 1;
         }
         for i in 0..16 {
             let p = peel_counts[i] as f64 / trials as f64;
-            let s = shot_counts[i] as f64 / trials as f64;
             let q = grouped_counts[i] as f64 / trials as f64;
             assert!(
                 (p - q).abs() < 0.015,
                 "outcome {i}: peel {p} vs grouped {q}"
-            );
-            assert!(
-                (s - q).abs() < 0.015,
-                "outcome {i}: shot {s} vs grouped {q}"
             );
         }
     }
 
     #[test]
     fn tied_scores_are_selected_uniformly_at_tiny_epsilon() {
-        // The tie contract (see `EmScratch`): duplicate scores at tiny ε
-        // (keys driven almost purely by noise, maximal heap-collision
-        // pressure) must be selected with equal probability by all three
-        // samplers — `select` is the reference, the other two must agree.
+        // The tie contract (see the module docs): duplicate scores at
+        // tiny ε (keys driven almost purely by noise) must be selected
+        // with equal probability by both samplers.
         let em = EmTopC::new(1e-9, 2, 1.0, true).unwrap();
         let scores = [5.0, 5.0, 5.0, 5.0, 5.0, 5.0];
         let g = grouped(&scores);
@@ -723,15 +438,10 @@ mod tests {
         let mut scratch = RunScratch::new();
         let trials = 30_000;
         let mut peel = [0usize; 6];
-        let mut shot = [0usize; 6];
         let mut runs_grouped = [0usize; 6];
         for _ in 0..trials {
             for &i in &em.select(&scores, &mut rng).unwrap() {
                 peel[i] += 1;
-            }
-            em.select_into(&scores, &mut rng, &mut scratch).unwrap();
-            for &i in scratch.selected() {
-                shot[i] += 1;
             }
             em.select_grouped_into(&g, &mut rng, &mut scratch).unwrap();
             for &i in scratch.selected() {
@@ -740,7 +450,7 @@ mod tests {
         }
         // Each of the 6 tied items should appear in c/n = 1/3 of runs.
         for i in 0..6 {
-            for (name, counts) in [("peel", &peel), ("shot", &shot), ("grouped", &runs_grouped)] {
+            for (name, counts) in [("peel", &peel), ("grouped", &runs_grouped)] {
                 let f = counts[i] as f64 / trials as f64;
                 assert!(
                     (f - 1.0 / 3.0).abs() < 0.012,
@@ -751,44 +461,28 @@ mod tests {
     }
 
     #[test]
-    fn heap_sift_keeps_earliest_index_on_equal_keys() {
-        // The documented key-tie behaviour of select_into's min-heap:
-        // strict comparisons mean an incoming bit-equal key neither
-        // displaces an incumbent on insert nor survives replacement at
-        // the boundary.
-        let mut heap: Vec<(f64, u32)> = vec![];
-        for i in 0..4u32 {
-            heap.push((1.0, i));
-            let last = heap.len() - 1;
-            sift_up(&mut heap, last);
-        }
-        // All keys equal: sift_up must never have reordered anything.
-        assert_eq!(heap, vec![(1.0, 0), (1.0, 1), (1.0, 2), (1.0, 3)]);
-        // Root replacement with an equal key: sift_down leaves it put.
-        heap[0] = (1.0, 9);
-        sift_down(&mut heap);
-        assert_eq!(heap[0], (1.0, 9));
-    }
-
-    #[test]
-    fn select_grouped_into_is_bit_identical_to_select_into_on_distinct_sorted_scores() {
+    fn select_grouped_into_is_bit_identical_to_per_item_keys_on_distinct_sorted_scores() {
         // The degenerate case: all scores distinct and already in
         // decreasing order means every group is a singleton *and* the
-        // grouped traversal visits items in index order. GumbelMax with
-        // m = 1 is bit-identical to a plain Gumbel draw and the batched
-        // fill is stream-equivalent to scalar draws, so both samplers
-        // consume the same uniforms, compute bit-identical keys, and
-        // must emit the identical selection.
-        // The per-item fill runs the scratch's kernel and GumbelMax
-        // always runs libm, so the scratch takes the Reference kernel.
+        // grouped sampler draws its initial maxima in index order.
+        // GumbelMax with m = 1 is bit-identical to a plain Gumbel draw,
+        // so the grouped sampler's keys are exactly those of one
+        // `Gumbel(f·q, 1)` draw per item in index order, and its
+        // selection must be the top `c` of those keys, best first.
         let em = EmTopC::new(0.7, 25, 1.0, true).unwrap();
+        let factor = em.round_mechanism().unwrap().log_weight_factor();
         let scores: Vec<f64> = (0..4000).map(|i| (8000 - i) as f64).collect();
         let g = grouped(&scores);
-        let mut scratch = RunScratch::with_noise_batch(dp_mechanisms::NoiseBuffer::DEFAULT_BATCH);
+        let mut scratch = RunScratch::new();
         for seed in [3u64, 641, 0xfeed_f00d] {
             let mut rng = DpRng::seed_from_u64(seed);
-            em.select_into(&scores, &mut rng, &mut scratch).unwrap();
-            let per_item = scratch.selected().to_vec();
+            let mut keyed: Vec<(f64, usize)> = scores
+                .iter()
+                .enumerate()
+                .map(|(i, &q)| (Gumbel::new(factor * q, 1.0).unwrap().sample(&mut rng), i))
+                .collect();
+            keyed.sort_unstable_by(|a, b| b.0.total_cmp(&a.0));
+            let per_item: Vec<usize> = keyed[..em.c].iter().map(|&(_, i)| i).collect();
             let mut rng = DpRng::seed_from_u64(seed);
             em.select_grouped_into(&g, &mut rng, &mut scratch).unwrap();
             assert_eq!(scratch.selected(), &per_item[..], "seed {seed}");

@@ -47,6 +47,7 @@
 
 use crate::alg::StandardSvtConfig;
 use crate::response::SvtAnswer;
+use crate::streaming::SvtNoise;
 use crate::{Result, SvtError};
 use dp_mechanisms::laplace::Laplace;
 use dp_mechanisms::{DpRng, NoiseBuffer};
@@ -220,11 +221,10 @@ impl SessionDriver {
     ///
     /// # Errors
     /// Rejects the same invalid configurations as
-    /// [`StandardSvt::new`](crate::alg::StandardSvt::new).
+    /// [`StandardSvt::new`](crate::alg::StandardSvt::new), and like it
+    /// reports them before drawing anything from `rng`.
     pub fn open(config: StandardSvtConfig, rng: &mut DpRng) -> Result<Self> {
-        dp_mechanisms::error::check_sensitivity(config.sensitivity).map_err(SvtError::from)?;
-        crate::error::check_cutoff(config.c)?;
-        let query_noise = Laplace::new(config.query_noise_scale()).map_err(SvtError::from)?;
+        let (threshold_noise, query_noise) = Laplace::for_config(&config)?;
         let numeric_noise = if config.budget.has_numeric_phase() {
             Some(Laplace::new(config.numeric_noise_scale()).map_err(SvtError::from)?)
         } else {
@@ -232,9 +232,7 @@ impl SessionDriver {
         };
         let noise_rng = rng.fork();
         let numeric = numeric_noise.map(|noise| (noise, rng.fork()));
-        let rho = Laplace::new(config.threshold_noise_scale())
-            .map_err(SvtError::from)?
-            .sample(rng);
+        let rho = threshold_noise.sample(rng);
         Ok(Self {
             state: SessionState::new(config, rho)?,
             query_noise,
@@ -416,6 +414,17 @@ mod tests {
         }
         assert_eq!(driver.queries_asked(), 600);
         assert_eq!(rng.next_u64(), replay.next_u64());
+    }
+
+    #[test]
+    fn open_rejects_a_bad_threshold_scale_before_any_draw() {
+        // ε₁ = 0 makes ρ's scale infinite: like `StandardSvt::new`, the
+        // driver must refuse before it forks or draws anything.
+        let mut cfg = config(3, 0.0);
+        cfg.budget.threshold = 0.0;
+        let (mut rng, mut untouched) = (DpRng::seed_from_u64(67), DpRng::seed_from_u64(67));
+        assert!(SessionDriver::open(cfg, &mut rng).is_err());
+        assert_eq!(rng.next_u64(), untouched.next_u64());
     }
 
     #[test]

@@ -50,7 +50,7 @@
 
 use crate::alg::SparseVector;
 use crate::alg::StandardSvtConfig;
-use crate::em_select::EmScratch;
+use crate::em_select::{GroupCursor, GroupKey};
 use crate::noninteractive::SvtSelectConfig;
 use crate::session::SessionState;
 use crate::skip_ahead::SkipGroup;
@@ -507,10 +507,12 @@ impl SparseOrder {
 /// [`select_streaming_from`],
 /// [`svt_retraversal_from`](crate::retraversal::svt_retraversal_from),
 /// [`revisited_select_grouped`](crate::skip_ahead::revisited_select_grouped),
-/// and the [`EmTopC`](crate::em_select::EmTopC) samplers — with the
-/// result of the most recent run in [`selected`](Self::selected).
+/// and [`EmTopC::select_grouped_into`](crate::em_select::EmTopC::select_grouped_into)
+/// — with the result of the most recent run in
+/// [`selected`](Self::selected).
 ///
 /// ```
+/// use dp_data::GroupedSnapshot;
 /// use dp_mechanisms::DpRng;
 /// use svt_core::allocation::BudgetRatio;
 /// use svt_core::em_select::EmTopC;
@@ -527,18 +529,23 @@ impl SparseOrder {
 /// assert!(scratch.selected().len() <= 2);
 ///
 /// let em = EmTopC::new(4.0, 2, 1.0, true)?;
-/// em.select_into(&scores, &mut rng, &mut scratch)?;
+/// em.select_grouped_into(&GroupedSnapshot::from_scores(&scores)?, &mut rng, &mut scratch)?;
 /// assert_eq!(scratch.selected().len(), 2);
-/// # Ok::<(), svt_core::SvtError>(())
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct RunScratch {
     order: SparseOrder,
     selected: Vec<usize>,
     noise: NoiseBuffer,
-    em: EmScratch,
     /// Per-group state of the SVT-Revisited skip-ahead.
     skip: Vec<SkipGroup>,
+    /// Per-group key cursors of the grouped EM sampler.
+    em_cursors: Vec<GroupCursor>,
+    /// Backing storage for the grouped EM sampler's cross-group
+    /// max-heap, kept between runs so it never reallocates in steady
+    /// state.
+    em_heap: Vec<GroupKey>,
     /// The grouped samplers' within-group pick map
     /// ([`DisplacementMap::pick_uniform`]).
     picks: DisplacementMap,
@@ -574,8 +581,9 @@ impl RunScratch {
             order: SparseOrder::new(),
             selected: Vec::new(),
             noise: NoiseBuffer::with_kernel(batch, kernel),
-            em: EmScratch::new(),
             skip: Vec::new(),
+            em_cursors: Vec::new(),
+            em_heap: Vec::new(),
             picks: DisplacementMap::default(),
             examined: None,
         }
@@ -597,8 +605,9 @@ impl RunScratch {
     /// (for SVT-ReTr, the items its first pass examined).
     /// After [`revisited_select_grouped`](crate::skip_ahead::revisited_select_grouped)
     /// it is the run's sampled examined count (same law as the
-    /// item-level walk's); it reads zero after the EM samplers, which
-    /// scan without an examination order.
+    /// item-level walk's); it reads zero after
+    /// [`EmTopC::select_grouped_into`](crate::em_select::EmTopC::select_grouped_into),
+    /// which walks no examination order.
     pub fn examined(&self) -> usize {
         self.examined.unwrap_or_else(|| self.order.emitted())
     }
@@ -614,21 +623,28 @@ impl RunScratch {
         self.examined = None;
     }
 
-    /// Rewinds for an EM selection: empty selection and a zero-length
-    /// order (EM scans without an examination order, so
-    /// [`examined`](Self::examined) reads 0 afterwards).
-    pub(crate) fn begin_em_run(&mut self) {
+    /// Rewinds for a grouped EM selection (no examination order, so
+    /// [`examined`](Self::examined) reads 0 afterwards; empty selection
+    /// and pick map) and lends its per-group key cursors, heap storage,
+    /// pick map and selection buffer.
+    pub(crate) fn begin_em_run(
+        &mut self,
+    ) -> (
+        &mut Vec<GroupCursor>,
+        &mut Vec<GroupKey>,
+        &mut DisplacementMap,
+        &mut Vec<usize>,
+    ) {
         self.order.reset(0);
         self.selected.clear();
         self.examined = None;
         self.picks.reset();
-    }
-
-    /// The EM scratch, the pick map and the shared selection buffer,
-    /// borrowed together for the [`EmTopC`](crate::em_select::EmTopC)
-    /// samplers.
-    pub(crate) fn em_parts(&mut self) -> (&mut EmScratch, &mut DisplacementMap, &mut Vec<usize>) {
-        (&mut self.em, &mut self.picks, &mut self.selected)
+        (
+            &mut self.em_cursors,
+            &mut self.em_heap,
+            &mut self.picks,
+            &mut self.selected,
+        )
     }
 
     /// Rewinds for a skip-ahead run (no examination order, empty
@@ -1500,7 +1516,9 @@ mod tests {
         .unwrap();
         assert!(scratch.examined() > 0);
         let em = crate::em_select::EmTopC::new(1.0, 5, 1.0, true).unwrap();
-        em.select_into(&scores, &mut rng, &mut scratch).unwrap();
+        let groups = GroupedSnapshot::from_scores(&scores).unwrap();
+        em.select_grouped_into(&groups, &mut rng, &mut scratch)
+            .unwrap();
         assert_eq!(scratch.examined(), 0);
         assert_eq!(scratch.selected().len(), 5);
     }

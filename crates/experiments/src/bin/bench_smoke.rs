@@ -7,11 +7,11 @@
 //!
 //! * `exact_scalar` / `em_peel` — the reference per-query paths (fresh
 //!   allocations, eager full shuffle, per-draw noise; literal EM
-//!   peeling);
-//! * `exact_batched` / `em_batched` — the zero-copy streaming paths
-//!   (reusable [`RunScratch`], sparse lazy Fisher–Yates, block-batched
-//!   Laplace noise / scratch-buffered per-item Gumbel keys);
-//! * `em_grouped_exact` — the exact engine's default EM route
+//!   peeling, timed at the mid scale only);
+//! * `exact_batched` — the zero-copy streaming path (reusable
+//!   [`RunScratch`], sparse lazy Fisher–Yates, block-batched Laplace
+//!   noise);
+//! * `em_grouped_exact` — the exact engine's EM route
 //!   (`run_once_into`): lazy per-group Gumbel order statistics with
 //!   index-preserving uniform expansion — `O(G + c)` draws.
 //!
@@ -92,12 +92,15 @@
 //! engine per dataset size) so CI can track the perf trajectory, and
 //! `--check BASELINE.json` turns the binary into a regression gate.
 //! The gate compares **engine ratios**, not absolute wall-clock: within
-//! each `(dataset, algorithm)` cell group the slowest reference engine
-//! present (`exact_scalar` for SVT; `em_peel`, else `em_batched`, for
-//! EM) is the denominator, so machine speed cancels and only a change
-//! in the *relative* cost of a pipeline trips the gate. Any engine
-//! whose ratio grows more than [`CHECK_TOLERANCE`] vs the committed
-//! baseline fails the run with a per-cell diff.
+//! each `(dataset, algorithm)` cell group the scalar reference engine
+//! (`exact_scalar` and its `rv_`/`exp_` siblings for SVT, `em_peel`
+//! for EM) is the denominator, so machine speed cancels and only a
+//! change in the *relative* cost of a pipeline trips the gate. Any
+//! engine whose ratio grows more than [`CHECK_TOLERANCE`] vs the
+//! committed baseline fails the run with a per-cell diff. A group
+//! without its reference is not ratio-gated: peeling is not timed at
+//! AOL scale, so that scale's EM cell is guarded by CI's check of its
+//! recorded budget instead.
 //!
 //! Usage: `bench_smoke [--out PATH] [--runs N] [--seed S]
 //! [--check BASELINE] [--context-cache DIR]` (default `--out
@@ -132,19 +135,17 @@ const EPSILON: f64 = 0.1;
 /// are ≥ 1.5×).
 const CHECK_TOLERANCE: f64 = 0.30;
 
-/// Reference-engine preference per algorithm, most-preferred first: the
-/// slowest (scalar/peeling) path present in both runs anchors its
-/// `(dataset, algorithm)` group's ratios. `em_peel` is absent at AOL
-/// scale, where `em_batched` (the per-item-key path) anchors instead.
-fn reference_preference(algorithm: &str) -> &'static [&'static str] {
+/// The scalar reference engine that anchors a `(dataset, algorithm)`
+/// group's ratios.
+fn reference_engine(algorithm: &str) -> &'static str {
     if algorithm == "EM" {
-        &["em_peel", "em_batched"]
+        "em_peel"
     } else if algorithm.starts_with("SVT-RV") {
-        &["rv_exact_scalar"]
+        "rv_exact_scalar"
     } else if algorithm.starts_with("SVT-Exp") {
-        &["exp_exact_scalar"]
+        "exp_exact_scalar"
     } else {
-        &["exact_scalar"]
+        "exact_scalar"
     }
 }
 
@@ -393,7 +394,7 @@ fn bench_size(
 
     // The EM cell. Literal peeling is O(c·n) per run — at AOL scale
     // that is ~10 s of ln() calls per run, so the scalar reference is
-    // timed at the mid scale only (the batched paths cover both
+    // timed at the mid scale only (the grouped route covers both
     // scales).
     if n < AOL_SCALE {
         let em_runs = runs.div_ceil(8);
@@ -406,22 +407,7 @@ fn bench_size(
         out.push(cell("EM", "em_peel", em_runs, timing));
     }
 
-    // The per-item-key one-shot (one Gumbel key per item, O(n log c)):
-    // the reference the grouped-exact route is gated against.
-    let em_runs = if n >= AOL_SCALE {
-        runs.div_ceil(2)
-    } else {
-        runs
-    };
-    let timing = time_runs(seed, em_runs, |rng| {
-        exact
-            .run_once_em_ungrouped(EPSILON, rng, &mut scratch)
-            .expect("em batched run")
-            .ser
-    });
-    out.push(cell("EM", "em_batched", em_runs, timing));
-
-    // The exact engine's default EM route (what `SimulationMode::Auto`
+    // The exact engine's EM route (what `SimulationMode::Auto`
     // runs): lazy per-group order statistics, O(G + c) draws per run.
     let timing = time_runs(seed, runs, |rng| {
         exact
@@ -448,8 +434,9 @@ fn bench_size(
 ///   as small as the avoided per-run allocation. It gets a 15%
 ///   allowance so a same-speed tie can't flip the gate on a noisy box
 ///   while a real regression (the old interactive wrapper was
-///   1.8–1.9× scalar) still trips it. SVT-RV's skip-ahead, which has
-///   no vectorized sibling, is held to the strict tier.
+///   1.8–1.9× scalar) still trips it. SVT-RV's skip-ahead and the
+///   grouped EM route, which have no vectorized sibling, are held to
+///   the strict tier.
 fn assert_batched_beats_scalar(cells: &[CellTiming]) {
     // (strict vectorized cell, reference-kernel cell, scalar reference)
     let pairs = [
@@ -460,7 +447,7 @@ fn assert_batched_beats_scalar(cells: &[CellTiming]) {
             "exp_exact_batched",
             "exp_exact_scalar",
         ),
-        ("em_batched", "em_batched", "em_peel"),
+        ("em_grouped_exact", "em_grouped_exact", "em_peel"),
     ];
     const REFERENCE_ALLOWANCE: f64 = 1.15;
     for (vectorized, reference, scalar) in pairs {
@@ -606,7 +593,6 @@ fn parse_baseline(text: &str) -> Vec<BaselineCell> {
             "exp_exact_batched",
             "exp_exact_batched_vectorized",
             "em_peel",
-            "em_batched",
             "em_grouped_exact",
         ];
         if let Some(&engine) = known.iter().find(|&&e| e == engine) {
@@ -614,20 +600,6 @@ fn parse_baseline(text: &str) -> Vec<BaselineCell> {
         }
     }
     cells
-}
-
-/// Finds the `(dataset, algorithm)` group's reference timing in a cell
-/// list: the most-preferred reference engine present.
-fn reference_ns<'c>(
-    cells: impl Iterator<Item = (&'c str, u128)> + Clone,
-    algorithm: &str,
-) -> Option<(&'static str, u128)> {
-    for &preferred in reference_preference(algorithm) {
-        if let Some((_, ns)) = cells.clone().find(|&(engine, _)| engine == preferred) {
-            return Some((preferred, ns));
-        }
-    }
-    None
 }
 
 /// Compares fresh timings against the committed baseline on **engine
@@ -663,11 +635,12 @@ fn check_against_baseline(cells: &[CellTiming], baseline_path: &str) -> Result<(
             ));
             continue;
         };
-        let base_group = baseline
+        let reference = reference_engine(algorithm);
+        let Some(base_ref_ns) = baseline
             .iter()
-            .filter(|(d, a, _, _)| d == dataset && a == algorithm)
-            .map(|(_, _, e, ns)| (*e, *ns));
-        let Some((reference, base_ref_ns)) = reference_ns(base_group, algorithm) else {
+            .find(|(d, a, e, _)| d == dataset && a == algorithm && *e == reference)
+            .map(|&(_, _, _, ns)| ns)
+        else {
             continue; // group has no reference engine: nothing to gate on
         };
         if *engine == reference {

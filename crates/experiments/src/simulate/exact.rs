@@ -122,27 +122,6 @@ impl<'a> ExactContext<'a> {
         };
         Ok(self.outcome(&selected))
     }
-
-    /// Executes one EM run through the per-item-key sampler
-    /// ([`EmTopC::select_into`]: one scratch-buffered Gumbel key per
-    /// item, `O(n log c)`).
-    ///
-    /// Kept as the reference the grouped-exact EM path is
-    /// distribution-tested and benchmarked against (`em_batched` in
-    /// `bench_smoke`); [`run_once_into`](Self::run_once_into) routes EM
-    /// to the grouped sampler instead.
-    ///
-    /// # Errors
-    /// Propagates configuration validation from [`EmTopC`].
-    pub fn run_once_em_ungrouped(
-        &self,
-        epsilon: f64,
-        rng: &mut DpRng,
-        scratch: &mut RunScratch,
-    ) -> Result<RunOutcome> {
-        EmTopC::new(epsilon, self.c, 1.0, true)?.select_into(self.scores, rng, scratch)?;
-        Ok(self.outcome(scratch.selected()))
-    }
 }
 
 impl<'a> ExactContext<'a, GroupedSnapshot> {
@@ -348,8 +327,9 @@ mod tests {
     #[test]
     fn em_grouped_exact_path_matches_per_item_path_distribution() {
         // The default EM route (lazy per-group order statistics) and
-        // the per-item-key reference sample the same distribution: mean
-        // SER and FNR over many runs must agree.
+        // the scalar reference (literal peeling, which weighs every
+        // item in every round) sample the same distribution: mean SER
+        // and FNR over many runs must agree.
         let scores = toy_scores();
         let sweep = SweepContext::new(&scores);
         let ctx = ExactContext::new(&scores, &sweep, 5);
@@ -357,31 +337,29 @@ mod tests {
         let mut scratch = RunScratch::new();
         let mut rng_a = DpRng::seed_from_u64(881);
         let mut rng_b = DpRng::seed_from_u64(883);
-        let (mut gs, mut gf, mut us, mut uf) = (0.0, 0.0, 0.0, 0.0);
+        let (mut gs, mut gf, mut ps, mut pf) = (0.0, 0.0, 0.0, 0.0);
         for _ in 0..runs {
             let g = ctx
                 .run_once_into(&AlgorithmSpec::Em, 0.5, &mut rng_a, &mut scratch)
                 .unwrap();
             gs += g.ser;
             gf += g.fnr;
-            let u = ctx
-                .run_once_em_ungrouped(0.5, &mut rng_b, &mut scratch)
-                .unwrap();
-            us += u.ser;
-            uf += u.fnr;
+            let p = ctx.run_once(&AlgorithmSpec::Em, 0.5, &mut rng_b).unwrap();
+            ps += p.ser;
+            pf += p.fnr;
         }
         let n = runs as f64;
         assert!(
-            (gs / n - us / n).abs() < 0.02,
-            "SER grouped {} vs per-item {}",
+            (gs / n - ps / n).abs() < 0.02,
+            "SER grouped {} vs peeling {}",
             gs / n,
-            us / n
+            ps / n
         );
         assert!(
-            (gf / n - uf / n).abs() < 0.02,
-            "FNR grouped {} vs per-item {}",
+            (gf / n - pf / n).abs() < 0.02,
+            "FNR grouped {} vs peeling {}",
             gf / n,
-            uf / n
+            pf / n
         );
     }
 

@@ -11,7 +11,8 @@
 //!   distribution function, survival function and quantiles, plus the
 //!   classic [`laplace_mechanism`] for releasing numeric query answers.
 //! - [`Gumbel`] — the Gumbel distribution, used for the Gumbel-max trick
-//!   that samples the Exponential Mechanism in one pass, and
+//!   that samples top-`c` Exponential Mechanism selection without
+//!   peeling, and
 //!   [`GumbelMax`] — lazy descending order statistics of `m` i.i.d.
 //!   Gumbel keys (the max in `O(1)` via the `ln m` location shift),
 //!   which makes EM selection over tied-score groups `O(#groups + c)`.
@@ -22,8 +23,6 @@
 //! - [`ExponentialMechanism`] — McSherry–Talwar selection with both the
 //!   general `exp(εq/2Δ)` and the one-sided/monotonic `exp(εq/Δ)` scoring
 //!   described in Section 2 of the paper.
-//! - [`noisy_max`] — report-noisy-max baselines and the one-shot Gumbel
-//!   top-`c` selection that is distributionally equivalent to peeling EM.
 //! - [`SvtBudget`] — the `ε₁/ε₂/ε₃` split used by the standard SVT.
 //! - [`BudgetLedger`] — sequential-composition bookkeeping as an
 //!   auditable, append-only chain of hash-linked [`ChargeReceipt`]s with
@@ -75,7 +74,6 @@ pub mod geometric;
 pub mod gumbel;
 pub mod laplace;
 pub mod ledger;
-pub mod noisy_max;
 pub mod rng;
 pub mod sample;
 pub mod wal;

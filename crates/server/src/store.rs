@@ -234,6 +234,16 @@ struct SessionEntry {
     dataset: Option<Arc<ScoreSnapshot>>,
 }
 
+impl SessionEntry {
+    fn status(&self) -> SessionStatus {
+        SessionStatus {
+            queries_asked: self.driver.queries_asked(),
+            positives: self.driver.state().positives(),
+            exhausted: self.driver.is_exhausted(),
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct TokenBucket {
     tokens: f64,
@@ -311,27 +321,39 @@ impl ShardState {
         }
     }
 
-    /// Checks tombstone / liveness / TTL for `session` and, if alive,
-    /// stamps it with tick `now` (refreshing its LRU position).
-    fn admit_session(&mut self, session: SessionId, ttl: Option<u64>, now: u64) -> Result<()> {
+    /// The live entry of `session` at tick `now`. A tombstoned id
+    /// reports why it was evicted, an unknown one
+    /// [`ServerError::UnknownSession`]; a session idle for `ttl` ticks
+    /// or more is evicted and tombstoned here (reason `Expired`), the
+    /// lazy expiry every session lookup applies.
+    fn live_session(
+        &mut self,
+        session: SessionId,
+        ttl: Option<u64>,
+        now: u64,
+    ) -> Result<&mut SessionEntry> {
         if let Some(&reason) = self.evicted.get(&session) {
             return Err(ServerError::SessionEvicted { session, reason });
         }
         let Some(entry) = self.sessions.get(&session) else {
             return Err(ServerError::UnknownSession(session));
         };
-        if let Some(ttl) = ttl {
-            if now.saturating_sub(entry.last_touch) >= ttl {
-                self.evict(session, EvictionReason::Expired);
-                return Err(ServerError::SessionEvicted {
-                    session,
-                    reason: EvictionReason::Expired,
-                });
-            }
+        if ttl.is_some_and(|ttl| now.saturating_sub(entry.last_touch) >= ttl) {
+            self.evict(session, EvictionReason::Expired);
+            return Err(ServerError::SessionEvicted {
+                session,
+                reason: EvictionReason::Expired,
+            });
         }
-        let entry = self.sessions.get_mut(&session).expect("checked above");
-        self.lru.remove(&entry.last_touch);
-        entry.last_touch = now;
+        Ok(self.sessions.get_mut(&session).expect("checked above"))
+    }
+
+    /// Looks `session` up at tick `now` and, if alive, stamps it with
+    /// `now` (refreshing its LRU position).
+    fn admit_session(&mut self, session: SessionId, ttl: Option<u64>, now: u64) -> Result<()> {
+        let entry = self.live_session(session, ttl, now)?;
+        let last_touch = std::mem::replace(&mut entry.last_touch, now);
+        self.lru.remove(&last_touch);
         self.lru.insert(now, session);
         Ok(())
     }
@@ -870,23 +892,19 @@ impl SessionStore {
 
     /// The epoch of the dataset snapshot pinned by `session` at open
     /// time. Stable for the session's whole life: updates published
-    /// after the open do not move it. Read-only (no tick, no LRU
-    /// refresh).
+    /// after the open do not move it. Does not tick the shard clock or
+    /// refresh the session's LRU position, but does report (and enact)
+    /// TTL expiry.
     ///
     /// # Errors
     /// [`ServerError::SessionEvicted`]; [`ServerError::UnknownSession`];
     /// [`ServerError::NoDataset`] when the tenant had no dataset when
     /// the session opened.
     pub fn session_dataset_epoch(&self, session: SessionId) -> Result<u64> {
-        let shard = self.lock_shard(self.shard_of(session.tenant));
-        if let Some(&reason) = shard.evicted.get(&session) {
-            return Err(ServerError::SessionEvicted { session, reason });
-        }
-        let entry = shard
-            .sessions
-            .get(&session)
-            .ok_or(ServerError::UnknownSession(session))?;
-        entry
+        let mut shard = self.lock_shard(self.shard_of(session.tenant));
+        let now = shard.clock;
+        shard
+            .live_session(session, self.config.session_ttl, now)?
             .dataset
             .as_ref()
             .map(|s| s.epoch())
@@ -1032,27 +1050,9 @@ impl SessionStore {
     /// [`ServerError::SessionEvicted`]; [`ServerError::UnknownSession`].
     pub fn session_status(&self, session: SessionId) -> Result<SessionStatus> {
         let mut shard = self.lock_shard(self.shard_of(session.tenant));
-        if let Some(&reason) = shard.evicted.get(&session) {
-            return Err(ServerError::SessionEvicted { session, reason });
-        }
-        let Some(entry) = shard.sessions.get(&session) else {
-            return Err(ServerError::UnknownSession(session));
-        };
-        if let Some(ttl) = self.config.session_ttl {
-            if shard.clock.saturating_sub(entry.last_touch) >= ttl {
-                shard.evict(session, EvictionReason::Expired);
-                return Err(ServerError::SessionEvicted {
-                    session,
-                    reason: EvictionReason::Expired,
-                });
-            }
-        }
-        let entry = shard.sessions.get(&session).expect("checked above");
-        Ok(SessionStatus {
-            queries_asked: entry.driver.queries_asked(),
-            positives: entry.driver.state().positives(),
-            exhausted: entry.driver.is_exhausted(),
-        })
+        let now = shard.clock;
+        let entry = shard.live_session(session, self.config.session_ttl, now)?;
+        Ok(entry.status())
     }
 
     /// Removes a session, returning its final status, and releases its
@@ -1066,22 +1066,15 @@ impl SessionStore {
     ///
     /// # Errors
     /// [`ServerError::SessionEvicted`] if the store already reclaimed
-    /// it; [`ServerError::UnknownSession`].
+    /// it, or reclaims it now because it sat idle past the TTL;
+    /// [`ServerError::UnknownSession`].
     pub fn close_session(&self, session: SessionId) -> Result<SessionStatus> {
         let mut shard = self.lock_shard(self.shard_of(session.tenant));
-        if let Some(&reason) = shard.evicted.get(&session) {
-            return Err(ServerError::SessionEvicted { session, reason });
-        }
-        let entry = shard
-            .sessions
-            .remove(&session)
-            .ok_or(ServerError::UnknownSession(session))?;
+        let now = shard.clock;
+        shard.live_session(session, self.config.session_ttl, now)?;
+        let entry = shard.sessions.remove(&session).expect("looked up above");
         shard.lru.remove(&entry.last_touch);
-        Ok(SessionStatus {
-            queries_asked: entry.driver.queries_asked(),
-            positives: entry.driver.state().positives(),
-            exhausted: entry.driver.is_exhausted(),
-        })
+        Ok(entry.status())
     }
 
     /// A copy of the tenant's budget standing and full receipt chain.
@@ -1366,6 +1359,25 @@ mod tests {
         ));
         // The busy session is untouched.
         store.submit(busy, -1e9, 0.0).unwrap();
+        // Closing a session and reading its pinned epoch are lookups
+        // too: past the TTL each reports (and enacts) the expiry.
+        let closed = store.open_session(tenant, config(1), 3).unwrap();
+        store.submit(busy, -1e9, 0.0).unwrap();
+        let pinned = store.open_session(tenant, config(1), 4).unwrap();
+        for _ in 0..3 {
+            store.submit(busy, -1e9, 0.0).unwrap();
+        }
+        let expired = |session| ServerError::SessionEvicted {
+            session,
+            reason: EvictionReason::Expired,
+        };
+        assert_eq!(store.close_session(closed).unwrap_err(), expired(closed));
+        assert_eq!(
+            store.session_dataset_epoch(pinned).unwrap_err(),
+            expired(pinned)
+        );
+        assert_eq!(store.session_status(closed).unwrap_err(), expired(closed));
+        assert_eq!(store.session_status(pinned).unwrap_err(), expired(pinned));
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! This facade crate re-exports the workspace's public API:
 //!
 //! * [`mechanisms`] — DP primitives: Laplace/Gumbel distributions,
-//!   the Exponential Mechanism, report-noisy-max, the budget ledger,
-//!   and the seedable [`DpRng`](mechanisms::DpRng).
+//!   the Exponential Mechanism, the budget ledger, and the seedable
+//!   [`DpRng`](mechanisms::DpRng).
 //! * [`data`] — workloads: score vectors, transaction datasets,
 //!   counting queries, and the four Table-1 dataset generators.
 //! * [`svt`] — the paper's contribution: Algorithms 1–7, budget
