@@ -71,9 +71,9 @@ use dp_mechanisms::{BatchSample, DpRng, NoiseBuffer, NoiseKernel};
 /// dense score slice and the index-preserving grouped runs of an
 /// immutable [`GroupedSnapshot`]
 /// (which resolves an item through its group in `O(1)`). A snapshot is
-/// epoch-stamped and never mutated after publication, so a selection
-/// path holding one is *epoch-pinned*: live score updates elsewhere
-/// publish new snapshots and cannot perturb an in-flight run. Two sources that report
+/// never mutated once built, so a selection path holding one is
+/// pinned to it: live score updates elsewhere publish new snapshots
+/// and cannot perturb an in-flight run. Two sources that report
 /// `==`-equal scores for every item drive the algorithms through
 /// identical comparisons and identical draws, which is what makes an
 /// engine built on the grouped form emit selections **bit-identical**

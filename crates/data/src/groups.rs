@@ -2,11 +2,10 @@
 //! score vector that still knows *which items* share each score — the
 //! per-dataset source of truth every simulation engine reads from.
 //!
-//! [`ScoreVector::grouped`](crate::ScoreVector::grouped) collapses a
-//! score vector to `(score, count)` pairs — enough for engines that only
-//! measure aggregate metrics, but not for samplers that must return
-//! actual item indices. [`GroupedSnapshot`] keeps the full mapping, in
-//! both directions:
+//! [`GroupedSnapshot::pairs`] collapses the runs to `(score, count)`
+//! pairs — enough for consumers that only measure aggregates, but not
+//! for samplers that must return actual item indices. The snapshot
+//! keeps the full mapping, in both directions:
 //!
 //! * the item indices sorted by decreasing score, partitioned into runs
 //!   of tied scores (`order` / `offsets`), which grouped selection
@@ -26,15 +25,13 @@
 //! `O(1)` via [`rank_cut`](GroupedSnapshot::rank_cut) — no per-`c`
 //! re-sort anywhere.
 //!
-//! A snapshot is **immutable** and stamped with an [`epoch`]: 0 when
-//! sorted from a raw slice by
-//! [`from_scores`](GroupedSnapshot::from_scores), otherwise whatever
-//! epoch the persisted file it was decoded from carries. Engines that
-//! hold a snapshot read that one sorted view for their whole lifetime;
-//! nothing mutates a snapshot once it is shared. (Live, served datasets
-//! publish the lighter [`ScoreSnapshot`](crate::ScoreSnapshot) instead.)
-//!
-//! [`epoch`]: GroupedSnapshot::epoch
+//! [`from_scores`](GroupedSnapshot::from_scores) builds the runs by
+//! counting, not by comparison-sorting the items: item supports are
+//! heavily tied (the AOL stand-in has 2.29M items over 448 distinct
+//! values), so only the `G` distinct values are sorted. A snapshot is
+//! **immutable**: engines that hold one read that one sorted view for
+//! their whole lifetime. (Live, served datasets publish the lighter
+//! [`ScoreSnapshot`](crate::ScoreSnapshot) instead.)
 
 use crate::scores::check_scores;
 use crate::Result;
@@ -60,9 +57,9 @@ pub struct RankCut {
     pub top_sum: f64,
 }
 
-/// An immutable, epoch-stamped view of scores grouped by exact value,
-/// in decreasing score order, with the member item indices of every
-/// group and the inverse item → rank table.
+/// An immutable view of scores grouped by exact value, in decreasing
+/// score order, with the member item indices of every group and the
+/// inverse item → rank table.
 ///
 /// Invariants (upheld by construction):
 /// * groups are ordered by strictly decreasing score;
@@ -70,11 +67,6 @@ pub struct RankCut {
 /// * every item index in `0..len_items()` appears in exactly one group;
 /// * [`position_of`](Self::position_of) is the inverse permutation of
 ///   [`item`](Self::item).
-///
-/// Equality ([`PartialEq`]) compares the structural tables only — two
-/// snapshots of the same grouping are equal even if one was sorted
-/// from scratch (epoch 0) and the other decoded from a file carrying a
-/// later [`epoch`](Self::epoch).
 ///
 /// ```
 /// use dp_data::GroupedSnapshot;
@@ -87,55 +79,43 @@ pub struct RankCut {
 /// assert_eq!(g.len(2), 1);
 /// assert_eq!(g.score_of_item(3), 2.0);
 /// assert_eq!(g.top_c(2), &[1, 4]);
-/// assert_eq!(g.epoch(), 0);
 /// # Ok::<(), dp_data::DataError>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupedSnapshot {
     /// Item indices sorted by (score desc, index asc).
-    pub(crate) order: Vec<u32>,
+    order: Vec<u32>,
     /// Inverse of `order`: `positions[item]` is the item's global
     /// sorted position (its 0-based rank).
-    pub(crate) positions: Vec<u32>,
+    positions: Vec<u32>,
     /// Group `g` spans `order[offsets[g] .. offsets[g + 1]]`; length is
     /// `num_groups() + 1` with `offsets[0] == 0` and
     /// `offsets[num_groups()] == order.len()`. Doubles as the
     /// cumulative member count: `offsets[g]` items precede group `g`.
-    pub(crate) offsets: Vec<u32>,
+    offsets: Vec<u32>,
     /// The shared score of each group, strictly decreasing.
-    pub(crate) scores: Vec<f64>,
+    scores: Vec<f64>,
     /// Cumulative score mass: `prefix_sums[g]` is
     /// `Σ_{h ≤ g} len(h) · score(h)`.
-    pub(crate) prefix_sums: Vec<f64>,
+    prefix_sums: Vec<f64>,
     /// Flat item → group table: `group_of[item]` is the group whose run
     /// contains `item`. One u32 per item buys `O(1)` group and score
     /// resolution on the grouped score source's hot path,
     /// where the binary search over `offsets` was the remaining
     /// per-examined-item log factor.
-    pub(crate) group_of: Vec<u32>,
-    /// Version stamp: 0 for a direct sort, the persisted value for a
-    /// decoded snapshot. Excluded from equality.
-    pub(crate) epoch: u64,
-}
-
-/// Structural equality over the grouping tables; the [`epoch`]
-/// version stamp is deliberately excluded (it identifies *when* the
-/// snapshot was published, not *what* it contains).
-///
-/// [`epoch`]: GroupedSnapshot::epoch
-impl PartialEq for GroupedSnapshot {
-    fn eq(&self, other: &Self) -> bool {
-        self.order == other.order
-            && self.positions == other.positions
-            && self.offsets == other.offsets
-            && self.scores == other.scores
-            && self.prefix_sums == other.prefix_sums
-            && self.group_of == other.group_of
-    }
+    group_of: Vec<u32>,
 }
 
 impl GroupedSnapshot {
-    /// Groups a raw score slice into an epoch-0 snapshot.
+    /// Groups a raw score slice into its runs, in `O(n + G log G)` for
+    /// `n` items over `G` distinct values.
+    ///
+    /// The order is the one a full sort by (score desc, index asc)
+    /// gives, built without one: a pass in index order numbers each
+    /// distinct value on first sight and counts its members, the `G`
+    /// values are sorted once, and a second pass in index order puts
+    /// each item into the next free slot of its group's run. `-0.0` and
+    /// `+0.0` share a group, whose score is its smallest-index member's.
     ///
     /// # Errors
     /// [`DataError::Empty`](crate::DataError::Empty) on an empty slice and
@@ -144,88 +124,61 @@ impl GroupedSnapshot {
     /// (matching [`ScoreVector::new`](crate::ScoreVector::new)).
     pub fn from_scores(scores: &[f64]) -> Result<Self> {
         check_scores(scores)?;
-        let mut order: Vec<u32> = (0..scores.len() as u32).collect();
-        order.sort_by(|&a, &b| {
-            scores[b as usize]
-                .partial_cmp(&scores[a as usize])
-                .expect("scores are finite")
-                .then(a.cmp(&b))
-        });
-        Ok(Self::from_sorted_order(scores, order))
-    }
-
-    /// Builds the runs from an already-sorted index order (score desc,
-    /// index asc). `order` must be a permutation of `0..scores.len()`.
-    pub(crate) fn from_sorted_order(scores: &[f64], order: Vec<u32>) -> Self {
-        debug_assert_eq!(order.len(), scores.len());
-        let mut positions = vec![0u32; order.len()];
-        let mut group_of = vec![0u32; order.len()];
-        let mut offsets = Vec::new();
-        let mut group_scores = Vec::new();
-        let mut prefix_sums = Vec::new();
-        let mut prev = f64::INFINITY;
-        for (pos, &i) in order.iter().enumerate() {
-            positions[i as usize] = pos as u32;
-            let s = scores[i as usize];
-            if group_scores.is_empty() || s != prev {
-                offsets.push(pos as u32);
-                group_scores.push(s);
-                prev = s;
+        // Pass 1: a provisional id per distinct value, in order of first
+        // sight, paired with its smallest-index member's score.
+        let mut ids = ScoreIds::new();
+        let mut group_of = Vec::with_capacity(scores.len());
+        let mut distinct: Vec<(f64, u32)> = Vec::new();
+        let mut counts: Vec<u32> = Vec::new();
+        for &s in scores {
+            let id = ids.id_of(s, counts.len() as u32);
+            if id as usize == counts.len() {
+                distinct.push((s, id));
+                counts.push(0);
             }
-            group_of[i as usize] = (group_scores.len() - 1) as u32;
+            counts[id as usize] += 1;
+            group_of.push(id);
         }
-        offsets.push(order.len() as u32);
-        let mut running = 0.0;
-        for (g, &s) in group_scores.iter().enumerate() {
-            running += f64::from(offsets[g + 1] - offsets[g]) * s;
+        // The G distinct values, sorted once: `rank[id]` is the group.
+        // They are finite and pairwise unequal (one zero group at most),
+        // so `total_cmp` orders them as `<` does.
+        distinct.sort_unstable_by(|a, b| b.0.total_cmp(&a.0));
+        let mut rank = vec![0u32; counts.len()];
+        let mut offsets = Vec::with_capacity(counts.len() + 1);
+        let mut group_scores = Vec::with_capacity(counts.len());
+        let mut prefix_sums = Vec::with_capacity(counts.len());
+        let (mut start, mut running) = (0u32, 0.0);
+        for (g, &(s, id)) in distinct.iter().enumerate() {
+            rank[id as usize] = g as u32;
+            let len = counts[id as usize];
+            offsets.push(start);
+            group_scores.push(s);
+            running += f64::from(len) * s;
             prefix_sums.push(running);
+            start += len;
         }
-        Self {
+        offsets.push(start);
+        // Pass 2, in index order so each run's members ascend: turn each
+        // provisional id into its group and place the item in the
+        // group's next free slot.
+        let mut next = offsets[..counts.len()].to_vec();
+        let mut order = vec![0u32; scores.len()];
+        let mut positions = vec![0u32; scores.len()];
+        for (item, g) in group_of.iter_mut().enumerate() {
+            *g = rank[*g as usize];
+            let slot = &mut next[*g as usize];
+            order[*slot as usize] = item as u32;
+            positions[item] = *slot;
+            *slot += 1;
+        }
+        Ok(Self {
             order,
             positions,
             offsets,
             scores: group_scores,
             prefix_sums,
             group_of,
-            epoch: 0,
-        }
-    }
-
-    /// Assembles a snapshot from already-validated tables (the
-    /// persisted-context decoder). The caller vouches for the
-    /// structural invariants.
-    pub(crate) fn from_parts(
-        order: Vec<u32>,
-        positions: Vec<u32>,
-        offsets: Vec<u32>,
-        scores: Vec<f64>,
-        prefix_sums: Vec<f64>,
-        group_of: Vec<u32>,
-        epoch: u64,
-    ) -> Self {
-        debug_assert_eq!(order.len(), positions.len());
-        debug_assert_eq!(order.len(), group_of.len());
-        debug_assert_eq!(offsets.len(), scores.len() + 1);
-        debug_assert_eq!(scores.len(), prefix_sums.len());
-        debug_assert_eq!(offsets.first().copied(), Some(0));
-        debug_assert_eq!(offsets.last().copied(), Some(order.len() as u32));
-        Self {
-            order,
-            positions,
-            offsets,
-            scores,
-            prefix_sums,
-            group_of,
-            epoch,
-        }
-    }
-
-    /// The snapshot's version stamp: 0 when sorted directly from a raw
-    /// slice by [`from_scores`](Self::from_scores), otherwise the epoch
-    /// the persisted file it was decoded from carries.
-    #[inline]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
+        })
     }
 
     /// Total number of items.
@@ -300,8 +253,8 @@ impl GroupedSnapshot {
     /// The score of `item`, resolved through its group in `O(1)`.
     ///
     /// Numerically equal to the raw score the group was built from
-    /// (`==`-equal; a group mixing `+0.0` and `-0.0` reports the run
-    /// leader's sign).
+    /// (`==`-equal; a group mixing `+0.0` and `-0.0` reports its
+    /// smallest-index member's sign).
     #[inline]
     pub fn score_of_item(&self, item: usize) -> f64 {
         self.scores[self.group_of[item] as usize]
@@ -357,8 +310,7 @@ impl GroupedSnapshot {
     }
 
     /// The compact `(score, count)` pairs, decreasing score order — the
-    /// form aggregate consumers use (identical to
-    /// [`ScoreVector::grouped`](crate::ScoreVector::grouped)).
+    /// form aggregate consumers use.
     pub fn pairs(&self) -> Vec<(f64, u64)> {
         (0..self.num_groups())
             .map(|g| (self.score(g), self.len(g)))
@@ -366,10 +318,75 @@ impl GroupedSnapshot {
     }
 }
 
+/// Score → provisional group id, by open addressing with linear
+/// probing over the score's bits.
+struct ScoreIds {
+    /// `(key, id)` slots; a power-of-two count, at most 3/4 full.
+    slots: Vec<(u64, u32)>,
+    len: usize,
+}
+
+impl ScoreIds {
+    /// Marks a free slot: a NaN's bits, which no finite score has.
+    const FREE: u64 = u64::MAX;
+
+    fn new() -> Self {
+        Self {
+            slots: vec![(Self::FREE, 0); 64],
+            len: 0,
+        }
+    }
+
+    /// The id of `score`'s value, or `fresh` if the value is new.
+    /// Adding `+0.0` folds `-0.0` into `+0.0` and leaves every other
+    /// finite value as it is.
+    fn id_of(&mut self, score: f64, fresh: u32) -> u32 {
+        let key = (score + 0.0).to_bits();
+        let mut i = self.home(key);
+        loop {
+            let (k, id) = self.slots[i];
+            if k == key {
+                return id;
+            }
+            if k == Self::FREE {
+                self.slots[i] = (key, fresh);
+                self.len += 1;
+                if 4 * self.len > 3 * self.slots.len() {
+                    self.grow();
+                }
+                return fresh;
+            }
+            i = (i + 1) & (self.slots.len() - 1);
+        }
+    }
+
+    /// The key's first slot: the top bits of a Fibonacci hash. An
+    /// integer-valued score keeps its low bits zero, so the high half
+    /// is folded down before the multiply.
+    fn home(&self, key: u64) -> usize {
+        let spread = (key ^ (key >> 32)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        (spread >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    fn grow(&mut self) {
+        let doubled = vec![(Self::FREE, 0); 2 * self.slots.len()];
+        for (key, id) in std::mem::replace(&mut self.slots, doubled) {
+            if key != Self::FREE {
+                let mut i = self.home(key);
+                while self.slots[i].0 != Self::FREE {
+                    i = (i + 1) & (self.slots.len() - 1);
+                }
+                self.slots[i] = (key, id);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{DataError, ScoreVector};
+    use proptest::prelude::*;
 
     #[test]
     fn construction_validates() {
@@ -412,23 +429,8 @@ mod tests {
         let v = vec![2.0, 7.0, 2.0, 2.0, 7.0, 1.0, 7.0];
         let sv = ScoreVector::new(v.clone()).unwrap();
         let g = GroupedSnapshot::from_scores(&v).unwrap();
-        assert_eq!(g.pairs(), sv.grouped());
+        assert_eq!(g.pairs(), vec![(7.0, 3), (2.0, 3), (1.0, 1)]);
         assert_eq!(*sv.grouped_scores(), g);
-    }
-
-    #[test]
-    fn epoch_is_stamped_but_excluded_from_equality() {
-        let v = vec![2.0, 7.0, 2.0, 1.0];
-        let a = GroupedSnapshot::from_scores(&v).unwrap();
-        assert_eq!(a.epoch(), 0);
-        let mut b = a.clone();
-        b.epoch = 17;
-        assert_eq!(b.epoch(), 17);
-        // Same tables, different version stamp: still equal.
-        assert_eq!(a, b);
-        // Different tables: unequal regardless of epoch.
-        let c = GroupedSnapshot::from_scores(&[9.0, 7.0, 2.0, 1.0]).unwrap();
-        assert_ne!(a, c);
     }
 
     #[test]
@@ -579,5 +581,111 @@ mod tests {
         // Threshold clamps c to 1, like `paper_threshold`.
         let sv = ScoreVector::new(vec![5.0, 3.0, 1.0]).unwrap();
         assert_eq!(cut.threshold.to_bits(), sv.paper_threshold(0).to_bits());
+    }
+
+    /// The next double above `1.0`: one ulp away, so its own group.
+    const ABOVE_ONE: f64 = f64::from_bits(0x3ff0_0000_0000_0001);
+
+    /// The build `from_scores` replaced, kept as the reference its
+    /// tables are pinned to: an indirect sort by score (descending, by
+    /// `partial_cmp`) then index, and one walk over the sorted order that
+    /// opens a group wherever the score changes.
+    fn sorted_reference(scores: &[f64]) -> GroupedSnapshot {
+        let mut order: Vec<u32> = (0..scores.len() as u32).collect();
+        order.sort_by(|&a, &b| {
+            scores[b as usize]
+                .partial_cmp(&scores[a as usize])
+                .expect("scores are finite")
+                .then(a.cmp(&b))
+        });
+        let mut positions = vec![0u32; order.len()];
+        let mut group_of = vec![0u32; order.len()];
+        let mut offsets = Vec::new();
+        let mut group_scores = Vec::new();
+        let mut prev = f64::INFINITY;
+        for (pos, &i) in order.iter().enumerate() {
+            positions[i as usize] = pos as u32;
+            let s = scores[i as usize];
+            if group_scores.is_empty() || s != prev {
+                offsets.push(pos as u32);
+                group_scores.push(s);
+                prev = s;
+            }
+            group_of[i as usize] = (group_scores.len() - 1) as u32;
+        }
+        offsets.push(order.len() as u32);
+        let mut prefix_sums = Vec::new();
+        let mut running = 0.0;
+        for (g, &s) in group_scores.iter().enumerate() {
+            running += f64::from(offsets[g + 1] - offsets[g]) * s;
+            prefix_sums.push(running);
+        }
+        GroupedSnapshot {
+            order,
+            positions,
+            offsets,
+            scores: group_scores,
+            prefix_sums,
+            group_of,
+        }
+    }
+
+    /// Every table of the counting build equals the reference's, the
+    /// float tables bit for bit.
+    fn assert_matches_the_sort(v: &[f64]) {
+        let got = GroupedSnapshot::from_scores(v).unwrap();
+        let want = sorted_reference(v);
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(got.order, want.order, "order of {v:?}");
+        assert_eq!(got.positions, want.positions, "positions of {v:?}");
+        assert_eq!(got.offsets, want.offsets, "offsets of {v:?}");
+        assert_eq!(got.group_of, want.group_of, "group_of of {v:?}");
+        assert_eq!(bits(&got.scores), bits(&want.scores), "scores of {v:?}");
+        assert_eq!(
+            bits(&got.prefix_sums),
+            bits(&want.prefix_sums),
+            "prefix_sums of {v:?}"
+        );
+    }
+
+    #[test]
+    fn counting_build_matches_the_sort_it_replaced() {
+        let signed_zeros = vec![-0.0, 1.0, 0.0, -0.0, -2.0, 0.0];
+        let ulp_neighbours = vec![1.0, ABOVE_ONE, 1.0, ABOVE_ONE];
+        for v in [
+            // Tie-heavy: five values over thousands of items.
+            (0..5000).map(|i| f64::from((i * 7919) % 5)).collect(),
+            // All distinct, enough values to grow the id table.
+            (0..5000).map(|i| f64::from((i * 7919) % 5003)).collect(),
+            vec![4.0; 300],
+            vec![0.5],
+            (0..400).map(|i| f64::from((i * 31) % 17) - 8.5).collect(),
+            signed_zeros.clone(),
+            vec![5e-324, f64::MIN_POSITIVE, 0.0, 5e-324, f64::MIN_POSITIVE],
+            ulp_neighbours.clone(),
+        ] {
+            assert_matches_the_sort(&v);
+        }
+        // The ±0.0 group keeps its first member's -0.0 ...
+        let zeros = GroupedSnapshot::from_scores(&signed_zeros).unwrap();
+        assert_eq!(zeros.num_groups(), 3);
+        assert_eq!(zeros.score(1).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(zeros.members(1), &[0, 2, 3, 5]);
+        // ... and ulp neighbours stay two groups.
+        let ulps = GroupedSnapshot::from_scores(&ulp_neighbours).unwrap();
+        assert_eq!(ulps.pairs(), vec![(ABOVE_ONE, 2), (1.0, 2)]);
+    }
+
+    proptest! {
+        #[test]
+        fn counting_build_matches_the_sort_on_any_mix_of_edge_values(
+            picks in proptest::collection::vec(0usize..10, 1..300),
+        ) {
+            const ALPHABET: [f64; 10] = [
+                -0.0, 0.0, 5e-324, f64::MIN_POSITIVE, 1.0, ABOVE_ONE, -1.0, -3.5, 2.0, 1e300,
+            ];
+            let v: Vec<f64> = picks.iter().map(|&i| ALPHABET[i]).collect();
+            assert_matches_the_sort(&v);
+        }
     }
 }

@@ -23,9 +23,7 @@
 //!   inverse item → rank table), which grouped selection samplers
 //!   consume to stay `O(#groups)` instead of `O(#items)`, and whose
 //!   [`rank_cut`](GroupedSnapshot::rank_cut) query resolves any cutoff
-//!   `c` to its threshold / top-sum in `O(1)` ([`RankCut`]). [`persist`]
-//!   gives it a fixed-width on-disk form with a CRC-guarded header for
-//!   warm-start context caches.
+//!   `c` to its threshold / top-sum in `O(1)` ([`RankCut`]).
 //! - [`LiveScores`] — the mutable owner of a served score vector: raw
 //!   scores behind a copy-on-write overlay, with no sort anywhere.
 //!   `set_score` / `increment` write the overlay and `snapshot()`
@@ -52,7 +50,6 @@ pub mod generators;
 pub mod groups;
 pub mod io;
 pub mod live;
-pub mod persist;
 pub mod queries;
 pub mod scores;
 
@@ -61,7 +58,6 @@ pub use error::DataError;
 pub use generators::catalog::DatasetSpec;
 pub use groups::{GroupedSnapshot, RankCut};
 pub use live::{LiveScores, ScoreSnapshot};
-pub use persist::{scores_digest, SnapshotCodecError};
 pub use scores::ScoreVector;
 
 /// Result alias for the data substrate.

@@ -134,7 +134,7 @@ impl ScoreVector {
             .fold(f64::NEG_INFINITY, f64::max)
     }
 
-    /// The lazily built shared snapshot (sorts exactly once).
+    /// The lazily built shared snapshot (built exactly once).
     fn snapshot_ref(&self) -> &Arc<GroupedSnapshot> {
         self.snapshot.get_or_init(|| {
             Arc::new(
@@ -195,28 +195,11 @@ impl ScoreVector {
         }
     }
 
-    /// Groups scores by exact value: returns `(score, count)` pairs in
-    /// decreasing score order. The grouped traversal simulator operates
-    /// on this compact form (AOL's 2.29M items collapse to a few
-    /// thousand distinct integer supports).
-    pub fn grouped(&self) -> Vec<(f64, u64)> {
-        let sorted = self.sorted_indices();
-        let mut out: Vec<(f64, u64)> = Vec::new();
-        for &i in sorted {
-            let s = self.scores[i as usize];
-            match out.last_mut() {
-                Some((v, n)) if *v == s => *n += 1,
-                _ => out.push((s, 1)),
-            }
-        }
-        out
-    }
-
     /// The index-preserving grouped form: runs of tied scores in
     /// decreasing score order, each run knowing its member item indices
-    /// ([`GroupedSnapshot`]). The snapshot is built once (sorting once)
-    /// and shared: every call returns a clone of the same cached
-    /// [`Arc`], so callers stop paying for per-call table clones.
+    /// ([`GroupedSnapshot`]). The snapshot is built once and shared:
+    /// every call returns a clone of the same cached [`Arc`], so
+    /// callers stop paying for per-call table clones.
     pub fn grouped_scores(&self) -> Arc<GroupedSnapshot> {
         Arc::clone(self.snapshot_ref())
     }
@@ -298,13 +281,16 @@ mod tests {
     #[test]
     fn grouped_collapses_ties_in_descending_order() {
         let s = sv(&[2.0, 7.0, 2.0, 2.0, 7.0, 1.0]);
-        assert_eq!(s.grouped(), vec![(7.0, 2), (2.0, 3), (1.0, 1)]);
+        assert_eq!(
+            s.grouped_scores().pairs(),
+            vec![(7.0, 2), (2.0, 3), (1.0, 1)]
+        );
     }
 
     #[test]
     fn grouped_counts_sum_to_len() {
         let s = sv(&[1.0, 1.0, 2.0, 3.0, 3.0, 3.0]);
-        let total: u64 = s.grouped().iter().map(|&(_, n)| n).sum();
+        let total: u64 = s.grouped_scores().pairs().iter().map(|&(_, n)| n).sum();
         assert_eq!(total as usize, s.len());
     }
 
@@ -314,9 +300,8 @@ mod tests {
         let a = s.grouped_scores();
         let b = s.grouped_scores();
         assert!(std::sync::Arc::ptr_eq(&a, &b));
-        assert_eq!(a.epoch(), 0);
         // Equality ignores the cache: a fresh vector with the same
-        // scores compares equal whether or not it has sorted yet.
+        // scores compares equal whether or not it has grouped yet.
         let t = sv(&[2.0, 7.0, 2.0, 1.0]);
         assert_eq!(s, t);
     }

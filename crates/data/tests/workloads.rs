@@ -152,7 +152,7 @@ proptest! {
         scores in prop::collection::vec(0.0f64..50.0, 1..300),
     ) {
         let sv = ScoreVector::new(scores.clone()).unwrap();
-        let grouped = sv.grouped();
+        let grouped = sv.grouped_scores().pairs();
         // Counts sum to length; values strictly descend; every score
         // appears with its exact multiplicity.
         let total: u64 = grouped.iter().map(|&(_, n)| n).sum();

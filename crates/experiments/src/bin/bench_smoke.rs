@@ -23,8 +23,8 @@
 //! (`simulate::exact`, `runner`) and the baseline no longer lists them.
 //!
 //! Schema 4 also records `context_setup` — the per-dataset wall-clock
-//! of building the shared `SweepContext` (the sweep's *single* score
-//! sort + rank table, amortized across every `(algorithm, c)` cell,
+//! of building the shared `SweepContext` (the sweep's *single*
+//! grouping + rank table, amortized across every `(algorithm, c)` cell,
 //! where each context formerly paid its own top-`c` pass).
 //!
 //! Schema 5 adds a `serving` section: one run of the `serve_smoke`
@@ -51,20 +51,14 @@
 //! `exp_exact_scalar` / `exp_exact_batched`. Each group's scalar path
 //! anchors its ratio gate, mirroring the `SVT-S` group.
 //!
-//! Schema 8 splits `context_setup` into the warm-start columns:
+//! Schema 8 splits `context_setup` into columns:
 //! `context_setup_cold_ns` (building the shared `SweepContext` from raw
-//! scores — the sweep's single sort), `context_setup_warm_ns`
-//! (`SweepContext::load_or_build` on the persisted snapshot: digest
-//! check + decode + derive, **no sort**), and `score_update_ns` (one
+//! scores — the sweep's single grouping) and `score_update_ns` (one
 //! `LiveScores` increment plus the publish that follows it, sustained
 //! over a deterministic update storm — what a one-item `update_scores`
 //! batch pays; 256 rounds stay below the ⌈√n⌉ overlay fold at both
-//! scales). Warm loads
-//! are asserted bit-identical to the cold build, and each dataset line
-//! prints a `[warm<cold]` marker when the warm load beat the sort (CI
-//! checks the same inequality on the JSON's `context_setup` rows).
-//! Context lines still carry no `engine` field, so the ratio gate skips
-//! them.
+//! scales). Context lines still carry no `engine` field, so the ratio
+//! gate skips them.
 //!
 //! Schema 9 adds the kernel-policy dimension. Every batched cell above
 //! is now explicitly pinned to `NoiseKernel::Reference` (the libm path
@@ -86,6 +80,12 @@
 //! `(dataset, algorithm)` group asserts its batched engine is no slower
 //! than its scalar reference.
 //!
+//! Schema 10 drops schema 8's `context_setup_warm_ns` column, which
+//! timed a persisted warm-start cache: the counting build of
+//! `GroupedSnapshot::from_scores` outran it, and the cache is gone.
+//! `context_setup_cold_ns` is now the best of three builds, each on a
+//! fresh copy of the scores, like every other timing here.
+//!
 //! The workload, seeds, and run counts are fixed, so the *work
 //! performed* is identical from machine to machine and run to run; only
 //! wall-clock varies. Output is machine-readable JSON (ns/run per
@@ -103,22 +103,17 @@
 //! recorded budget instead.
 //!
 //! Usage: `bench_smoke [--out PATH] [--runs N] [--seed S]
-//! [--check BASELINE] [--context-cache DIR]` (default `--out
-//! BENCH_svt.json`, `--runs 40`; without `--context-cache` the persisted
-//! contexts live in a per-process temp directory that is removed on
-//! exit — point it at a stable directory to measure cross-process warm
-//! starts).
+//! [--check BASELINE]` (default `--out BENCH_svt.json`, `--runs 40`).
 
 use dp_data::{LiveScores, ScoreVector};
 use dp_mechanisms::{DpRng, NoiseBuffer, NoiseKernel};
 use std::fmt::Write as _;
-use std::path::Path;
 use std::time::Instant;
 use svt_core::allocation::BudgetRatio;
 use svt_core::streaming::RunScratch;
 use svt_experiments::serving::{serve_smoke, ServeSmokeConfig, ServeSmokeReport};
 use svt_experiments::simulate::exact::ExactContext;
-use svt_experiments::simulate::{ContextSetup as SetupKind, SweepContext};
+use svt_experiments::simulate::SweepContext;
 use svt_experiments::spec::AlgorithmSpec;
 
 const AOL_SCALE: usize = 2_290_685;
@@ -151,9 +146,8 @@ fn reference_engine(algorithm: &str) -> &'static str {
 
 /// Deterministic power-law scores, deterministically shuffled: real
 /// datasets do not hand out item ids in rank order, and an
-/// already-sorted vector would let the cold context build skip most of
-/// its sort (pdqsort detects the run), understating exactly the cost
-/// the warm-start column exists to measure.
+/// already-sorted vector would let the context build fill each group's
+/// run in one sequential stream, understating its cost.
 fn powerlaw_scores(n: usize) -> ScoreVector {
     let mut v: Vec<f64> = (1..=n as u64)
         .map(|r| (100_000.0 / (r as f64).powf(0.8)).round())
@@ -182,15 +176,13 @@ struct CellTiming {
     mean_ser: f64,
 }
 
-/// Per-dataset context columns: cold build (the sweep's single score
-/// sort + rank table), warm load (persisted snapshot: digest check +
-/// decode + derive, no sort), and one sustained live score update
+/// Per-dataset context columns: cold build (the sweep's single
+/// grouping + rank table) and one sustained live score update
 /// (increment + publish).
 struct ContextSetup {
     dataset: String,
     n: usize,
     cold_ns: u128,
-    warm_ns: u128,
     score_update_ns: u128,
 }
 
@@ -235,7 +227,6 @@ fn bench_size(
     n: usize,
     runs: usize,
     seed: u64,
-    cache_dir: &Path,
     out: &mut Vec<CellTiming>,
     setups: &mut Vec<ContextSetup>,
 ) {
@@ -244,30 +235,20 @@ fn bench_size(
         ratio: BudgetRatio::OneToCTwoThirds,
     };
     let svt_label = "SVT-S-1:c^(2/3)";
-    // The sweep's single score sort, shared by every context below —
-    // the *cold* column. Timed on the first use of `scores`, before its
-    // internal snapshot cache exists.
-    let setup_start = Instant::now();
-    let sweep = SweepContext::new(&scores);
-    let cold_ns = setup_start.elapsed().as_nanos();
-    // The *warm* column: load the persisted snapshot back, skipping the
-    // sort. Seed the cache untimed, then time `load_or_build` (best of
-    // three) and pin bit-identity against the cold build.
-    let cache_path = cache_dir.join(format!("{name}.ctxsnap"));
-    let (seeded, _) =
-        SweepContext::load_or_build(&cache_path, &scores).expect("seed context cache");
-    assert_eq!(seeded, sweep, "persisted context must round-trip");
-    let mut warm_ns = u128::MAX;
-    for _ in 0..3 {
-        let warm_start = Instant::now();
-        let (warm, setup) =
-            SweepContext::load_or_build(&cache_path, &scores).expect("warm context load");
-        warm_ns = warm_ns.min(warm_start.elapsed().as_nanos());
-        assert_eq!(setup, SetupKind::Warm, "cache seeded above: must load warm");
-        assert_eq!(
-            warm, sweep,
-            "warm load must be bit-identical to the cold build"
-        );
+    // The sweep's single grouping, shared by every context below — the
+    // *cold* column, best of three builds. Each builds from a fresh copy
+    // of the scores, since a reused vector hands back its cached snapshot.
+    let build = || {
+        let copy = ScoreVector::new(scores.as_slice().to_vec()).expect("finite scores");
+        let setup_start = Instant::now();
+        let built = SweepContext::new(&copy);
+        (setup_start.elapsed().as_nanos(), built)
+    };
+    let (mut cold_ns, sweep) = build();
+    for _ in 1..3 {
+        let (ns, built) = build();
+        cold_ns = cold_ns.min(ns);
+        assert_eq!(built, sweep, "every build must equal the first");
     }
     // The *update* column: sustained increment + publish rounds
     // through `LiveScores` — what a one-item `update_scores` batch pays.
@@ -289,7 +270,6 @@ fn bench_size(
         dataset: name.to_owned(),
         n,
         cold_ns,
-        warm_ns,
         score_update_ns,
     });
     let exact = ExactContext::new(&scores, &sweep, CUTOFF);
@@ -490,7 +470,7 @@ fn render_json(
 ) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": 9,");
+    let _ = writeln!(s, "  \"schema\": 10,");
     let _ = writeln!(s, "  \"bench\": \"svt_cell\",");
     let _ = writeln!(
         s,
@@ -503,8 +483,8 @@ fn render_json(
         let comma = if i + 1 == setups.len() { "" } else { "," };
         let _ = writeln!(
             s,
-            "    {{\"dataset\": \"{}\", \"n\": {}, \"context_setup_cold_ns\": {}, \"context_setup_warm_ns\": {}, \"score_update_ns\": {}}}{}",
-            setup.dataset, setup.n, setup.cold_ns, setup.warm_ns, setup.score_update_ns, comma
+            "    {{\"dataset\": \"{}\", \"n\": {}, \"context_setup_cold_ns\": {}, \"score_update_ns\": {}}}{}",
+            setup.dataset, setup.n, setup.cold_ns, setup.score_update_ns, comma
         );
     }
     s.push_str("  ],\n");
@@ -565,7 +545,7 @@ fn json_int_field(line: &str, key: &str) -> Option<u128> {
 type BaselineCell = (String, String, &'static str, u128);
 
 /// Parses the per-cell lines of a committed `BENCH_svt.json` (schema 2
-/// through 9 — the per-cell `algorithm` field is required for ratio
+/// through 10 — the per-cell `algorithm` field is required for ratio
 /// grouping; cells are keyed by `(dataset, engine)`; schema 4's
 /// `context_setup` and schema 5/6's `serving` lines carry no engine and
 /// are skipped).
@@ -702,7 +682,6 @@ fn check_against_baseline(cells: &[CellTiming], baseline_path: &str) -> Result<(
 fn main() {
     let mut out_path = String::from("BENCH_svt.json");
     let mut check_path: Option<String> = None;
-    let mut context_cache: Option<String> = None;
     let mut runs = 40usize;
     let mut seed = 0x5f37_59df_u64;
     let mut args = std::env::args().skip(1);
@@ -716,7 +695,6 @@ fn main() {
         match arg.as_str() {
             "--out" => out_path = value("--out"),
             "--check" => check_path = Some(value("--check")),
-            "--context-cache" => context_cache = Some(value("--context-cache")),
             "--runs" => {
                 runs = value("--runs").parse().unwrap_or(0);
                 if runs == 0 {
@@ -732,47 +710,24 @@ fn main() {
             }
             other => {
                 eprintln!(
-                    "unknown flag {other}\nusage: bench_smoke [--out PATH] [--runs N] [--seed S] [--check BASELINE] [--context-cache DIR]"
+                    "unknown flag {other}\nusage: bench_smoke [--out PATH] [--runs N] [--seed S] [--check BASELINE]"
                 );
                 std::process::exit(2);
             }
         }
     }
 
-    // Persisted contexts go to the named directory (stable across
-    // invocations: warm starts survive the process) or to a per-process
-    // temp directory cleaned up on exit.
-    let (cache_dir, ephemeral_cache) = match &context_cache {
-        Some(dir) => (std::path::PathBuf::from(dir), false),
-        None => (
-            std::env::temp_dir().join(format!("bench-smoke-ctx-{}", std::process::id())),
-            true,
-        ),
-    };
-
     let mut cells = Vec::new();
     let mut setups = Vec::new();
-    bench_size(
-        "powerlaw",
-        MID_SCALE,
-        runs,
-        seed,
-        &cache_dir,
-        &mut cells,
-        &mut setups,
-    );
+    bench_size("powerlaw", MID_SCALE, runs, seed, &mut cells, &mut setups);
     bench_size(
         "powerlaw-aol-scale",
         AOL_SCALE,
         runs,
         seed,
-        &cache_dir,
         &mut cells,
         &mut setups,
     );
-    if ephemeral_cache {
-        let _ = std::fs::remove_dir_all(&cache_dir);
-    }
 
     let scalar = cells
         .iter()
@@ -814,15 +769,9 @@ fn main() {
     }
     println!("AOL-scale exact engine speedup (scalar / batched): {speedup:.1}x");
     for s in &setups {
-        let marker = if s.warm_ns < s.cold_ns {
-            " [warm<cold]"
-        } else {
-            ""
-        };
         println!(
-            "  shared SweepContext setup: {:>20} n={:>9} cold {:>12} ns, warm {:>12} ns, \
-             score update {:>8} ns{}",
-            s.dataset, s.n, s.cold_ns, s.warm_ns, s.score_update_ns, marker
+            "  shared SweepContext setup: {:>20} n={:>9} cold {:>12} ns, score update {:>8} ns",
+            s.dataset, s.n, s.cold_ns, s.score_update_ns
         );
     }
     println!(

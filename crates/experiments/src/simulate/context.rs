@@ -1,18 +1,16 @@
-//! The per-dataset sweep context: one sort, shared by every cell —
-//! and, with [`SweepContext::load_or_build`], persisted so repeat
-//! invocations skip even that one sort.
+//! The per-dataset sweep context: one grouping, shared by every cell.
 //!
 //! A sweep evaluates many `(algorithm, c)` cells over one dataset.
 //! Everything those cells need from the dataset is a function of a
 //! single sorted view of its scores — the grouped runs, the exact
 //! top-`c` (a prefix of the sorted order), the §6 threshold and top
 //! score sum for any `c` — so [`SweepContext`] holds that view (an
-//! `Arc`-shared, epoch-pinned [`GroupedSnapshot`], sorted exactly
-//! once) and every context borrows it:
+//! `Arc`-shared [`GroupedSnapshot`], built exactly once) and every
+//! context borrows it:
 //!
 //! ```text
 //! PreparedDataset (name, ScoreVector)
-//!   └── SweepContext             ← one shared sort per dataset
+//!   └── SweepContext             ← one shared grouping per dataset
 //!        ├── Arc<GroupedSnapshot> (order, positions, offsets, prefix sums)
 //!        ├── rank table          rank_cut(c): O(1) → RankCut
 //!        ├── ExactContext::new(c₁)     ─┐ borrow; no private sorts,
@@ -31,84 +29,28 @@
 //! one `SweepContext` share the same `Arc` (a clone is a refcount
 //! bump), so every cell of a sweep reads the same sorted view.
 
-use std::path::Path;
 use std::sync::Arc;
 
 use crate::simulate::RunOutcome;
-use dp_data::persist::{peek_scores_digest, scores_digest};
 use dp_data::{GroupedSnapshot, RankCut, ScoreVector};
-
-/// How a [`SweepContext::load_or_build`] call obtained its context.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ContextSetup {
-    /// The context was sorted from the raw scores (and persisted).
-    Cold,
-    /// The context was decoded from the persisted cache; no sort ran.
-    Warm,
-}
 
 /// Per-dataset state shared by every `(algorithm, c)` cell of a
 /// sweep: the index-preserving grouped score runs and their `O(1)` rank
 /// table, behind an `Arc` so clones share one allocation. Construction
-/// performs the dataset's one and only full score sort (reusing
-/// [`ScoreVector`]'s cached snapshot when present) — or skips it
-/// entirely on a warm [`load_or_build`](Self::load_or_build).
+/// performs the dataset's one and only grouping (reusing
+/// [`ScoreVector`]'s cached snapshot when present).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepContext {
     groups: Arc<GroupedSnapshot>,
 }
 
 impl SweepContext {
-    /// Builds the context from a score vector — the single sort of the
-    /// sweep (shared with the vector's snapshot cache).
+    /// Builds the context from a score vector — the single grouping of
+    /// the sweep (shared with the vector's snapshot cache).
     pub fn new(scores: &ScoreVector) -> Self {
         Self {
             groups: scores.grouped_scores(),
         }
-    }
-
-    /// Wraps an already-built snapshot without any sort — the warm
-    /// path of [`load_or_build`](Self::load_or_build), which decodes
-    /// it from the persisted cache. (A live dataset publishes unsorted
-    /// [`ScoreSnapshot`](dp_data::ScoreSnapshot)s; an engine over one
-    /// sorts the current scores once, as [`new`](Self::new) does.)
-    pub fn from_snapshot(snapshot: Arc<GroupedSnapshot>) -> Self {
-        Self { groups: snapshot }
-    }
-
-    /// Loads the persisted context at `path` when it matches `scores`
-    /// (warm start: the sort is skipped and the decoded context is
-    /// bit-identical to a cold build); otherwise sorts cold and
-    /// (re)writes the cache for the next invocation.
-    ///
-    /// Staleness and corruption are handled by the snapshot codec: a
-    /// missing file, a failed header CRC or payload digest, or a
-    /// `scores_digest` that no longer matches the live scores all fall
-    /// back to the cold path.
-    ///
-    /// # Errors
-    /// Only on failing to *write* the cache after a cold build; decode
-    /// failures are silent cache misses.
-    pub fn load_or_build(
-        path: &Path,
-        scores: &ScoreVector,
-    ) -> std::io::Result<(Self, ContextSetup)> {
-        let want = scores_digest(scores.as_slice());
-        if let Ok(bytes) = std::fs::read(path) {
-            if peek_scores_digest(&bytes) == Ok(want) {
-                if let Ok(snapshot) = GroupedSnapshot::from_bytes(&bytes) {
-                    return Ok((Self::from_snapshot(Arc::new(snapshot)), ContextSetup::Warm));
-                }
-            }
-        }
-        let context = Self::new(scores);
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        std::fs::write(path, context.groups.to_bytes())?;
-        Ok((context, ContextSetup::Cold))
     }
 
     /// The shared grouped score runs.
@@ -116,7 +58,7 @@ impl SweepContext {
         &self.groups
     }
 
-    /// The shared snapshot handle (cheap to clone; pins the epoch).
+    /// The shared snapshot handle (cheap to clone).
     pub fn snapshot(&self) -> &Arc<GroupedSnapshot> {
         &self.groups
     }
@@ -251,52 +193,5 @@ mod tests {
         let ctx = SweepContext::new(&sv(&[4.0, 1.0, 4.0, 2.0]));
         let cell = ctx.clone();
         assert!(Arc::ptr_eq(ctx.snapshot(), cell.snapshot()));
-    }
-
-    #[test]
-    fn warm_load_is_bit_identical_to_cold_build_and_skips_the_sort() {
-        // The tentpole's warm-start contract, pinned: a second
-        // load_or_build against the persisted context reports Warm and
-        // yields a context whose every structural table is bit-equal to
-        // the cold build's.
-        let dir =
-            std::env::temp_dir().join(format!("svt-ctx-test-{}-{}", std::process::id(), line!()));
-        let path = dir.join("warm.ctx");
-        let v: Vec<f64> = (0..4000).map(|i| f64::from((i * 131) % 37)).collect();
-
-        let (cold, how_cold) = SweepContext::load_or_build(&path, &sv(&v)).unwrap();
-        assert_eq!(how_cold, ContextSetup::Cold);
-        // Fresh ScoreVector: the warm path cannot lean on an in-memory
-        // snapshot cache.
-        let (warm, how_warm) = SweepContext::load_or_build(&path, &sv(&v)).unwrap();
-        assert_eq!(how_warm, ContextSetup::Warm);
-        assert_eq!(warm, cold);
-        // Bit-level checks beyond PartialEq: rank cuts and mass agree
-        // bitwise at several cutoffs.
-        for c in [1usize, 7, 100, 3999] {
-            assert_eq!(
-                warm.cut(c).threshold.to_bits(),
-                cold.cut(c).threshold.to_bits()
-            );
-            assert_eq!(warm.cut(c).top_sum.to_bits(), cold.cut(c).top_sum.to_bits());
-        }
-
-        // A changed dataset is a cache miss: cold again, cache rewritten.
-        let mut v2 = v.clone();
-        v2[17] += 1.0;
-        let (_, how_changed) = SweepContext::load_or_build(&path, &sv(&v2)).unwrap();
-        assert_eq!(how_changed, ContextSetup::Cold);
-        let (_, how_rewarm) = SweepContext::load_or_build(&path, &sv(&v2)).unwrap();
-        assert_eq!(how_rewarm, ContextSetup::Warm);
-
-        // A corrupted cache is a silent miss, then self-heals.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
-        std::fs::write(&path, &bytes).unwrap();
-        let (_, how_corrupt) = SweepContext::load_or_build(&path, &sv(&v2)).unwrap();
-        assert_eq!(how_corrupt, ContextSetup::Cold);
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -13,7 +13,7 @@
 pub mod context;
 pub mod exact;
 
-pub use context::{ContextSetup, SweepContext};
+pub use context::SweepContext;
 
 use svt_core::noninteractive::SvtSelectConfig;
 use svt_core::retraversal::{IncrementUnit, RetraversalConfig};

@@ -80,7 +80,7 @@ const CRC_OFFSET: usize = RECORD_SIZE - 4;
 
 /// CRC-32 (IEEE) of `bytes`, as stored in each record's trailer.
 #[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
+fn crc32(bytes: &[u8]) -> u32 {
     let mut crc: u32 = !0;
     for &b in bytes {
         crc ^= u32::from(b);
