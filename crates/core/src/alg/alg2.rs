@@ -43,6 +43,35 @@ pub struct Alg2 {
     halted: bool,
 }
 
+/// Alg. 2's three noise distributions, with `ε₁ = ε/2` and
+/// `ε₂ = ε − ε₁`: the initial `ρ = Lap(cΔ/ε₁)` (line 1), each query's
+/// `ν = Lap(2cΔ/ε₁)` (line 4) and the `ρ = Lap(cΔ/ε₂)` drawn after a ⊤
+/// (line 6). [`Alg2::new`] and the streaming walk both build them here.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Alg2Noise {
+    pub(crate) rho: Laplace,
+    pub(crate) query: Laplace,
+    pub(crate) refresh: Laplace,
+}
+
+impl Alg2Noise {
+    /// # Errors
+    /// Rejects non-positive `ε`/`Δ` and `c == 0`.
+    pub(crate) fn new(epsilon: f64, sensitivity: f64, c: usize) -> Result<Self> {
+        crate::alg::validate_common(epsilon, sensitivity, c)?;
+        let eps1 = epsilon / 2.0;
+        let eps2 = epsilon - eps1;
+        let c_f = c as f64;
+        let laplace = |scale: f64| Laplace::new(scale).map_err(SvtError::from);
+        Ok(Self {
+            rho: laplace(c_f * sensitivity / eps1)?,
+            // Fig. 1 line 4 uses ε₁ here (not ε₂) — faithful to the source.
+            query: laplace(2.0 * c_f * sensitivity / eps1)?,
+            refresh: laplace(c_f * sensitivity / eps2)?,
+        })
+    }
+}
+
 impl Alg2 {
     /// Lines 1–2: draws `ρ = Lap(cΔ/ε₁)` and prepares `Lap(2cΔ/ε₁)`
     /// query noise and the `Lap(cΔ/ε₂)` refresh distribution.
@@ -50,21 +79,12 @@ impl Alg2 {
     /// # Errors
     /// Rejects non-positive `ε`/`Δ` and `c == 0`.
     pub fn new(epsilon: f64, sensitivity: f64, c: usize, rng: &mut DpRng) -> Result<Self> {
-        crate::alg::validate_common(epsilon, sensitivity, c)?;
-        let eps1 = epsilon / 2.0;
-        let eps2 = epsilon - eps1;
-        let c_f = c as f64;
-        let rho = Laplace::new(c_f * sensitivity / eps1)
-            .map_err(SvtError::from)?
-            .sample(rng);
-        let rho_refresh = Laplace::new(c_f * sensitivity / eps2).map_err(SvtError::from)?;
-        // Fig. 1 line 4 uses ε₁ here (not ε₂) — faithful to the source.
-        let query_noise = Laplace::new(2.0 * c_f * sensitivity / eps1).map_err(SvtError::from)?;
+        let noise = Alg2Noise::new(epsilon, sensitivity, c)?;
         Ok(Self {
             epsilon,
-            rho,
-            rho_refresh,
-            query_noise,
+            rho: noise.rho.sample(rng),
+            rho_refresh: noise.refresh,
+            query_noise: noise.query,
             c,
             count: 0,
             halted: false,

@@ -32,6 +32,7 @@ mod standard;
 
 pub use alg1::Alg1;
 pub use alg2::Alg2;
+pub(crate) use alg2::Alg2Noise;
 pub use alg3::Alg3;
 pub use alg4::Alg4;
 pub use alg5::Alg5;

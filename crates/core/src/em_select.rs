@@ -39,7 +39,7 @@ use crate::{Result, SvtError};
 use dp_data::GroupedSnapshot;
 use dp_mechanisms::{DpRng, ExponentialMechanism, Gumbel, GumbelMax, MechanismError};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// One score group's sampler state, kept in [`RunScratch`].
 #[derive(Debug, Clone)]
@@ -196,9 +196,8 @@ impl EmTopC {
     /// [`SvtError::Mechanism`] on invalid configuration or if a key
     /// location `ε/(kcΔ)·score` overflows to a non-finite value
     /// (scores themselves are already validated finite by
-    /// [`GroupedSnapshot`]'s constructors; the snapshot is immutable
-    /// and epoch-stamped, so the run is pinned to one version of the
-    /// dataset).
+    /// [`GroupedSnapshot::from_scores`]; the snapshot is immutable, so
+    /// the run is pinned to one version of the dataset).
     pub fn select_grouped_into(
         &self,
         groups: &GroupedSnapshot,
@@ -232,24 +231,35 @@ impl EmTopC {
         }
         let mut heap = BinaryHeap::from(std::mem::take(heap_storage));
         // … then per selection round: the member pick for the winning
-        // group, then (if the group is not exhausted) its next key.
+        // group, then (if the group is not exhausted) its next key. The
+        // winner's entry is rewritten in place and sifted down once; only
+        // an exhausted group leaves the heap. Entries are unique under
+        // `(key, group)`, so the heap's top, and hence every pick, is the
+        // same as popping and re-pushing the winner would give.
         for _ in 0..take {
-            let GroupKey { group, .. } = heap.pop().expect(
+            let mut top = heap.peek_mut().expect(
                 "every non-exhausted group keeps one key in the heap, \
                  and take is at most the total item count",
             );
-            let cursor = &mut cursors[group as usize];
+            let cursor = &mut cursors[top.group as usize];
             let picked_pos =
-                picks.pick_uniform(groups.offset(group as usize), cursor.remaining, rng);
+                picks.pick_uniform(groups.offset(top.group as usize), cursor.remaining, rng);
             cursor.remaining -= 1;
-            selected.push(groups.item(picked_pos) as usize);
+            // Sorted positions for now: resolving each to its item id
+            // here would put a cache miss in the `order` table on every
+            // pick.
+            selected.push(picked_pos as usize);
             if cursor.remaining > 0 {
-                let key = cursor
+                top.key = cursor
                     .keys
                     .next_key(rng)
                     .expect("remaining members imply remaining order statistics");
-                heap.push(GroupKey { key, group });
+            } else {
+                PeekMut::pop(top);
             }
+        }
+        for slot in selected.iter_mut() {
+            *slot = groups.item(*slot as u32) as usize;
         }
         *heap_storage = heap.into_vec();
         Ok(())
@@ -487,6 +497,81 @@ mod tests {
             em.select_grouped_into(&g, &mut rng, &mut scratch).unwrap();
             assert_eq!(scratch.selected(), &per_item[..], "seed {seed}");
         }
+    }
+
+    /// The pick loop before the in-place heap top: pop the winner,
+    /// resolve its item id at once, push its next key back.
+    fn pop_and_push_reference(
+        em: &EmTopC,
+        groups: &GroupedSnapshot,
+        rng: &mut DpRng,
+    ) -> Vec<usize> {
+        let factor = em.round_mechanism().unwrap().log_weight_factor();
+        let mut picks = crate::streaming::DisplacementMap::default();
+        picks.reset();
+        let (mut cursors, mut keys) = (Vec::new(), Vec::new());
+        for g in 0..groups.num_groups() {
+            let dist = Gumbel::new(factor * groups.score(g), 1.0).unwrap();
+            let mut group_keys = GumbelMax::new(dist, groups.len(g)).unwrap();
+            keys.push(GroupKey {
+                key: group_keys.next_key(rng).unwrap(),
+                group: g as u32,
+            });
+            cursors.push(GroupCursor {
+                keys: group_keys,
+                remaining: groups.len(g) as u32,
+            });
+        }
+        let mut heap = BinaryHeap::from(keys);
+        let mut selected = Vec::new();
+        for _ in 0..em.c.min(groups.len_items()) {
+            let GroupKey { group, .. } = heap.pop().unwrap();
+            let cursor = &mut cursors[group as usize];
+            let pos = picks.pick_uniform(groups.offset(group as usize), cursor.remaining, rng);
+            cursor.remaining -= 1;
+            selected.push(groups.item(pos) as usize);
+            if cursor.remaining > 0 {
+                let key = cursor.keys.next_key(rng).unwrap();
+                heap.push(GroupKey { key, group });
+            }
+        }
+        selected
+    }
+
+    #[test]
+    fn in_place_top_matches_the_pop_and_push_loop_on_a_dominant_group() {
+        // A 5,000-member group wins most picks with members left over; a
+        // 3-member group above it and a 2-member group that its falling
+        // keys meet both run out. Item ids are shuffled, so a sorted
+        // position left unresolved (or resolved to the wrong slot) shows.
+        let mut scores = vec![10.0; 5000];
+        scores.extend([110.0; 3]);
+        scores.extend([70.0; 2]);
+        scores.extend([0.0; 300]);
+        DpRng::seed_from_u64(1).shuffle(&mut scores);
+        let g = grouped(&scores);
+        let em = EmTopC::new(4.0, 40, 1.0, true).unwrap();
+        let mut scratch = RunScratch::new();
+        let (mut dominant, mut small_runs_out) = (0, 0);
+        for seed in 0..12u64 {
+            let mut rng = DpRng::seed_from_u64(seed);
+            em.select_grouped_into(&g, &mut rng, &mut scratch).unwrap();
+            let next = rng.next_u64();
+            let mut rng = DpRng::seed_from_u64(seed);
+            let want = pop_and_push_reference(&em, &g, &mut rng);
+            assert_eq!(scratch.selected(), &want[..], "seed {seed}");
+            assert_eq!(next, rng.next_u64(), "draws consumed, seed {seed}");
+            let picked = |score: f64| want.iter().filter(|&&i| scores[i] == score).count();
+            dominant += picked(10.0);
+            small_runs_out += usize::from(picked(110.0) == 3) + usize::from(picked(70.0) == 2);
+        }
+        // The input does what it is for: the large group takes most picks
+        // and the small groups empty in most runs.
+        assert!(dominant > 12 * 40 / 2, "large group won {dominant} picks");
+        assert!(
+            small_runs_out > 12,
+            "small groups ran out {small_runs_out} times"
+        );
     }
 
     #[test]

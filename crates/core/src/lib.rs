@@ -24,9 +24,9 @@
 //! - [`streaming`] — the zero-copy evaluation path: reusable
 //!   [`RunScratch`] buffers, the sparse lazy Fisher–Yates traversal
 //!   ([`SparseOrder`]), batched block-wise query noise, and the one
-//!   pipelined item walk that SVT-S, the exponential-noise SVT and every
-//!   SVT-ReTr pass run; same output distributions, `O(examined)` per
-//!   run, built for the experiment harness's hot loop.
+//!   pipelined item walk that SVT-S, the exponential-noise SVT,
+//!   SVT-DPBook and every SVT-ReTr pass run; same output distributions,
+//!   `O(examined)` per run, built for the experiment harness's hot loop.
 //! - [`skip_ahead`] — SVT-Revisited over grouped score runs: the next ⊤
 //!   is drawn per score group instead of per item (⊥s are free and
 //!   tied members exchangeable), `O(c·G)` per run with the item-level
@@ -71,6 +71,8 @@ pub mod approx;
 pub mod catalog;
 pub mod em_select;
 pub mod error;
+#[cfg(test)]
+mod gate;
 pub mod interactive;
 pub mod noninteractive;
 pub mod response;

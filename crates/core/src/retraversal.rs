@@ -162,7 +162,7 @@ pub struct RetraversalRun {
 /// batched-noise equivalent of [`svt_retraversal`]. Same output
 /// distribution and pass semantics (lazy shuffle on the first pass,
 /// survivors re-examined in the same relative order with fresh `ν` and
-/// the same `ρ`), run by the streaming layer's one fixed-`ρ` walk
+/// the same `ρ`), run by the streaming layer's one item walk
 /// (the one SVT-S runs, with more than one pass): the permutation
 /// buffer and noise prefetch live in `scratch` and survivors are
 /// compacted in place, so a run allocates nothing, and

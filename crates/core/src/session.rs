@@ -131,6 +131,15 @@ impl SessionState {
         Ok(())
     }
 
+    /// Installs a redrawn `ρ` as Alg. 2 (SVT-DPBook) does after a ⊤,
+    /// without [`refresh_rho`](Self::refresh_rho)'s check: a draw at a
+    /// scale near `f64::MAX` can overflow to ±∞, which then decides
+    /// every later comparison, as it does in [`Alg2`](crate::alg::Alg2).
+    #[inline]
+    pub(crate) fn redraw_rho(&mut self, rho: f64) {
+        self.rho = rho;
+    }
+
     /// Validates a query against the current state without transitioning:
     /// the session must not be halted and both inputs must be finite.
     ///

@@ -200,60 +200,10 @@ pub fn revisited_select_grouped(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alg::SparseVector;
     use crate::allocation::BudgetRatio;
+    use crate::gate::{compare, Counted, Critical, Sample};
     use crate::noninteractive::select_with;
-    use crate::response::SvtAnswer;
     use proptest::prelude::*;
-
-    /// [`SvtRevisited`] counting the queries it answers: the scalar
-    /// reference's examined count.
-    struct Counted {
-        alg: SvtRevisited,
-        asked: usize,
-    }
-
-    impl SparseVector for Counted {
-        fn respond(&mut self, q: f64, threshold: f64, rng: &mut DpRng) -> Result<SvtAnswer> {
-            self.asked += 1;
-            self.alg.respond(q, threshold, rng)
-        }
-        fn is_halted(&self) -> bool {
-            self.alg.is_halted()
-        }
-        fn positives(&self) -> usize {
-            self.alg.positives()
-        }
-        fn name(&self) -> &'static str {
-            "counted SVT-Revisited"
-        }
-    }
-
-    /// What the gate compares per engine: selections per score group
-    /// over all runs, and ⊤ and examined counts per run.
-    struct Sample {
-        per_group: Vec<u64>,
-        tops: Vec<f64>,
-        examined: Vec<f64>,
-    }
-
-    impl Sample {
-        fn new(groups: &GroupedSnapshot) -> Self {
-            Self {
-                per_group: vec![0; groups.num_groups()],
-                tops: Vec::new(),
-                examined: Vec::new(),
-            }
-        }
-
-        fn record(&mut self, groups: &GroupedSnapshot, selected: &[usize], examined: usize) {
-            for &item in selected {
-                self.per_group[groups.group_of_item(item)] += 1;
-            }
-            self.tops.push(selected.len() as f64);
-            self.examined.push(examined as f64);
-        }
-    }
 
     /// One cell of the gate.
     struct Cell {
@@ -293,106 +243,21 @@ mod tests {
         let mut rng = DpRng::seed_from_u64(seed);
         let mut sample = Sample::new(groups);
         for _ in 0..runs {
-            let mut alg = Counted {
-                alg: SvtRevisited::new(cfg, &mut rng).unwrap(),
-                asked: 0,
-            };
+            let mut alg = Counted::new(SvtRevisited::new(cfg, &mut rng).unwrap());
             let selected = select_with(&mut alg, scores, cell.threshold, &mut rng).unwrap();
             sample.record(groups, &selected, alg.asked);
         }
         sample
     }
 
-    /// Two-sample Kolmogorov–Smirnov statistic `sup |F_a − F_b|`.
-    fn ks_statistic(a: &[f64], b: &[f64]) -> f64 {
-        let (mut a, mut b) = (a.to_vec(), b.to_vec());
-        a.sort_by(f64::total_cmp);
-        b.sort_by(f64::total_cmp);
-        let (mut i, mut j, mut d) = (0, 0, 0.0f64);
-        while i < a.len() && j < b.len() {
-            let x = a[i].min(b[j]);
-            while i < a.len() && a[i] <= x {
-                i += 1;
-            }
-            while j < b.len() && b[j] <= x {
-                j += 1;
-            }
-            d = d.max((i as f64 / a.len() as f64 - j as f64 / b.len() as f64).abs());
-        }
-        d
-    }
-
-    /// Chi-square homogeneity statistic of two count vectors over the
-    /// same categories, pooling consecutive categories until each
-    /// pooled cell holds at least 20 observations in total; returns
-    /// `(statistic, degrees of freedom)`.
-    fn chi_square_homogeneity(a: &[u64], b: &[u64]) -> (f64, usize) {
-        let mut cells: Vec<(f64, f64)> = Vec::new();
-        let (mut pa, mut pb) = (0u64, 0u64);
-        for (&x, &y) in a.iter().zip(b) {
-            pa += x;
-            pb += y;
-            if pa + pb >= 20 {
-                cells.push((pa as f64, pb as f64));
-                (pa, pb) = (0, 0);
-            }
-        }
-        if let Some(last) = cells.last_mut() {
-            last.0 += pa as f64;
-            last.1 += pb as f64;
-        }
-        let (ta, tb) = cells
-            .iter()
-            .fold((0.0, 0.0), |(sa, sb), &(x, y)| (sa + x, sb + y));
-        let stat = cells
-            .iter()
-            .map(|&(x, y)| {
-                let ea = (x + y) * ta / (ta + tb);
-                let eb = (x + y) * tb / (ta + tb);
-                (x - ea).powi(2) / ea + (y - eb).powi(2) / eb
-            })
-            .sum();
-        (stat, cells.len().saturating_sub(1))
-    }
-
-    /// Wilson–Hilferty: the standard-normal score of a chi-square
-    /// statistic with `df` degrees of freedom.
-    fn chi_square_z(stat: f64, df: usize) -> f64 {
-        let k = df as f64;
-        let v = 2.0 / (9.0 * k);
-        ((stat / k).cbrt() - (1.0 - v)) / v.sqrt()
-    }
-
     /// Bonferroni over the gate's 12 tests (2 inputs × 2 cells × 3
     /// tests) at a family-wise false-alarm rate of 1e-3: each test runs
     /// at α = 1e-3/12, i.e. one-sided `z_{1−α}` = 3.7648 for the
     /// chi-squares and the KS coefficient `√(−ln(α/2)/2)` = 2.2456.
-    const CHI_SQUARE_Z: f64 = 3.7648;
-    const KS_COEFFICIENT: f64 = 2.2456;
-
-    /// Compares one cell's two samples; returns the failed tests.
-    fn compare(name: &str, skip: &Sample, reference: &Sample) -> Vec<String> {
-        let mut failures = Vec::new();
-        let (stat, df) = chi_square_homogeneity(&skip.per_group, &reference.per_group);
-        let z = chi_square_z(stat, df);
-        if z >= CHI_SQUARE_Z {
-            failures.push(format!(
-                "{name}: per-group selections chi-square {stat:.1} on {df} df (z {z:.2})"
-            ));
-        }
-        let (na, nb) = (skip.tops.len() as f64, reference.tops.len() as f64);
-        let critical = KS_COEFFICIENT * ((na + nb) / (na * nb)).sqrt();
-        for (what, a, b) in [
-            ("⊤ count", &skip.tops, &reference.tops),
-            ("examined count", &skip.examined, &reference.examined),
-        ] {
-            let d = ks_statistic(a, b);
-            if d >= critical {
-                failures.push(format!("{name}: {what} KS D = {d:.4} ≥ {critical:.4}"));
-            }
-        }
-        failures
-    }
+    const CRITICAL: Critical = Critical {
+        chi_square_z: 3.7648,
+        ks_coefficient: 2.2456,
+    };
 
     #[test]
     fn skip_ahead_matches_the_item_level_reference_distribution() {
@@ -469,7 +334,7 @@ mod tests {
                     cell.runs
                 );
                 let name = format!("{input} c={} T={}", cell.c, cell.threshold);
-                failures.extend(compare(&name, &skip, &reference));
+                failures.extend(compare(&name, &skip, &reference, &CRITICAL));
             }
         }
         assert!(

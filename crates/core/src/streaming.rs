@@ -17,30 +17,35 @@
 //!   the prefix of a full [`DpRng::shuffle_forward`] (proven by
 //!   property test), so the traversal order is a uniformly random
 //!   permutation either way.
-//! * **Batched noise** — the fixed-`ρ` SVTs' per-query `ν` comes from a
+//! * **Batched noise** — the walked SVTs' per-query `ν` comes from a
 //!   [`NoiseBuffer`] refilled block-wise via [`BatchSample::sample_into`],
 //!   drawn from a dedicated forked generator so the handed-out noise
 //!   stream is bit-identical for every batch size.
 //!
-//! ## One walk for every fixed-`ρ` SVT
+//! ## One walk for every item-level SVT selection
 //!
 //! SVT-S ([`svt_select_from`]), the exponential-noise SVT
-//! ([`exp_noise_select_from`]) and every pass of SVT-ReTr
+//! ([`exp_noise_select_from`]), every pass of SVT-ReTr
 //! ([`svt_retraversal_from`](crate::retraversal::svt_retraversal_from))
-//! are Algorithm 7 over a stream of queries with `ρ` drawn once; they
-//! differ only in the noise family (Laplace or one-sided exponential,
-//! fixed by the algorithm as a type) and in how many passes over the
-//! unselected items they may make. They share one item walk, which
-//! consumes randomness in this fixed order — what makes its output a
-//! pure function of the run generator, independent of noise batch
-//! size:
+//! and SVT-DPBook ([`dpbook_select_from`]) compare `q + ν ≥ T + ρ` over
+//! a stream of queries and halt at `c` ⊤s. They differ in the noise
+//! family (Laplace or one-sided exponential, fixed by the algorithm as
+//! a type) and its scales, in how many passes over the unselected items
+//! they may make, and in whether `ρ` is redrawn after each ⊤ (SVT-DPBook,
+//! Alg. 2) or fixed for the run (the rest). They share one item walk,
+//! which consumes randomness in this fixed order — what makes its
+//! output a pure function of the run generator, independent of noise
+//! batch size:
 //!
 //! 1. fork the query-noise generator off the run generator;
-//! 2. draw `ρ` from the run generator;
-//! 3. in pass 1, per examined position `i`: one [`DpRng::shuffle_step`]
-//!    from the run generator, then one `ν` from the (buffered) noise
+//! 2. SVT-DPBook only: fork the `ρ`-refresh generator off the run
 //!    generator;
-//! 4. in each later pass (SVT-ReTr only), per re-examined survivor, in
+//! 3. draw `ρ` from the run generator;
+//! 4. in pass 1, per examined position `i`: one [`DpRng::shuffle_step`]
+//!    from the run generator, then one `ν` from the (buffered) noise
+//!    generator; SVT-DPBook, after a ⊤ that does not halt: one new `ρ`
+//!    from the refresh generator;
+//! 5. in each later pass (SVT-ReTr only), per re-examined survivor, in
 //!    its pass-1 order: one `ν` from the noise generator.
 //!
 //! The streaming paths release set membership only (⊤/⊥ — what the
@@ -49,21 +54,21 @@
 //! path.
 
 use crate::alg::SparseVector;
-use crate::alg::StandardSvtConfig;
+use crate::alg::{Alg2Noise, StandardSvtConfig};
 use crate::em_select::{GroupCursor, GroupKey};
 use crate::noninteractive::SvtSelectConfig;
 use crate::session::SessionState;
 use crate::skip_ahead::SkipGroup;
-use crate::Result;
+use crate::{Result, SvtError};
 use dp_data::GroupedSnapshot;
 use dp_mechanisms::exp_noise::Exponential;
 use dp_mechanisms::laplace::Laplace;
-use dp_mechanisms::{BatchSample, DpRng, NoiseBuffer, NoiseKernel};
+use dp_mechanisms::{BatchSample, DpRng, NoiseBuffer, NoiseKernel, SvtBudget};
 
 /// Per-item score access for the streaming selection paths.
 ///
-/// The streaming algorithms (the fixed-`ρ` walk behind
-/// [`svt_select_from`], [`exp_noise_select_from`] and
+/// The streaming algorithms (the walk behind [`svt_select_from`],
+/// [`exp_noise_select_from`], [`dpbook_select_from`] and
 /// [`svt_retraversal_from`](crate::retraversal::svt_retraversal_from),
 /// and [`select_streaming_from`]) only ever ask two questions — how
 /// many items are there, and what is item `i`'s score — so they are
@@ -317,7 +322,7 @@ impl DisplacementMap {
 /// keeping the `O(examined)` bound.
 ///
 /// The emitted prefix is stored densely; before each of SVT-ReTr's
-/// later passes the fixed-`ρ` walk compacts the survivors at its front
+/// later passes the walk compacts the survivors at its front
 /// and re-reads them there.
 ///
 /// ```
@@ -680,8 +685,8 @@ impl Default for RunScratch {
 /// scheduling change (no draw the run uses moves, no output changes).
 const LOOKAHEAD: usize = 16;
 
-/// The noise family of a fixed-`ρ` SVT — Laplace for Algorithm 7 (SVT-S,
-/// SVT-ReTr), one-sided [`Exponential`] for
+/// The noise family of a walked SVT — Laplace for Algorithm 7 (SVT-S,
+/// SVT-ReTr) and Alg. 2 (SVT-DPBook), one-sided [`Exponential`] for
 /// [`ExpNoiseSvt`](crate::alg::ExpNoiseSvt). `ρ` and every `ν` come from
 /// one family, so the algorithm fixes it as a type.
 pub(crate) trait SvtNoise: BatchSample + Sized {
@@ -691,15 +696,19 @@ pub(crate) trait SvtNoise: BatchSample + Sized {
     fn for_config(config: &StandardSvtConfig) -> Result<(Self, Self)>;
 }
 
-/// Algorithm 7's comparison core with prefetched query noise from the
-/// family `N`: `ρ` and the threshold fixed at construction, one
+/// The SVT comparison core with prefetched query noise from the family
+/// `N`: the threshold and the first `ρ` fixed at construction, one
 /// buffered `ν` per query, halt at `c`. [`walk`](Self::walk) is the one
-/// item walk of every fixed-`ρ` SVT (see the module docs).
+/// item walk of every item-level SVT selection (see the module docs).
 pub(crate) struct BatchedSvt<N> {
     noise_rng: DpRng,
     state: SessionState,
     query_noise: N,
     threshold: f64,
+    /// SVT-DPBook's redraw of `ρ` after each ⊤ that does not halt: its
+    /// distribution and the generator forked for it. `None` keeps `ρ`
+    /// fixed for the run.
+    refresh: Option<(N, DpRng)>,
 }
 
 /// One lookahead window of a walk: the items at the next `len`
@@ -748,27 +757,44 @@ impl<N: SvtNoise> BatchedSvt<N> {
     ///
     /// # Errors
     /// The configuration errors of `for_config`, then
-    /// [`SvtError::NonFiniteInput`](crate::SvtError::NonFiniteInput) on
-    /// a NaN or infinite `threshold`; either way before any draw.
+    /// [`SvtError::NonFiniteInput`] on a NaN or infinite `threshold`;
+    /// either way before any draw.
     pub(crate) fn new(config: &StandardSvtConfig, threshold: f64, rng: &mut DpRng) -> Result<Self> {
         let (threshold_noise, query_noise) = N::for_config(config)?;
+        Self::start(config, threshold_noise, query_noise, None, threshold, rng)
+    }
+
+    /// Rejects a non-finite `threshold`, then performs steps 1–3 of the
+    /// module-level draw protocol (the refresh fork only if `refresh`
+    /// is given). `config` supplies the session's cutoff.
+    fn start(
+        config: &StandardSvtConfig,
+        threshold_noise: N,
+        query_noise: N,
+        refresh: Option<N>,
+        threshold: f64,
+        rng: &mut DpRng,
+    ) -> Result<Self> {
         crate::error::check_finite(threshold, "threshold")?;
         let noise_rng = rng.fork();
+        let refresh = refresh.map(|noise| (noise, rng.fork()));
         let rho = threshold_noise.sample_one(rng);
         Ok(Self {
             noise_rng,
             state: SessionState::new(*config, rho)?,
             query_noise,
             threshold,
+            refresh,
         })
     }
 
-    /// The one fixed-`ρ` item walk: pass 1 over a lazily shuffled order
-    /// of all items, then — while fewer than `c` are selected and fewer
-    /// than `max_passes` passes have run — another pass over the
-    /// unselected items in their pass-1 order, with fresh `ν` and the
-    /// same `ρ`. The selection lands in `scratch`, in answer order, and
-    /// its examined count is pass 1's. Returns the number of passes.
+    /// The one item walk: pass 1 over a lazily shuffled order of all
+    /// items, then — while fewer than `c` are selected and fewer than
+    /// `max_passes` passes have run — another pass over the unselected
+    /// items in their pass-1 order, with fresh `ν` and the same `ρ`
+    /// (SVT-DPBook, the one walk with a `ρ` redraw, makes one pass). The
+    /// selection lands in `scratch`, in answer order, and its examined
+    /// count is pass 1's. Returns the number of passes.
     ///
     /// Each pass runs a two-deep pipeline of [`LOOKAHEAD`]-sized
     /// windows: while one window is observed, the next has already been
@@ -786,7 +812,8 @@ impl<N: SvtNoise> BatchedSvt<N> {
     /// would. Query noise is pulled a window at a time from the `ν` fork
     /// — the same stream, up to `LOOKAHEAD - 1` values past a halt,
     /// which is unobservable: the fork is dropped with the walk and the
-    /// buffer reset next run.
+    /// buffer reset next run. SVT-DPBook's `ρ` redraws come one scalar
+    /// draw at a time from their own fork, in ⊤ order.
     pub(crate) fn walk<S: ScoreSource + ?Sized>(
         mut self,
         scores: &S,
@@ -824,6 +851,9 @@ impl<N: SvtNoise> BatchedSvt<N> {
                         if self.state.is_halted() {
                             break 'pass;
                         }
+                        if let Some((noise, refresh_rng)) = &mut self.refresh {
+                            self.state.redraw_rho(noise.sample_one(refresh_rng));
+                        }
                     } else {
                         if compact {
                             order.prefix[write] = item;
@@ -841,6 +871,52 @@ impl<N: SvtNoise> BatchedSvt<N> {
             live = write;
         }
         passes
+    }
+}
+
+/// The Alg. 2 noise of an SVT-DPBook walk, and the session
+/// configuration that carries its cutoff: Alg. 2's split
+/// `ε₁ = ε₂ = ε/2` of general (non-monotonic) queries. The walk reads
+/// only the cutoff from it; every scale comes from [`Alg2Noise`].
+fn dpbook_noise(
+    epsilon: f64,
+    sensitivity: f64,
+    c: usize,
+) -> Result<(StandardSvtConfig, Alg2Noise)> {
+    let noise = Alg2Noise::new(epsilon, sensitivity, c)?;
+    let config = StandardSvtConfig {
+        budget: SvtBudget::halves(epsilon).map_err(SvtError::from)?,
+        sensitivity,
+        c,
+        monotonic: false,
+    };
+    Ok((config, noise))
+}
+
+impl BatchedSvt<Laplace> {
+    /// SVT-DPBook's walk: Alg. 2's `ρ = Lap(cΔ/ε₁)`, one buffered
+    /// `ν = Lap(2cΔ/ε₁)` per query, and `ρ` redrawn from `Lap(cΔ/ε₂)`
+    /// after each ⊤ that does not halt.
+    ///
+    /// # Errors
+    /// [`Alg2::new`](crate::alg::Alg2::new)'s configuration errors, then
+    /// a non-finite `threshold`; either way before any draw.
+    pub(crate) fn dpbook(
+        epsilon: f64,
+        sensitivity: f64,
+        c: usize,
+        threshold: f64,
+        rng: &mut DpRng,
+    ) -> Result<Self> {
+        let (config, noise) = dpbook_noise(epsilon, sensitivity, c)?;
+        Self::start(
+            &config,
+            noise.rho,
+            noise.query,
+            Some(noise.refresh),
+            threshold,
+            rng,
+        )
     }
 }
 
@@ -881,9 +957,9 @@ impl<N: SvtNoise> BatchedSvt<N> {
 ///
 /// # Errors
 /// Propagates configuration validation, then rejects a non-finite
-/// `threshold` with [`SvtError::NonFiniteInput`](crate::SvtError::NonFiniteInput),
-/// as [`svt_select`](crate::noninteractive::svt_select)'s first
-/// comparison does.
+/// `threshold` with [`SvtError::NonFiniteInput`], as
+/// [`svt_select`](crate::noninteractive::svt_select)'s first comparison
+/// does.
 pub fn svt_select_from<S: ScoreSource + ?Sized>(
     scores: &S,
     threshold: f64,
@@ -920,17 +996,45 @@ pub fn exp_noise_select_from<S: ScoreSource + ?Sized>(
     Ok(())
 }
 
+/// Streaming SVT-DPBook (Alg. 2) selection over any [`ScoreSource`]:
+/// the walk of [`svt_select_from`] with Alg. 2's noise scales and its
+/// redraw of `ρ` after each ⊤ that does not halt, from a generator
+/// forked for it (see the module docs' draw protocol). Samples the same
+/// output distribution as
+/// [`dpbook_select`](crate::noninteractive::dpbook_select), on a
+/// different draw stream; [`Alg2`](crate::alg::Alg2) driven through
+/// [`select_streaming_from`] stays the item-level reference.
+///
+/// # Errors
+/// Rejects non-positive `ε`/`Δ` and `c == 0`, then a non-finite
+/// `threshold`, as [`dpbook_select`](crate::noninteractive::dpbook_select)'s
+/// first comparison does.
+pub fn dpbook_select_from<S: ScoreSource + ?Sized>(
+    scores: &S,
+    threshold: f64,
+    epsilon: f64,
+    c: usize,
+    sensitivity: f64,
+    rng: &mut DpRng,
+    scratch: &mut RunScratch,
+) -> Result<()> {
+    BatchedSvt::dpbook(epsilon, sensitivity, c, threshold, rng)?.walk(scores, 1, rng, scratch);
+    Ok(())
+}
+
 /// Streaming selection for *any* [`SparseVector`] variant (Alg. 1–6 and
 /// the standard SVT) over any [`ScoreSource`]: lazy shuffle and
 /// reusable buffers, with the variant managing its own noise through
 /// [`SparseVector::respond`].
 ///
 /// This is the allocation-free counterpart of
-/// [`select_with`](crate::noninteractive::select_with); it exists so
-/// order-dependent variants (SVT-DPBook's per-⊤ threshold refresh) get
-/// the zero-copy treatment too, even though their noise cannot be
-/// prefetched — and can run off the grouped score runs with draws, and
-/// hence selections, bit-identical to the dense path.
+/// [`select_with`](crate::noninteractive::select_with): one item at a
+/// time, the variant's scalar draws interleaved with the order steps on
+/// one generator. The selection engines run the batched walk instead;
+/// this path stays as their item-level reference (SVT-DPBook through
+/// [`Alg2`](crate::alg::Alg2), the interactive SVT-Revisited and
+/// exponential-noise variants) and serves any other variant, off either
+/// score source with bit-identical draws and selections.
 ///
 /// ```
 /// use dp_mechanisms::DpRng;
@@ -1196,21 +1300,26 @@ mod tests {
         }
     }
 
+    /// What a walk draws its noise from: the session config (its cutoff),
+    /// `ρ`'s and each `ν`'s family, and SVT-DPBook's `ρ` refresh.
+    type Noises<N> = (StandardSvtConfig, N, N, Option<N>);
+
     /// The walk's reference, one item at a time and with no lookahead:
     /// the draw protocol step by step (lazy order step, one scalar `ν`
-    /// from the fork, observe), then SVT-ReTr's survivor passes over a
-    /// plain vector. Returns the selection, pass 1's examined count and
-    /// the number of passes.
+    /// from the fork, observe, and — with a refresh — one scalar `ρ` from
+    /// its own fork after each ⊤ that does not halt), then SVT-ReTr's
+    /// survivor passes over a plain vector. Returns the selection, pass
+    /// 1's examined count and the number of passes.
     fn naive_walk<N: SvtNoise, S: ScoreSource + ?Sized>(
         scores: &S,
         threshold: f64,
-        config: &StandardSvtConfig,
+        (config, threshold_noise, query_noise, refresh): Noises<N>,
         max_passes: usize,
         rng: &mut DpRng,
     ) -> (Vec<usize>, usize, usize) {
-        let (threshold_noise, query_noise) = N::for_config(config).unwrap();
         let mut noise_rng = rng.fork();
-        let mut state = SessionState::new(*config, threshold_noise.sample_one(rng)).unwrap();
+        let mut refresh = refresh.map(|noise| (noise, rng.fork()));
+        let mut state = SessionState::new(config, threshold_noise.sample_one(rng)).unwrap();
         let mut order = SparseOrder::new();
         order.reset(scores.len());
         let (mut selected, mut survivors) = (Vec::new(), Vec::new());
@@ -1231,6 +1340,9 @@ mod tests {
                     if state.is_halted() {
                         break;
                     }
+                    if let Some((noise, refresh_rng)) = &mut refresh {
+                        state.redraw_rho(noise.sample_one(refresh_rng));
+                    }
                 } else {
                     survivors.push(item);
                 }
@@ -1240,8 +1352,31 @@ mod tests {
         (selected, examined, passes)
     }
 
-    /// Runs the walk and [`naive_walk`] from the same seed over one
-    /// source and asserts equal selections, examined counts and passes.
+    /// Runs the walk `open` builds and [`naive_walk`] over `noises` from
+    /// the same seed over one source and asserts equal selections,
+    /// examined counts and passes.
+    fn assert_matches_naive<N: SvtNoise, S: ScoreSource + ?Sized>(
+        open: impl FnOnce(&mut DpRng) -> BatchedSvt<N>,
+        noises: Noises<N>,
+        scores: &S,
+        threshold: f64,
+        max_passes: usize,
+        batch: usize,
+        seed: u64,
+    ) {
+        let mut rng = DpRng::seed_from_u64(seed);
+        let mut scratch = RunScratch::with_noise_batch(batch);
+        let passes = open(&mut rng).walk(scores, max_passes, &mut rng, &mut scratch);
+        let mut rng = DpRng::seed_from_u64(seed);
+        let (selected, examined, naive_passes) =
+            naive_walk(scores, threshold, noises, max_passes, &mut rng);
+        let at = format!("n={} max_passes={max_passes} batch={batch}", scores.len());
+        assert_eq!(scratch.selected(), &selected[..], "selection, {at}");
+        assert_eq!(scratch.examined(), examined, "examined, {at}");
+        assert_eq!(passes, naive_passes, "passes, {at}");
+    }
+
+    /// [`assert_matches_naive`] for a fixed-`ρ` walk of `config`.
     fn assert_walk_matches_naive<N: SvtNoise, S: ScoreSource + ?Sized>(
         scores: &S,
         threshold: f64,
@@ -1250,18 +1385,38 @@ mod tests {
         batch: usize,
         seed: u64,
     ) {
-        let mut rng = DpRng::seed_from_u64(seed);
-        let mut scratch = RunScratch::with_noise_batch(batch);
-        let passes = BatchedSvt::<N>::new(config, threshold, &mut rng)
-            .unwrap()
-            .walk(scores, max_passes, &mut rng, &mut scratch);
-        let mut rng = DpRng::seed_from_u64(seed);
-        let (selected, examined, naive_passes) =
-            naive_walk::<N, S>(scores, threshold, config, max_passes, &mut rng);
-        let at = format!("n={} max_passes={max_passes} batch={batch}", scores.len());
-        assert_eq!(scratch.selected(), &selected[..], "selection, {at}");
-        assert_eq!(scratch.examined(), examined, "examined, {at}");
-        assert_eq!(passes, naive_passes, "passes, {at}");
+        let (threshold_noise, query_noise) = N::for_config(config).unwrap();
+        assert_matches_naive(
+            |rng| BatchedSvt::<N>::new(config, threshold, rng).unwrap(),
+            (*config, threshold_noise, query_noise, None),
+            scores,
+            threshold,
+            max_passes,
+            batch,
+            seed,
+        );
+    }
+
+    /// [`assert_matches_naive`] for SVT-DPBook's walk (one pass, `ρ`
+    /// redrawn after each ⊤ that does not halt).
+    fn assert_dpbook_walk_matches_naive<S: ScoreSource + ?Sized>(
+        scores: &S,
+        threshold: f64,
+        epsilon: f64,
+        c: usize,
+        batch: usize,
+        seed: u64,
+    ) {
+        let (config, noise) = dpbook_noise(epsilon, 1.0, c).unwrap();
+        assert_matches_naive(
+            |rng| BatchedSvt::dpbook(epsilon, 1.0, c, threshold, rng).unwrap(),
+            (config, noise.rho, noise.query, Some(noise.refresh)),
+            scores,
+            threshold,
+            1,
+            batch,
+            seed,
+        );
     }
 
     proptest! {
@@ -1297,13 +1452,105 @@ mod tests {
             assert_walk_matches_naive::<Laplace, _>(&scores[..], threshold, &config, 1, batch, seed);
             assert_walk_matches_naive::<Exponential, _>(&scores[..], threshold, &config, 1, batch, seed);
             assert_walk_matches_naive::<Laplace, _>(&scores[..], threshold, &config, max_passes, batch, seed);
+            // SVT-DPBook (one pass, ρ redrawn after each ⊤ that does not halt).
+            let epsilon = 0.5 + 4.0 * frac;
+            assert_dpbook_walk_matches_naive(&scores[..], threshold, epsilon, c, batch, seed);
             if n > 0 {
                 let groups = GroupedSnapshot::from_scores(&scores).unwrap();
                 assert_walk_matches_naive::<Laplace, _>(&groups, threshold, &config, 1, batch, seed);
                 assert_walk_matches_naive::<Exponential, _>(&groups, threshold, &config, 1, batch, seed);
                 assert_walk_matches_naive::<Laplace, _>(&groups, threshold, &config, max_passes, batch, seed);
+                assert_dpbook_walk_matches_naive(&groups, threshold, epsilon, c, batch, seed);
             }
         }
+    }
+
+    #[test]
+    fn dpbook_walk_matches_dpbook_select_in_distribution() {
+        // The distribution gate for SVT-DPBook's walk against its scalar
+        // reference, `dpbook_select` (Alg. 2 through `select_with`,
+        // counting the queries it answers): 60 items over 3 score
+        // levels, with the threshold above every level, so ⊤s are
+        // noise-driven and about half the runs end with fewer than c of
+        // them — where the ρ redraw after each ⊤ shapes the ⊤ and
+        // examined counts. A walk that skips the redraw, redraws at ν's
+        // scale or also redraws after a ⊥ fails the KS tests here by
+        // more than three times their critical D.
+        use crate::alg::Alg2;
+        use crate::gate::{compare, Counted, Critical, Sample};
+        use crate::noninteractive::select_with;
+        /// Bonferroni over the gate's 3 tests at a family-wise
+        /// false-alarm rate of 1e-3: each runs at α = 1e-3/3, i.e.
+        /// one-sided `z_{1−α}` = 3.4029 for the chi-square and the KS
+        /// coefficient `√(−ln(α/2)/2)` = 2.0856.
+        const CRITICAL: Critical = Critical {
+            chi_square_z: 3.4029,
+            ks_coefficient: 2.0856,
+        };
+        let scores: Vec<f64> = (0..60).map(|i| f64::from(i % 3) * 10.0).collect();
+        let groups = GroupedSnapshot::from_scores(&scores).unwrap();
+        let (epsilon, c, threshold, runs) = (1.0, 4, 45.0, 20_000);
+        let mut walk = Sample::new(&groups);
+        let mut rng = DpRng::seed_from_u64(0x00d6_b00c);
+        let mut scratch = RunScratch::new();
+        for _ in 0..runs {
+            dpbook_select_from(
+                &scores[..],
+                threshold,
+                epsilon,
+                c,
+                1.0,
+                &mut rng,
+                &mut scratch,
+            )
+            .unwrap();
+            walk.record(&groups, scratch.selected(), scratch.examined());
+        }
+        let mut reference = Sample::new(&groups);
+        let mut rng = DpRng::seed_from_u64(0x00d6_b00d);
+        for _ in 0..runs {
+            let mut alg = Counted::new(Alg2::new(epsilon, 1.0, c, &mut rng).unwrap());
+            let selected = select_with(&mut alg, &scores, threshold, &mut rng).unwrap();
+            reference.record(&groups, &selected, alg.asked);
+        }
+        let halted = reference.tops.iter().filter(|&&t| t == c as f64).count();
+        assert!(
+            (runs / 5..runs * 4 / 5).contains(&halted),
+            "{halted}/{runs} reference runs halted: the cell no longer mixes halting and exhausting runs"
+        );
+        let failures = compare("SVT-DPBook", &walk, &reference, &CRITICAL);
+        assert!(
+            failures.is_empty(),
+            "distribution gate failed:\n{}",
+            failures.join("\n")
+        );
+    }
+
+    #[test]
+    fn dpbook_walk_survives_infinite_noise_draws() {
+        // At ε = 8e-308 and c = 2 every Alg. 2 scale is finite (ρ and
+        // its redraw 5e307, ν 1e308), but a draw more than ~3.6 of its
+        // scales out (ν: ~1.8) overflows to ±∞, so some initial ρ, ν and
+        // redrawn ρ are infinite. A run may then err (an infinite first
+        // ρ) but must never panic, and a redrawn ρ is installed as Alg. 2
+        // installs it.
+        let scores = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0];
+        let mut rng = DpRng::seed_from_u64(0x000b_16e5);
+        let mut scratch = RunScratch::new();
+        let (mut ok, mut err) = (0, 0);
+        for _ in 0..2000 {
+            match dpbook_select_from(&scores[..], 3.0, 8e-308, 2, 1.0, &mut rng, &mut scratch) {
+                Ok(()) => {
+                    ok += 1;
+                    assert!(scratch.selected().len() <= 2);
+                }
+                Err(e) => {
+                    err += 1;
+                    assert_eq!(e, SvtError::NonFiniteInput("threshold noise"));
+                }
+            }
+        }
+        assert!(ok > 1000 && err > 0, "{ok} runs ran, {err} erred");
     }
 
     #[test]

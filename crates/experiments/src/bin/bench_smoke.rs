@@ -84,7 +84,12 @@
 //! timed a persisted warm-start cache: the counting build of
 //! `GroupedSnapshot::from_scores` outran it, and the cache is gone.
 //! `context_setup_cold_ns` is now the best of three builds, each on a
-//! fresh copy of the scores, like every other timing here.
+//! fresh copy of the scores, like every other timing here. Its cells
+//! also hold an `SVT-DPBook` group at both scales, with no change to
+//! the line format: `dpbook_exact_scalar` (Alg. 2 through
+//! `dpbook_select`, the group's ratio reference) and
+//! `dpbook_exact_batched` (the streaming walk with Alg. 2's per-⊤ `ρ`
+//! redraw, under the reference kernel).
 //!
 //! The workload, seeds, and run counts are fixed, so the *work
 //! performed* is identical from machine to machine and run to run; only
@@ -135,6 +140,8 @@ const CHECK_TOLERANCE: f64 = 0.30;
 fn reference_engine(algorithm: &str) -> &'static str {
     if algorithm == "EM" {
         "em_peel"
+    } else if algorithm == "SVT-DPBook" {
+        "dpbook_exact_scalar"
     } else if algorithm.starts_with("SVT-RV") {
         "rv_exact_scalar"
     } else if algorithm.starts_with("SVT-Exp") {
@@ -321,12 +328,19 @@ fn bench_size(
     });
     out.push(cell(svt_label, "exact_batched_vectorized", runs, timing));
 
-    // The post-2017 reference-suite groups: SVT-Revisited and the
+    // The other SVT groups: SVT-DPBook (Alg. 2, the Figure-4 baseline)
+    // and the post-2017 reference-suite variants, SVT-Revisited and the
     // exponential-noise SVT, each through the scalar reference and the
-    // streaming path under both kernels — the same split as the SVT-S
-    // group above. SVT-Revisited's skip-ahead draws no batched noise,
-    // so its group has no vectorized cell.
-    let post2017 = [
+    // streaming path — under both kernels for SVT-Exp, the same split
+    // as the SVT-S group above. SVT-Revisited's skip-ahead draws no
+    // batched noise, so its group has no vectorized cell; SVT-DPBook's
+    // walk is SVT-S's, so its group times the reference kernel only.
+    let groups = [
+        (
+            AlgorithmSpec::DpBook,
+            "SVT-DPBook",
+            ("dpbook_exact_scalar", "dpbook_exact_batched", None),
+        ),
         (
             AlgorithmSpec::Revisited {
                 ratio: BudgetRatio::OneToCTwoThirds,
@@ -346,7 +360,7 @@ fn bench_size(
             ),
         ),
     ];
-    for (spec, label, (scalar_engine, batched_engine, batched_vec)) in post2017 {
+    for (spec, label, (scalar_engine, batched_engine, batched_vec)) in groups {
         let timing = time_runs(seed, scalar_runs, |rng| {
             exact.run_once(&spec, EPSILON, rng).expect("scalar run").ser
         });
@@ -414,13 +428,18 @@ fn bench_size(
 ///   as small as the avoided per-run allocation. It gets a 15%
 ///   allowance so a same-speed tie can't flip the gate on a noisy box
 ///   while a real regression (the old interactive wrapper was
-///   1.8–1.9× scalar) still trips it. SVT-RV's skip-ahead and the
-///   grouped EM route, which have no vectorized sibling, are held to
-///   the strict tier.
+///   1.8–1.9× scalar) still trips it. SVT-DPBook's walk, SVT-RV's
+///   skip-ahead and the grouped EM route, which have no vectorized
+///   sibling, are held to the strict tier.
 fn assert_batched_beats_scalar(cells: &[CellTiming]) {
     // (strict vectorized cell, reference-kernel cell, scalar reference)
     let pairs = [
         ("exact_batched_vectorized", "exact_batched", "exact_scalar"),
+        (
+            "dpbook_exact_batched",
+            "dpbook_exact_batched",
+            "dpbook_exact_scalar",
+        ),
         ("rv_exact_batched", "rv_exact_batched", "rv_exact_scalar"),
         (
             "exp_exact_batched_vectorized",
@@ -566,6 +585,8 @@ fn parse_baseline(text: &str) -> Vec<BaselineCell> {
             "exact_scalar",
             "exact_batched",
             "exact_batched_vectorized",
+            "dpbook_exact_scalar",
+            "dpbook_exact_batched",
             "rv_exact_scalar",
             "rv_exact_batched",
             "rv_exact_batched_vectorized",

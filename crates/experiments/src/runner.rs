@@ -15,12 +15,12 @@
 //! run order per cell).
 //!
 //! The engine is zero-copy over shared per-dataset state: a
-//! [`SweepContext`] (the dataset's one score sort — grouped runs plus
-//! the `O(1)` rank table) is built lazily per [`PreparedDataset`] and
-//! borrowed by every `(algorithm, c)` context of the sweep; no context
-//! sorts anything of its own. Within a sweep one [`ExactContext`] per
-//! `c` is shared by every algorithm, and each worker thread reuses one
-//! [`RunScratch`] across all its runs.
+//! [`SweepContext`] (the dataset's one grouping of its scores — grouped
+//! runs plus the `O(1)` rank table) is built lazily per
+//! [`PreparedDataset`] and borrowed by every `(algorithm, c)` context of
+//! the sweep; no context sorts anything of its own. Within a sweep one
+//! [`ExactContext`] per `c` is shared by every algorithm, and each
+//! worker thread reuses one [`RunScratch`] across all its runs.
 
 use crate::metrics::{MeanStd, MetricSummary};
 use crate::simulate::exact::ExactContext;
@@ -47,9 +47,9 @@ pub struct CellResult {
 
 /// A dataset prepared for sweeping: the raw scores plus the shared
 /// [`SweepContext`] (grouped runs + rank table), computed lazily on
-/// first use — one sort per dataset, however many score sources,
+/// first use — one grouping per dataset, however many score sources,
 /// algorithms, and cutoffs a sweep throws at it. The context holds an
-/// `Arc`-shared epoch-pinned snapshot, so worker threads thread the
+/// `Arc`-shared immutable snapshot, so worker threads thread the
 /// *same* snapshot through every cell instead of rebuilding (or
 /// re-cloning the tables) per cell.
 #[derive(Debug, Clone)]
@@ -75,9 +75,9 @@ impl PreparedDataset {
         &self.scores
     }
 
-    /// The shared per-dataset sweep state, built (one sort) on first
-    /// use and borrowed by every context of every sweep over this
-    /// dataset.
+    /// The shared per-dataset sweep state, built (one counting build of
+    /// the grouped snapshot) on first use and borrowed by every context
+    /// of every sweep over this dataset.
     pub fn sweep_context(&self) -> &SweepContext {
         self.sweep.get_or_init(|| SweepContext::new(&self.scores))
     }

@@ -39,13 +39,13 @@ use crate::simulate::{retraversal_config, RunOutcome, SweepContext};
 use crate::spec::AlgorithmSpec;
 use dp_data::{GroupedSnapshot, RankCut, ScoreVector};
 use dp_mechanisms::DpRng;
-use svt_core::alg::{Alg2, ExpNoiseSvt, SvtRevisited};
+use svt_core::alg::{ExpNoiseSvt, SvtRevisited};
 use svt_core::em_select::EmTopC;
 use svt_core::noninteractive::{dpbook_select, select_with, svt_select, SvtSelectConfig};
 use svt_core::retraversal::{svt_retraversal, svt_retraversal_from};
 use svt_core::skip_ahead::revisited_select_grouped;
 use svt_core::streaming::{
-    exp_noise_select_from, select_streaming_from, svt_select_from, RunScratch, ScoreSource,
+    dpbook_select_from, exp_noise_select_from, svt_select_from, RunScratch, ScoreSource,
 };
 use svt_core::Result;
 
@@ -57,7 +57,8 @@ use svt_core::Result;
 /// building a context for a new `(algorithm, c)` cell over AOL's
 /// 2,290,685 items resolves the cutoff against the shared rank table
 /// (`O(1)`) and copies the `c`-long top prefix, so one prepared dataset
-/// serves every cell of a sweep with exactly one score sort among them.
+/// serves every cell of a sweep with exactly one grouping of its scores
+/// among them.
 #[derive(Debug)]
 pub struct ExactContext<'a, S: ScoreSource + ?Sized = [f64]> {
     scores: &'a S,
@@ -166,14 +167,14 @@ impl<'a, S: ScoreSource + ?Sized> ExactContext<'a, S> {
     }
 
     /// Executes one run of `alg` through the zero-copy streaming path:
-    /// SVT-S, SVT-Exp and SVT-ReTr run `svt-core`'s one pipelined
-    /// fixed-`ρ` walk (sparse lazy Fisher–Yates up to the abort point,
-    /// reusable `scratch` buffers, block-batched query noise);
-    /// SVT-DPBook walks items through [`select_streaming_from`]; EM (lazy
-    /// per-group Gumbel order statistics, [`EmTopC::select_grouped_into`])
-    /// and SVT-Revisited (per-group skip-ahead,
-    /// [`revisited_select_grouped`]) read the sweep-shared grouped runs
-    /// and never pay one draw per item.
+    /// SVT-S, SVT-Exp, SVT-ReTr and SVT-DPBook run `svt-core`'s one
+    /// pipelined item walk (sparse lazy Fisher–Yates up to the abort
+    /// point, reusable `scratch` buffers, block-batched query noise;
+    /// SVT-DPBook redraws `ρ` after each ⊤ from a generator forked for
+    /// it, [`dpbook_select_from`]); EM (lazy per-group Gumbel order
+    /// statistics, [`EmTopC::select_grouped_into`]) and SVT-Revisited
+    /// (per-group skip-ahead, [`revisited_select_grouped`]) read the
+    /// sweep-shared grouped runs and never pay one draw per item.
     ///
     /// Samples the same output distribution as
     /// [`run_once`](ExactContext::run_once); the SVT
@@ -192,8 +193,7 @@ impl<'a, S: ScoreSource + ?Sized> ExactContext<'a, S> {
         let threshold = self.cut.threshold;
         match alg {
             AlgorithmSpec::DpBook => {
-                let mut alg2 = Alg2::new(epsilon, 1.0, self.c, rng)?;
-                select_streaming_from(&mut alg2, self.scores, threshold, rng, scratch)?;
+                dpbook_select_from(self.scores, threshold, epsilon, self.c, 1.0, rng, scratch)?;
             }
             AlgorithmSpec::Standard { ratio } => {
                 let cfg = SvtSelectConfig::counting(epsilon, self.c, *ratio);

@@ -21,9 +21,9 @@ use rand::{Rng, RngCore, SeedableRng};
 /// the scalar `f64` path of the `rand` shim bit for bit.
 const UNIT_53: f64 = 1.0 / (1u64 << 53) as f64;
 
-/// Stack-chunk size for the batched fills. One chunk is eight ChaCha
-/// blocks; bigger buys nothing because the fills already amortize the
-/// per-block bounds check.
+/// Stack-chunk size for the batched fills. One chunk is sixteen ChaCha
+/// blocks (four four-block groups); bigger buys nothing because the
+/// fills already amortize the per-group bounds check.
 const FILL_CHUNK: usize = 128;
 
 /// Derives the seed for the `index`-th member of a counter-based
@@ -115,7 +115,7 @@ impl DpRng {
 
     /// Fills `out` with raw 64-bit draws — the same sequence repeated
     /// [`next_u64`](Self::next_u64) calls would produce, generated
-    /// block-wise (one bounds check per 16-word ChaCha block).
+    /// four ChaCha blocks at a time (one bounds check per 32 values).
     #[inline]
     pub fn fill_u64s(&mut self, out: &mut [u64]) {
         self.inner.fill_u64s(out);
