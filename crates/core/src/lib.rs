@@ -91,7 +91,7 @@ pub use approx::{ApproxSvt, ApproxSvtConfig, ApproxSvtPlan};
 pub use error::SvtError;
 pub use response::{SvtAnswer, SvtRun};
 pub use session::{SessionDriver, SessionState};
-pub use streaming::{select_streaming_from, svt_select_from, RunScratch, ScoreSource, SparseOrder};
+pub use streaming::{svt_select_from, RunScratch, ScoreSource, SparseOrder};
 pub use threshold::Thresholds;
 
 /// Result alias for SVT operations.

@@ -15,7 +15,7 @@
 //!
 //! The experiments raise `T` by `1D…5D` where "1D means adding one
 //! standard deviation of the added noises" — `D = √2 · (query-noise
-//! scale)`. [`IncrementUnit`] also exposes the raw scale for ablation.
+//! scale)`.
 
 use crate::alg::{SparseVector, StandardSvt};
 use crate::noninteractive::SvtSelectConfig;
@@ -24,26 +24,14 @@ use crate::{Result, SvtError};
 use dp_mechanisms::laplace::Laplace;
 use dp_mechanisms::DpRng;
 
-/// What "one D" of threshold increment means.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IncrementUnit {
-    /// One standard deviation of the query noise, `√2 · scale` — the
-    /// paper's definition.
-    NoiseStdDev,
-    /// One Laplace scale parameter (ablation alternative).
-    NoiseScale,
-}
-
 /// Configuration for SVT-ReTr.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetraversalConfig {
     /// The underlying SVT-S configuration (budget, cutoff, ratio…).
     pub select: SvtSelectConfig,
-    /// How many units to add to the base threshold (the paper sweeps
-    /// 1–5).
+    /// How many `D`s (query-noise standard deviations, `√2 · scale`) to
+    /// add to the base threshold (the paper sweeps 1–5).
     pub increment: f64,
-    /// The unit of increment.
-    pub unit: IncrementUnit,
     /// Safety cap on full passes over the remaining queries; the paper
     /// loops "until c queries are selected", which terminates with
     /// probability 1 but not in bounded time. 64 passes is far beyond
@@ -62,23 +50,19 @@ impl RetraversalConfig {
                 crate::allocation::BudgetRatio::OneToCTwoThirds,
             ),
             increment: k,
-            unit: IncrementUnit::NoiseStdDev,
             max_passes: 64,
         }
     }
 
-    /// The absolute threshold increase this configuration implies.
+    /// The absolute threshold increase this configuration implies:
+    /// `increment · D`, with `D = √2 · scale` one standard deviation of
+    /// the query noise.
     ///
     /// # Errors
     /// Propagates ratio/budget validation.
     pub fn threshold_increase(&self) -> Result<f64> {
-        let std = self.select.to_standard()?;
-        let scale = std.query_noise_scale();
-        let unit = match self.unit {
-            IncrementUnit::NoiseStdDev => std::f64::consts::SQRT_2 * scale,
-            IncrementUnit::NoiseScale => scale,
-        };
-        Ok(self.increment * unit)
+        let scale = self.select.to_standard()?.query_noise_scale();
+        Ok(self.increment * (std::f64::consts::SQRT_2 * scale))
     }
 }
 
@@ -212,11 +196,6 @@ mod tests {
         let std = cfg.select.to_standard().unwrap();
         let want = 2.0 * std::f64::consts::SQRT_2 * std.query_noise_scale();
         assert!((cfg.threshold_increase().unwrap() - want).abs() < 1e-9);
-
-        let mut raw = cfg;
-        raw.unit = IncrementUnit::NoiseScale;
-        let want_raw = 2.0 * std.query_noise_scale();
-        assert!((raw.threshold_increase().unwrap() - want_raw).abs() < 1e-9);
     }
 
     #[test]
@@ -242,7 +221,6 @@ mod tests {
         let cfg = RetraversalConfig {
             select: SvtSelectConfig::counting(10.0, 5, BudgetRatio::OneToOne),
             increment: 1.0,
-            unit: IncrementUnit::NoiseStdDev,
             max_passes: 64,
         };
         let mut rng = DpRng::seed_from_u64(521);

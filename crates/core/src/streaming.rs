@@ -53,7 +53,6 @@
 //! numeric phase of Algorithm 7 stays on [`crate::alg::StandardSvt`]'s interactive
 //! path.
 
-use crate::alg::SparseVector;
 use crate::alg::{Alg2Noise, StandardSvtConfig};
 use crate::em_select::{GroupCursor, GroupKey};
 use crate::noninteractive::SvtSelectConfig;
@@ -69,12 +68,11 @@ use dp_mechanisms::{BatchSample, DpRng, NoiseBuffer, NoiseKernel, SvtBudget};
 ///
 /// The streaming algorithms (the walk behind [`svt_select_from`],
 /// [`exp_noise_select_from`], [`dpbook_select_from`] and
-/// [`svt_retraversal_from`](crate::retraversal::svt_retraversal_from),
-/// and [`select_streaming_from`]) only ever ask two questions — how
-/// many items are there, and what is item `i`'s score — so they are
-/// generic over this trait, and the *same* code path serves both a
-/// dense score slice and the index-preserving grouped runs of an
-/// immutable [`GroupedSnapshot`]
+/// [`svt_retraversal_from`](crate::retraversal::svt_retraversal_from))
+/// only ever ask two questions — how many items are there, and what is
+/// item `i`'s score — so they are generic over this trait, and the
+/// *same* code path serves both a dense score slice and the
+/// index-preserving grouped runs of an immutable [`GroupedSnapshot`]
 /// (which resolves an item through its group in `O(1)`). A snapshot is
 /// never mutated once built, so a selection path holding one is
 /// pinned to it: live score updates elsewhere publish new snapshots
@@ -509,7 +507,6 @@ impl SparseOrder {
 /// samplers keep `O(groups)` state), and after the first few runs the
 /// steady state allocates nothing at all. One scratch serves every
 /// streaming path — [`svt_select_from`], [`exp_noise_select_from`],
-/// [`select_streaming_from`],
 /// [`svt_retraversal_from`](crate::retraversal::svt_retraversal_from),
 /// [`revisited_select_grouped`](crate::skip_ahead::revisited_select_grouped),
 /// and [`EmTopC::select_grouped_into`](crate::em_select::EmTopC::select_grouped_into)
@@ -977,7 +974,8 @@ pub fn svt_select_from<S: ScoreSource + ?Sized>(
 /// family) — `ρ = Exp(Δ/ε₁)` from `rng`, one buffered `ν = Exp(kcΔ/ε₂)`
 /// per examined item from the fork. Samples the same output
 /// distribution as running `ExpNoiseSvt` through
-/// [`select_streaming_from`].
+/// [`select_with`](crate::noninteractive::select_with), its item-level
+/// reference.
 ///
 /// # Errors
 /// Propagates configuration validation; like
@@ -1000,10 +998,11 @@ pub fn exp_noise_select_from<S: ScoreSource + ?Sized>(
 /// the walk of [`svt_select_from`] with Alg. 2's noise scales and its
 /// redraw of `ρ` after each ⊤ that does not halt, from a generator
 /// forked for it (see the module docs' draw protocol). Samples the same
-/// output distribution as
-/// [`dpbook_select`](crate::noninteractive::dpbook_select), on a
-/// different draw stream; [`Alg2`](crate::alg::Alg2) driven through
-/// [`select_streaming_from`] stays the item-level reference.
+/// output distribution as its item-level reference
+/// [`dpbook_select`](crate::noninteractive::dpbook_select)
+/// ([`Alg2`](crate::alg::Alg2) through
+/// [`select_with`](crate::noninteractive::select_with)), on a different
+/// draw stream.
 ///
 /// # Errors
 /// Rejects non-positive `ε`/`Δ` and `c == 0`, then a non-finite
@@ -1022,62 +1021,11 @@ pub fn dpbook_select_from<S: ScoreSource + ?Sized>(
     Ok(())
 }
 
-/// Streaming selection for *any* [`SparseVector`] variant (Alg. 1–6 and
-/// the standard SVT) over any [`ScoreSource`]: lazy shuffle and
-/// reusable buffers, with the variant managing its own noise through
-/// [`SparseVector::respond`].
-///
-/// This is the allocation-free counterpart of
-/// [`select_with`](crate::noninteractive::select_with): one item at a
-/// time, the variant's scalar draws interleaved with the order steps on
-/// one generator. The selection engines run the batched walk instead;
-/// this path stays as their item-level reference (SVT-DPBook through
-/// [`Alg2`](crate::alg::Alg2), the interactive SVT-Revisited and
-/// exponential-noise variants) and serves any other variant, off either
-/// score source with bit-identical draws and selections.
-///
-/// ```
-/// use dp_mechanisms::DpRng;
-/// use svt_core::alg::Alg2;
-/// use svt_core::streaming::{select_streaming_from, RunScratch};
-///
-/// let scores = vec![1e6f64; 20];
-/// let mut rng = DpRng::seed_from_u64(5);
-/// let mut alg = Alg2::new(1.0, 1.0, 3, &mut rng)?; // SVT-DPBook, c = 3
-/// let mut scratch = RunScratch::new();
-/// select_streaming_from(&mut alg, &scores[..], 0.0, &mut rng, &mut scratch)?;
-/// assert_eq!(scratch.selected().len(), 3);
-/// # Ok::<(), svt_core::SvtError>(())
-/// ```
-///
-/// # Errors
-/// Propagates the first error from [`SparseVector::respond`].
-pub fn select_streaming_from<A: SparseVector + ?Sized, S: ScoreSource + ?Sized>(
-    alg: &mut A,
-    scores: &S,
-    threshold: f64,
-    rng: &mut DpRng,
-    scratch: &mut RunScratch,
-) -> Result<()> {
-    scratch.begin_run(scores.len());
-    for _ in 0..scores.len() {
-        if alg.is_halted() {
-            break;
-        }
-        let item = scratch.order.step(rng) as usize;
-        let answer = alg.respond(scores.score(item), threshold, rng)?;
-        if answer.is_positive() {
-            scratch.selected.push(item);
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alg::Alg1;
     use crate::allocation::BudgetRatio;
+    use crate::noninteractive::select_with;
     use crate::skip_ahead::revisited_select_grouped;
     use proptest::prelude::*;
 
@@ -1478,7 +1426,6 @@ mod tests {
         // more than three times their critical D.
         use crate::alg::Alg2;
         use crate::gate::{compare, Counted, Critical, Sample};
-        use crate::noninteractive::select_with;
         /// Bonferroni over the gate's 3 tests at a family-wise
         /// false-alarm rate of 1e-3: each runs at α = 1e-3/3, i.e.
         /// one-sided `z_{1−α}` = 3.4029 for the chi-square and the KS
@@ -1588,7 +1535,7 @@ mod tests {
         // passes) or the first c items examined (−∞); finite thresholds
         // stay accepted by both.
         use crate::alg::ExpNoiseSvt;
-        use crate::noninteractive::{select_with, svt_select};
+        use crate::noninteractive::svt_select;
         use crate::retraversal::{svt_retraversal, svt_retraversal_from, RetraversalConfig};
         use crate::SvtError;
         let scores = [30.0, 20.0, 10.0, 5.0, 1.0];
@@ -1735,17 +1682,6 @@ mod tests {
     }
 
     #[test]
-    fn generic_streaming_path_works_for_interactive_variants() {
-        let mut rng = DpRng::seed_from_u64(1021);
-        let mut alg = Alg1::new(50.0, 1.0, 3, &mut rng).unwrap();
-        let scores = vec![1e9f64; 30];
-        let mut scratch = RunScratch::new();
-        select_streaming_from(&mut alg, &scores[..], 0.0, &mut rng, &mut scratch).unwrap();
-        assert_eq!(scratch.selected().len(), 3);
-        assert!(alg.is_halted());
-    }
-
-    #[test]
     fn examined_reads_zero_after_an_em_selection() {
         // Mixed-algorithm scratch reuse (the sweep-runner pattern): an
         // EM selection must not leave a previous streaming run's
@@ -1828,7 +1764,7 @@ mod tests {
     fn revisited_driver_matches_interactive_variant_distribution() {
         // The grouped skip-ahead draws the next ⊤ per score group but
         // must sample the same output law as SvtRevisited driven item by
-        // item through the generic streaming path.
+        // item through `select_with`.
         let scores: Vec<f64> = (0..600).map(|i| (i % 40) as f64 * 5.0).collect();
         let groups = GroupedSnapshot::from_scores(&scores).unwrap();
         let cfg = counting(0.6, 8);
@@ -1843,8 +1779,9 @@ mod tests {
             revisited_select_grouped(&groups, 120.0, &cfg, &mut rng_a, &mut scratch).unwrap();
             mean_new += scratch.selected().len() as f64;
             let mut alg = crate::alg::SvtRevisited::new(std_cfg, &mut rng_b).unwrap();
-            select_streaming_from(&mut alg, &scores[..], 120.0, &mut rng_b, &mut scratch).unwrap();
-            mean_old += scratch.selected().len() as f64;
+            mean_old += select_with(&mut alg, &scores, 120.0, &mut rng_b)
+                .unwrap()
+                .len() as f64;
         }
         mean_new /= runs as f64;
         mean_old /= runs as f64;
@@ -1886,8 +1823,9 @@ mod tests {
             exp_noise_select_from(&scores[..], 120.0, &cfg, &mut rng_a, &mut scratch).unwrap();
             mean_new += scratch.selected().len() as f64;
             let mut alg = crate::alg::ExpNoiseSvt::new(std_cfg, &mut rng_b).unwrap();
-            select_streaming_from(&mut alg, &scores[..], 120.0, &mut rng_b, &mut scratch).unwrap();
-            mean_old += scratch.selected().len() as f64;
+            mean_old += select_with(&mut alg, &scores, 120.0, &mut rng_b)
+                .unwrap()
+                .len() as f64;
         }
         mean_new /= runs as f64;
         mean_old /= runs as f64;

@@ -6,10 +6,11 @@
 //! when one results from adding or deleting a record (the add/remove
 //! convention under which counting queries are monotonic — §4.3).
 //!
-//! [`TransactionDataset`] is the concrete substrate used by the examples
-//! and by the privacy auditor, which needs explicit neighbor pairs. The
-//! large figure sweeps bypass it and work on [`crate::ScoreVector`]s
-//! directly, exactly as the algorithms only ever observe scores.
+//! [`TransactionDataset`] is the concrete substrate that [`crate::io`]
+//! reads and writes and the examples build their score vectors from.
+//! The figure sweeps and the engines bypass it and work on
+//! [`crate::ScoreVector`]s directly, exactly as the algorithms only ever
+//! observe scores.
 
 use crate::error::DataError;
 use crate::scores::ScoreVector;

@@ -1,8 +1,7 @@
 //! # dp-data
 //!
-//! Workload substrate for the `sparse-vector` workspace: the datasets,
-//! queries, and score vectors on which the paper's evaluation (Section 6)
-//! runs.
+//! Workload substrate for the `sparse-vector` workspace: the datasets
+//! and score vectors on which the paper's evaluation (Section 6) runs.
 //!
 //! The paper evaluates on item frequencies from three real transaction
 //! datasets (BMS-POS, Kosarak, AOL) plus a synthetic Zipf distribution
@@ -33,9 +32,7 @@
 //!   a pinned, consistent view.
 //! - [`TransactionDataset`] — a concrete market-basket dataset with
 //!   support counting and neighbor construction (add/remove one record),
-//!   used by the examples and the privacy auditor.
-//! - [`queries`] — the counting-query abstraction (`Δ = 1`, monotonic)
-//!   that SVT consumes.
+//!   read and written by [`io`] and used by the examples.
 //! - [`generators`] — the four evaluation workloads plus the reusable
 //!   Zipf and Zipf–Mandelbrot machinery behind them.
 //! - [`io`] — FIMI-format transaction file reading/writing, so users
@@ -50,7 +47,6 @@ pub mod generators;
 pub mod groups;
 pub mod io;
 pub mod live;
-pub mod queries;
 pub mod scores;
 
 pub use dataset::{ItemId, TransactionDataset};

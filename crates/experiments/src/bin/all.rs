@@ -20,31 +20,13 @@ fn main() {
     eprintln!("datasets prepared in {:.1?}", started.elapsed());
 
     match svt_experiments::figures::figure4(&datasets, &config) {
-        Ok(panels) => {
-            for panel in &panels {
-                let stem = format!(
-                    "figure4_{}_{}",
-                    panel.dataset.to_lowercase().replace('-', "_"),
-                    panel.metric.to_lowercase()
-                );
-                svt_experiments::cli::emit(&panel.table, &args, &stem);
-            }
-        }
+        Ok(panels) => svt_experiments::cli::emit_panels(&panels, &args, "figure4"),
         Err(e) => eprintln!("figure4 failed: {e}"),
     }
     eprintln!("figure 4 done at {:.1?}", started.elapsed());
 
     match svt_experiments::figures::figure5(&datasets, &config) {
-        Ok(panels) => {
-            for panel in &panels {
-                let stem = format!(
-                    "figure5_{}_{}",
-                    panel.dataset.to_lowercase().replace('-', "_"),
-                    panel.metric.to_lowercase()
-                );
-                svt_experiments::cli::emit(&panel.table, &args, &stem);
-            }
-        }
+        Ok(panels) => svt_experiments::cli::emit_panels(&panels, &args, "figure5"),
         Err(e) => eprintln!("figure5 failed: {e}"),
     }
     eprintln!("figure 5 done at {:.1?}", started.elapsed());

@@ -9,14 +9,7 @@ fn main() {
     let started = std::time::Instant::now();
     match svt_experiments::figures::figure4(&datasets, &config) {
         Ok(panels) => {
-            for panel in &panels {
-                let stem = format!(
-                    "figure4_{}_{}",
-                    panel.dataset.to_lowercase().replace('-', "_"),
-                    panel.metric.to_lowercase()
-                );
-                svt_experiments::cli::emit(&panel.table, &args, &stem);
-            }
+            svt_experiments::cli::emit_panels(&panels, &args, "figure4");
             eprintln!("figure4 completed in {:.1?}", started.elapsed());
         }
         Err(e) => {

@@ -8,14 +8,7 @@ fn main() {
     let started = std::time::Instant::now();
     match svt_experiments::figures::figure5(&datasets, &config) {
         Ok(panels) => {
-            for panel in &panels {
-                let stem = format!(
-                    "figure5_{}_{}",
-                    panel.dataset.to_lowercase().replace('-', "_"),
-                    panel.metric.to_lowercase()
-                );
-                svt_experiments::cli::emit(&panel.table, &args, &stem);
-            }
+            svt_experiments::cli::emit_panels(&panels, &args, "figure5");
             eprintln!("figure5 completed in {:.1?}", started.elapsed());
         }
         Err(e) => {

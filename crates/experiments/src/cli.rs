@@ -10,6 +10,7 @@
 //! * `--trials N` — Monte-Carlo trials per audit side (`nonprivacy`);
 //! * `--csv DIR` — also write each table as CSV into `DIR`.
 
+use crate::figures::FigurePanel;
 use crate::report::Table;
 use crate::runner::PreparedDataset;
 use crate::spec::ExperimentConfig;
@@ -134,6 +135,20 @@ pub fn emit(table: &Table, args: &CliArgs, file_stem: &str) {
     }
 }
 
+/// Emits each panel of a figure as [`emit`] does, under the file stem
+/// `{figure}_{dataset}_{metric}`, lower-cased with `-` turned into `_`
+/// (`figure4_bms_pos_ser` for the BMS-POS SER panel of Figure 4).
+pub fn emit_panels(panels: &[FigurePanel], args: &CliArgs, figure: &str) {
+    for panel in panels {
+        let stem = format!(
+            "{figure}_{}_{}",
+            panel.dataset.to_lowercase().replace('-', "_"),
+            panel.metric.to_lowercase()
+        );
+        emit(&panel.table, args, &stem);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,6 +167,27 @@ mod tests {
         assert_eq!(cfg.seed, 9);
         assert_eq!(cfg.threads, 2);
         assert_eq!(cfg.c_values, ExperimentConfig::quick().c_values);
+    }
+
+    #[test]
+    fn emit_panels_names_each_csv_by_figure_dataset_and_metric() {
+        let dir = std::env::temp_dir().join(format!("svt-cli-test-{}", std::process::id()));
+        let args = CliArgs {
+            csv_dir: Some(dir.clone()),
+            ..CliArgs::default()
+        };
+        let panel = FigurePanel {
+            dataset: "BMS-POS".into(),
+            metric: "SER".into(),
+            table: Table::new("panel", vec!["c".into()]),
+        };
+        emit_panels(&[panel], &args, "figure4");
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .collect();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(names, ["figure4_bms_pos_ser.csv"]);
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub mod exact;
 pub use context::SweepContext;
 
 use svt_core::noninteractive::SvtSelectConfig;
-use svt_core::retraversal::{IncrementUnit, RetraversalConfig};
+use svt_core::retraversal::RetraversalConfig;
 
 /// The two §6 utility metrics for one run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,7 +40,6 @@ pub(crate) fn retraversal_config(
     RetraversalConfig {
         select: SvtSelectConfig::counting(epsilon, c, ratio),
         increment: increment_d,
-        unit: IncrementUnit::NoiseStdDev,
         max_passes: 64,
     }
 }

@@ -100,13 +100,6 @@ impl DpRng {
         self.inner.random_range(0..n)
     }
 
-    /// A uniform `u64` in `0..n`. `n` must be nonzero.
-    #[inline]
-    pub fn index_u64(&mut self, n: u64) -> u64 {
-        debug_assert!(n > 0, "index_u64() requires a nonempty range");
-        self.inner.random_range(0..n)
-    }
-
     /// A raw 64-bit draw (used for deriving child seeds and hashing).
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
@@ -212,16 +205,6 @@ impl DpRng {
             let j = i + self.index(remaining);
             slice.swap(i, j);
         }
-    }
-
-    /// A standard normal draw via the Box–Muller transform.
-    ///
-    /// Not used on any privacy path: DP noise itself is always Laplace,
-    /// exponential or Gumbel.
-    pub fn standard_normal(&mut self) -> f64 {
-        let u1 = self.open_uniform();
-        let u2 = self.uniform();
-        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
 }
 
@@ -392,16 +375,5 @@ mod tests {
             }
             assert_eq!(lazy[..k.min(100)], full[..k.min(100)], "k={k}");
         }
-    }
-
-    #[test]
-    fn standard_normal_has_zero_mean_unit_variance() {
-        let mut rng = DpRng::seed_from_u64(13);
-        let n = 50_000;
-        let draws: Vec<f64> = (0..n).map(|_| rng.standard_normal()).collect();
-        let mean = draws.iter().sum::<f64>() / n as f64;
-        let var = draws.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.02, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.05, "var {var}");
     }
 }

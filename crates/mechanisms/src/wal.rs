@@ -47,12 +47,10 @@
 //! [`FsyncPolicy`] decides when an append reaches stable storage:
 //! [`FsyncPolicy::Always`] syncs inside every append (the durable
 //! server's choice — an `Ok` append *is* the persistence guarantee, so
-//! "acknowledged ⇒ persisted" holds by construction), [`EveryN`]
-//! batches syncs for throughput (callers must defer acknowledgement to
-//! the next [`LedgerWal::sync`]), and [`Manual`] leaves syncing
-//! entirely to the caller.
+//! "acknowledged ⇒ persisted" holds by construction), and [`Manual`]
+//! leaves syncing entirely to the caller, who must defer
+//! acknowledgement to the next [`LedgerWal::sync`].
 //!
-//! [`EveryN`]: FsyncPolicy::EveryN
 //! [`Manual`]: FsyncPolicy::Manual
 
 use std::collections::BTreeMap;
@@ -477,10 +475,6 @@ pub enum FsyncPolicy {
     /// Sync inside every append: an `Ok` append is durable, so the
     /// caller may acknowledge immediately ("acknowledged ⇒ persisted").
     Always,
-    /// Sync after every `n` appends. Throughput-friendly, but an `Ok`
-    /// append is only durable after the next sync — callers must defer
-    /// acknowledgement accordingly.
-    EveryN(usize),
     /// Never sync implicitly; the caller drives [`LedgerWal::sync`].
     Manual,
 }
@@ -491,7 +485,6 @@ pub enum FsyncPolicy {
 pub struct LedgerWal {
     sink: Box<dyn WalSink>,
     policy: FsyncPolicy,
-    appended_since_sync: usize,
     poisoned: bool,
 }
 
@@ -502,7 +495,6 @@ impl LedgerWal {
         Self {
             sink,
             policy,
-            appended_since_sync: 0,
             poisoned: false,
         }
     }
@@ -569,16 +561,8 @@ impl LedgerWal {
             self.poisoned = true;
             return Err(e);
         }
-        self.appended_since_sync += 1;
         match self.policy {
             FsyncPolicy::Always => self.sync(),
-            FsyncPolicy::EveryN(n) => {
-                if self.appended_since_sync >= n.max(1) {
-                    self.sync()
-                } else {
-                    Ok(())
-                }
-            }
             FsyncPolicy::Manual => Ok(()),
         }
     }
@@ -596,7 +580,6 @@ impl LedgerWal {
             self.poisoned = true;
             return Err(e);
         }
-        self.appended_since_sync = 0;
         Ok(())
     }
 }

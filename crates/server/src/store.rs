@@ -267,15 +267,22 @@ struct ShardState {
 }
 
 impl ShardState {
-    /// Advances the logical clock; each admitted operation occupies one
-    /// tick.
-    fn tick(&mut self) -> u64 {
+    /// The admission step of every operation on `tenant`'s sessions:
+    /// advances the logical clock (each admitted operation occupies one
+    /// tick) and, under `rate_limit`, takes one token from the tenant's
+    /// bucket, refilled for the ticks since its last admission. Returns
+    /// the tick.
+    ///
+    /// # Errors
+    /// [`ServerError::Overloaded`] with
+    /// [`OverloadCause::TenantRateLimited`] when the bucket holds less
+    /// than one token; the tick stays spent.
+    fn admit(&mut self, tenant: TenantId, rate_limit: Option<RateLimit>) -> Result<u64> {
         self.clock += 1;
-        self.clock
-    }
-
-    /// Token-bucket admission for `tenant` at tick `now`.
-    fn admit_tenant(&mut self, tenant: TenantId, limit: RateLimit, now: u64) -> bool {
+        let now = self.clock;
+        let Some(limit) = rate_limit else {
+            return Ok(now);
+        };
         let bucket = self.buckets.entry(tenant).or_insert(TokenBucket {
             tokens: limit.burst,
             last_refill: now,
@@ -285,9 +292,11 @@ impl ShardState {
         bucket.last_refill = now;
         if bucket.tokens >= 1.0 {
             bucket.tokens -= 1.0;
-            true
+            Ok(now)
         } else {
-            false
+            Err(ServerError::Overloaded(OverloadCause::TenantRateLimited(
+                tenant,
+            )))
         }
     }
 
@@ -751,14 +760,7 @@ impl SessionStore {
         // same-or-newer than any epoch the caller has observed.
         let dataset = self.datasets.snapshot(tenant);
         let mut shard = self.lock_shard(index);
-        let now = shard.tick();
-        if let Some(limit) = self.config.rate_limit {
-            if !shard.admit_tenant(tenant, limit, now) {
-                return Err(ServerError::Overloaded(OverloadCause::TenantRateLimited(
-                    tenant,
-                )));
-            }
-        }
+        let now = shard.admit(tenant, self.config.rate_limit)?;
         if !shard.ledgers.contains_key(&tenant) {
             return Err(ServerError::UnknownTenant(tenant));
         }
@@ -814,24 +816,27 @@ impl SessionStore {
         query_answer: f64,
         threshold: f64,
     ) -> Result<SvtAnswer> {
+        self.submit_one(session, threshold, |_| Ok(query_answer))
+    }
+
+    /// The one-query path of [`submit`](Self::submit) and
+    /// [`submit_item`](Self::submit_item): the shed gate, the admission
+    /// step and the session lookup, then one ask of the true answer that
+    /// `answer_of` reads from the admitted session's entry.
+    fn submit_one(
+        &self,
+        session: SessionId,
+        threshold: f64,
+        answer_of: impl FnOnce(&SessionEntry) -> Result<f64>,
+    ) -> Result<SvtAnswer> {
         let index = self.shard_of(session.tenant);
         let _permit = self.admit_shard(index)?;
         let mut shard = self.lock_shard(index);
-        let now = shard.tick();
-        if let Some(limit) = self.config.rate_limit {
-            if !shard.admit_tenant(session.tenant, limit, now) {
-                return Err(ServerError::Overloaded(OverloadCause::TenantRateLimited(
-                    session.tenant,
-                )));
-            }
-        }
+        let now = shard.admit(session.tenant, self.config.rate_limit)?;
         shard.admit_session(session, self.config.session_ttl, now)?;
-        let driver = &mut shard
-            .sessions
-            .get_mut(&session)
-            .expect("admitted above")
-            .driver;
-        Ok(driver.ask(query_answer, threshold)?)
+        let entry = shard.sessions.get_mut(&session).expect("admitted above");
+        let query_answer = answer_of(entry)?;
+        Ok(entry.driver.ask(query_answer, threshold)?)
     }
 
     /// Registers `tenant`'s dataset: validates and copies the scores
@@ -928,31 +933,19 @@ impl SessionStore {
         item: usize,
         threshold: f64,
     ) -> Result<SvtAnswer> {
-        let index = self.shard_of(session.tenant);
-        let _permit = self.admit_shard(index)?;
-        let mut shard = self.lock_shard(index);
-        let now = shard.tick();
-        if let Some(limit) = self.config.rate_limit {
-            if !shard.admit_tenant(session.tenant, limit, now) {
-                return Err(ServerError::Overloaded(OverloadCause::TenantRateLimited(
-                    session.tenant,
-                )));
+        self.submit_one(session, threshold, |entry| {
+            let snapshot = entry
+                .dataset
+                .as_ref()
+                .ok_or(ServerError::NoDataset(session.tenant))?;
+            if item >= snapshot.len_items() {
+                return Err(ServerError::ItemOutOfRange {
+                    item,
+                    len: snapshot.len_items(),
+                });
             }
-        }
-        shard.admit_session(session, self.config.session_ttl, now)?;
-        let entry = shard.sessions.get_mut(&session).expect("admitted above");
-        let snapshot = entry
-            .dataset
-            .as_ref()
-            .ok_or(ServerError::NoDataset(session.tenant))?;
-        if item >= snapshot.len_items() {
-            return Err(ServerError::ItemOutOfRange {
-                item,
-                len: snapshot.len_items(),
-            });
-        }
-        let query_answer = snapshot.score_of_item(item);
-        Ok(entry.driver.ask(query_answer, threshold)?)
+            Ok(snapshot.score_of_item(item))
+        })
     }
 
     /// Answers a batch of queries, possibly spanning many sessions and
@@ -999,16 +992,10 @@ impl SessionStore {
             admitted.clear();
             for &i in indices {
                 let q = &queries[i];
-                let now = shard.tick();
-                if let Some(limit) = self.config.rate_limit {
-                    if !shard.admit_tenant(q.session.tenant, limit, now) {
-                        results[i] = Some(Err(ServerError::Overloaded(
-                            OverloadCause::TenantRateLimited(q.session.tenant),
-                        )));
-                        continue;
-                    }
-                }
-                match shard.admit_session(q.session, self.config.session_ttl, now) {
+                let admission = shard.admit(q.session.tenant, self.config.rate_limit);
+                match admission
+                    .and_then(|now| shard.admit_session(q.session, self.config.session_ttl, now))
+                {
                     Ok(()) => {
                         *pending.entry(q.session).or_insert(0) += 1;
                         admitted.push(i);
@@ -1561,6 +1548,94 @@ mod tests {
             );
         }
         store.submit(session, -1e9, 0.0).unwrap();
+    }
+
+    #[test]
+    fn submit_paths_admit_and_answer_alike() {
+        // One script of opens and asks under a rate limit, a session cap
+        // and a TTL, driven through `submit`, through `submit_item` (the
+        // dataset's scores are the script's answers) and through
+        // one-query `submit_batch` calls: every step must give the same
+        // answer or error and leave every session in the same state.
+        #[derive(Clone, Copy)]
+        enum Path {
+            Submit,
+            Item,
+            Batch,
+        }
+        const SCORES: [f64; 4] = [1e9, -1e9, 0.5, -0.5];
+        let drive = |path: Path| {
+            let store = SessionStore::new(one_shard(ServerConfig {
+                session_ttl: Some(8),
+                session_cap: Some(3),
+                rate_limit: Some(RateLimit {
+                    rate_per_tick: 0.75,
+                    burst: 2.0,
+                }),
+                ..Default::default()
+            }));
+            let tenants = [TenantId(60), TenantId(61)];
+            for tenant in tenants {
+                store.register_tenant(tenant, 100.0).unwrap();
+                store.register_dataset(tenant, &SCORES).unwrap();
+            }
+            let mut mix = Mix(17);
+            let mut sessions: Vec<SessionId> = Vec::new();
+            let mut trace = Vec::new();
+            for step in 0..240u64 {
+                let tenant = tenants[mix.below(2) as usize];
+                let outcome = if sessions.is_empty() || mix.below(6) == 0 {
+                    // A shed open leaves an id that no session has.
+                    let opened = store.open_session(tenant, config(3), step);
+                    sessions.push(*opened.as_ref().unwrap_or(&SessionId {
+                        tenant,
+                        nonce: u64::MAX - step,
+                    }));
+                    opened.map(|_| None)
+                } else {
+                    let session = sessions[mix.below(sessions.len() as u64) as usize];
+                    let item = mix.below(SCORES.len() as u64) as usize;
+                    let answer = match path {
+                        Path::Submit => store.submit(session, SCORES[item], 0.0),
+                        Path::Item => store.submit_item(session, item, 0.0),
+                        Path::Batch => store
+                            .submit_batch(&[BatchQuery {
+                                session,
+                                query_answer: SCORES[item],
+                                threshold: 0.0,
+                            }])
+                            .remove(0),
+                    };
+                    answer.map(Some)
+                };
+                let statuses: Vec<_> = sessions.iter().map(|&s| store.session_status(s)).collect();
+                trace.push((outcome, statuses));
+            }
+            trace
+        };
+        let submitted = drive(Path::Submit);
+        for path in [Path::Item, Path::Batch] {
+            for (step, (want, got)) in submitted.iter().zip(&drive(path)).enumerate() {
+                assert_eq!(want, got, "step {step}");
+            }
+        }
+        // The script reaches every admission and lifecycle outcome.
+        let outcomes: Vec<_> = submitted.iter().map(|(outcome, _)| outcome).collect();
+        let evicted = |why| {
+            outcomes.iter().any(
+                |o| matches!(o, Err(ServerError::SessionEvicted { reason, .. }) if *reason == why),
+            )
+        };
+        assert!(evicted(EvictionReason::Capacity) && evicted(EvictionReason::Expired));
+        assert!(outcomes
+            .iter()
+            .any(|o| matches!(o, Err(ServerError::Overloaded(_)))));
+        assert!(outcomes
+            .iter()
+            .any(|o| matches!(o, Err(ServerError::Svt(_)))));
+        for answer in [SvtAnswer::Above, SvtAnswer::Below] {
+            assert!(outcomes.iter().any(|o| o.as_ref() == Ok(&Some(answer))));
+        }
     }
 
     // ----- durability: WAL write-through + recovery ---------------------

@@ -9,8 +9,8 @@
 //! * [`mechanisms`] — DP primitives: Laplace/Gumbel distributions,
 //!   the Exponential Mechanism, the budget ledger, and the seedable
 //!   [`DpRng`](mechanisms::DpRng).
-//! * [`data`] — workloads: score vectors, transaction datasets,
-//!   counting queries, and the four Table-1 dataset generators.
+//! * [`data`] — workloads: score vectors, transaction datasets, and
+//!   the four Table-1 dataset generators.
 //! * [`svt`] — the paper's contribution: Algorithms 1–7, budget
 //!   allocation optimization, SVT-ReTr, EM top-`c` selection, the
 //!   interactive session/mediator, and the Figure-2 catalog.
