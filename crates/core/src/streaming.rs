@@ -180,6 +180,30 @@ impl DisplacementMap {
         }
     }
 
+    /// [`reset`](Self::reset), then drops the table if it is larger
+    /// than a map holding `max_entries` entries grows (≤ ½ load), so
+    /// [`entries`](Self::entries) never scans a table that a longer list
+    /// grew; the next insert regrows it from the minimum.
+    fn reset_for(&mut self, max_entries: usize) {
+        self.reset();
+        let needed = (2 * max_entries)
+            .next_power_of_two()
+            .max(Self::MIN_CAPACITY);
+        if self.slots.len() > needed {
+            self.slots = Vec::new();
+        }
+    }
+
+    /// The current generation's `(key, value)` entries, in table order:
+    /// one sequential pass over the whole table.
+    fn entries(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let gen = self.gen;
+        self.slots
+            .iter()
+            .filter(move |s| s.gen == gen)
+            .map(|s| (s.key, s.val))
+    }
+
     /// The value displaced to `key`, if any.
     #[inline]
     pub(crate) fn get(&self, key: u32) -> Option<u32> {
@@ -293,6 +317,10 @@ impl DisplacementMap {
     }
 }
 
+/// A [`SparseOrder`] densifies at the step that would emit position
+/// `i` once `(i + 1) · DENSIFY_DIVISOR ≥ n`.
+const DENSIFY_DIVISOR: usize = 32;
+
 /// A lazily generated uniformly random permutation of `0..n`.
 ///
 /// Produces the exact value stream of a forward Fisher–Yates shuffle
@@ -309,15 +337,26 @@ impl DisplacementMap {
 ///
 /// A run that keeps going (SVT-ReTr's high-threshold passes examine most
 /// of the list) would push the displacement map to `O(n)` entries, each
-/// step paying a hash probe. Once the examined count reaches ⅛ of `n`
-/// the order *densifies*: the remaining tail's conceptual values are
+/// step paying a hash probe. Once the examined count reaches 1/32 of
+/// `n` the order *densifies*: the remaining tail's conceptual values are
 /// materialized into a flat array and every later step is two array
-/// reads and a write. The switch draws nothing and changes no emitted
-/// value — the dense step performs the identical forward Fisher–Yates
-/// transition on the materialized state — so it is invisible to
-/// callers (property-pinned against the pure-sparse stream). The
-/// one-off `O(n)` materialization is only paid after `Ω(n)` steps,
-/// keeping the `O(examined)` bound.
+/// reads and a write. The materialization is one sequential identity
+/// fill of the `n - i` remaining positions, then one pass over the
+/// displacement map that writes this run's displaced values over it —
+/// not one hash probe per position. The switch draws nothing and changes
+/// no emitted value — the dense step performs the identical forward
+/// Fisher–Yates transition on the materialized state — so it is
+/// invisible to callers (property-pinned against the pure-sparse stream
+/// and against the probe-per-position build). The point is a fraction
+/// of `n`, not a fixed count, so the one-off `O(n)` fill is only paid
+/// after `Ω(n)` steps, keeping the `O(examined)` bound: a run that halts
+/// within a few thousand items of a million-item list never pays it.
+///
+/// The map pass scans the whole table, so the table must not outgrow
+/// the list: [`reset`](Self::reset) to `n` items drops a table larger
+/// than the sparse phase of `n` items can grow (a scratch reused from
+/// a longer list), while `reset(0)` — the empty order of a run that
+/// walks none — keeps it for the next walk.
 ///
 /// The emitted prefix is stored densely; before each of SVT-ReTr's
 /// later passes the walk compacts the survivors at its front
@@ -368,10 +407,18 @@ impl SparseOrder {
     }
 
     /// Rewinds to a fresh identity permutation of `0..n` in `O(1)`
-    /// (the displacement map is generation-stamped), not `O(n)`.
+    /// (the displacement map is generation-stamped), not `O(n)`. A
+    /// nonzero `n` also drops a displacement table larger than a walk
+    /// over `n` items can need (see the type docs' "Densification").
     pub fn reset(&mut self, n: usize) {
         self.prefix.clear();
-        self.displaced.reset();
+        if n == 0 {
+            self.displaced.reset();
+        } else {
+            // The sparse phase inserts at most one entry per step and
+            // ends before step ⌈n / DENSIFY_DIVISOR⌉.
+            self.displaced.reset_for(n.div_ceil(DENSIFY_DIVISOR));
+        }
         self.len = n;
         self.dense.clear();
         self.dense_from = None;
@@ -417,7 +464,7 @@ impl SparseOrder {
     pub fn step(&mut self, rng: &mut DpRng) -> u32 {
         let i = self.prefix.len();
         debug_assert!(i < self.len, "SparseOrder::step past the end");
-        if self.dense_from.is_none() && (i + 1) * 8 >= self.len {
+        if self.dense_from.is_none() && (i + 1) * DENSIFY_DIVISOR >= self.len {
             self.densify(i);
         }
         let remaining = self.len - i;
@@ -466,10 +513,10 @@ impl SparseOrder {
         let start = self.prefix.len();
         let m = out.len();
         debug_assert!(start + m <= n, "SparseOrder::step_block past the end");
-        // `(i + 1) * 8 < n` for every position the block touches means
-        // no step densifies, and `remaining > 1` throughout (the
-        // trigger fires long before the final position).
-        if self.dense_from.is_none() && (start + m) * 8 < n {
+        // `(i + 1) * DENSIFY_DIVISOR < n` for every position the block
+        // touches means no step densifies, and `remaining > 1`
+        // throughout (the trigger fires long before the final position).
+        if self.dense_from.is_none() && (start + m) * DENSIFY_DIVISOR < n {
             self.prefix.reserve(m);
             for (t, slot) in out.iter_mut().enumerate() {
                 let i = start + t;
@@ -491,20 +538,29 @@ impl SparseOrder {
     }
 
     /// Materializes the conceptual values of positions `i..len` into the
-    /// flat dense tail (see the type docs) — `O(len - i)`, once per run.
+    /// flat dense tail (see the type docs) — `O(len - i)`, once per run:
+    /// the identity, then this run's displaced values at the positions
+    /// not yet examined (entries below `i` are stale).
     fn densify(&mut self, i: usize) {
         self.dense.clear();
-        self.dense
-            .extend((i..self.len).map(|p| self.displaced.get(p as u32).unwrap_or(p as u32)));
+        self.dense.extend(i as u32..self.len as u32);
+        for (position, value) in self.displaced.entries() {
+            if let Some(slot) = (position as usize).checked_sub(i) {
+                self.dense[slot] = value;
+            }
+        }
         self.dense_from = Some(i);
     }
 }
 
 /// Reusable per-run buffers for the streaming evaluation paths.
 ///
-/// Construct once per worker thread, pass to every run; nothing in here
-/// is ever allocated proportional to the item count (the grouped
-/// samplers keep `O(groups)` state), and after the first few runs the
+/// Construct once per worker thread, pass to every run. A run's buffers
+/// grow with what it touches, not with the item count: the examined
+/// prefix and its displacement map, `O(groups)` state for the grouped
+/// samplers. The exception is a walk that passes 1/32 of the list and
+/// densifies (see [`SparseOrder`]): its dense tail holds `4 · (n − i)`
+/// bytes, kept for the next long walk. After the first few runs the
 /// steady state allocates nothing at all. One scratch serves every
 /// streaming path — [`svt_select_from`], [`exp_noise_select_from`],
 /// [`svt_retraversal_from`](crate::retraversal::svt_retraversal_from),
@@ -1152,6 +1208,159 @@ mod tests {
         }
     }
 
+    /// The build `densify` replaced, kept as the reference its dense
+    /// tail is pinned against: one displacement-map probe per remaining
+    /// position.
+    fn densify_by_probes(order: &mut SparseOrder, i: usize) {
+        order.dense.clear();
+        order
+            .dense
+            .extend((i..order.len).map(|p| order.displaced.get(p as u32).unwrap_or(p as u32)));
+        order.dense_from = Some(i);
+    }
+
+    proptest! {
+        #[test]
+        fn densify_matches_the_probe_per_position_reference(
+            seed in any::<u64>(),
+            n_small in 1usize..64,
+            n_large in 64usize..4000,
+            small in any::<bool>(),
+            before in 0usize..6,
+            block in 1usize..40,
+        ) {
+            // At every sparse state up to the densify point, the
+            // fill-and-patch tail equals the probe-per-position one; and
+            // a walk that densifies either way — the reference at that
+            // state, the order itself at the point, inside blocks that
+            // straddle it — emits the forward Fisher–Yates stream.
+            let n = if small { n_small } else { n_large };
+            let point = (0..n).find(|&i| (i + 1) * 32 >= n).unwrap();
+            let k = point.saturating_sub(before);
+            let mut rng = DpRng::seed_from_u64(seed);
+            let mut order = SparseOrder::new();
+            order.reset(n);
+            for _ in 0..k {
+                order.step(&mut rng);
+            }
+            prop_assert_eq!(order.dense_from, None);
+            let mut patched = order.clone();
+            patched.densify(k);
+            let mut probed = order.clone();
+            densify_by_probes(&mut probed, k);
+            prop_assert_eq!(&patched.dense, &probed.dense);
+
+            let mut probed_rng = rng.clone();
+            let want: Vec<u32> = (k..n).map(|_| probed.step(&mut probed_rng)).collect();
+            let mut got = vec![0u32; n - k];
+            for chunk in got.chunks_mut(block) {
+                order.step_block(&mut rng, chunk);
+            }
+            prop_assert_eq!(order.dense_from, Some(point));
+            prop_assert_eq!(&got, &want);
+            let mut full: Vec<u32> = (0..n as u32).collect();
+            DpRng::seed_from_u64(seed).shuffle_forward(&mut full);
+            prop_assert_eq!(order.prefix(), &full[..]);
+            prop_assert_eq!(rng.next_u64(), probed_rng.next_u64());
+        }
+    }
+
+    #[test]
+    fn a_reused_order_sizes_its_table_by_the_list_it_walks() {
+        // One order, as a scratch reused across datasets holds it: a
+        // walk densifies on a 200k-item list, a run that walks nothing
+        // (EM, the skip-ahead) empties the order, then a 1,657-item list
+        // (BMS-POS's size) walks to its end.
+        let mut rng = DpRng::seed_from_u64(2203);
+        let mut order = SparseOrder::new();
+        order.reset(200_000);
+        let mut block = [0u32; LOOKAHEAD];
+        for _ in 0..7_000 / LOOKAHEAD {
+            order.step_block(&mut rng, &mut block);
+        }
+        assert_eq!(order.dense_from, Some(6_249));
+        let grown = order.displaced.capacity();
+        assert!(
+            grown >= 8_192,
+            "~6k sparse entries at ≤ ½ load, got {grown} slots"
+        );
+        // The same list's next walk, and a run that walks nothing, keep
+        // the table.
+        order.reset(200_000);
+        assert_eq!(order.displaced.capacity(), grown);
+        order.reset(0);
+        assert_eq!(order.displaced.capacity(), grown);
+        // 1,657 items densify at position 51, so the sparse phase holds
+        // at most 52 entries: 128 slots at ≤ ½ load. The AOL-grown table
+        // is not kept for the densify pass to scan.
+        order.reset(1_657);
+        assert!(order.displaced.capacity() <= 128);
+        let mut rng = DpRng::seed_from_u64(2204);
+        let mut got = vec![0u32; 1_657];
+        for chunk in got.chunks_mut(LOOKAHEAD) {
+            order.step_block(&mut rng, chunk);
+        }
+        assert_eq!(order.dense_from, Some(51));
+        assert!(order.displaced.capacity() <= 128);
+        let mut want: Vec<u32> = (0..1_657).collect();
+        DpRng::seed_from_u64(2204).shuffle_forward(&mut want);
+        assert_eq!(got, want);
+    }
+
+    /// An AOL-sized score source that holds no memory: every 100th item
+    /// scores 1,000, the rest 0.
+    struct EveryHundredth;
+
+    impl ScoreSource for EveryHundredth {
+        fn len(&self) -> usize {
+            2_290_685
+        }
+
+        fn score(&self, item: usize) -> f64 {
+            if item % 100 == 0 {
+                1_000.0
+            } else {
+                0.0
+            }
+        }
+    }
+
+    #[test]
+    fn a_short_walk_on_a_long_list_never_densifies() {
+        // The densify point is a fraction of n, so a run that halts
+        // within a few hundred items of an AOL-sized list (n/32 ≈ 71.6k)
+        // pays no fill — also on a scratch whose last walk densified.
+        let mut rng = DpRng::seed_from_u64(2205);
+        let mut scratch = RunScratch::new();
+        let flat = vec![0.0; 10_000];
+        svt_select_from(
+            &flat[..],
+            1_000.0,
+            &counting(2.0, 3),
+            &mut rng,
+            &mut scratch,
+        )
+        .unwrap();
+        assert_eq!(scratch.examined(), 10_000);
+        assert!(scratch.order.dense_from.is_some());
+        svt_select_from(
+            &EveryHundredth,
+            500.0,
+            &counting(10.0, 3),
+            &mut rng,
+            &mut scratch,
+        )
+        .unwrap();
+        assert_eq!(scratch.selected().len(), 3);
+        assert!(
+            scratch.examined() < 2_000,
+            "examined {}",
+            scratch.examined()
+        );
+        assert_eq!(scratch.order.dense_from, None);
+        assert!(scratch.order.dense.is_empty());
+    }
+
     proptest! {
         #[test]
         fn displacement_map_matches_hash_map_model_across_resets(
@@ -1183,6 +1392,11 @@ mod tests {
             for key in 0u32..64 {
                 prop_assert_eq!(map.get(key), model.get(&key).copied(), "final sweep");
             }
+            let mut entries: Vec<(u32, u32)> = map.entries().collect();
+            entries.sort_unstable();
+            let mut want: Vec<(u32, u32)> = model.into_iter().collect();
+            want.sort_unstable();
+            prop_assert_eq!(entries, want, "entries lists exactly the live generation");
         }
 
         #[test]

@@ -89,7 +89,14 @@
 //! the line format: `dpbook_exact_scalar` (Alg. 2 through
 //! `dpbook_select`, the group's ratio reference) and
 //! `dpbook_exact_batched` (the streaming walk with Alg. 2's per-⊤ `ρ`
-//! redraw, under the reference kernel).
+//! redraw, under the reference kernel). An `SVT-ReTr-1:c^(2/3)-3D`
+//! group joins it the same way: `retr_exact_scalar` (`svt_retraversal`
+//! through `run_once`, the group's ratio reference) and
+//! `retr_exact_batched` (the streaming walk, under the reference
+//! kernel). Its runs walk most of the mid-scale list and ~150k items at
+//! AOL scale, so it is the one group whose walks pass the lazy order's
+//! densify point (1/32 of the list) at both scales; the other SVTs halt
+//! within a few thousand items.
 //!
 //! The workload, seeds, and run counts are fixed, so the *work
 //! performed* is identical from machine to machine and run to run; only
@@ -98,11 +105,11 @@
 //! `--check BASELINE.json` turns the binary into a regression gate.
 //! The gate compares **engine ratios**, not absolute wall-clock: within
 //! each `(dataset, algorithm)` cell group the scalar reference engine
-//! (`exact_scalar` and its `rv_`/`exp_` siblings for SVT, `em_peel`
-//! for EM) is the denominator, so machine speed cancels and only a
-//! change in the *relative* cost of a pipeline trips the gate. Any
-//! engine whose ratio grows more than [`CHECK_TOLERANCE`] vs the
-//! committed baseline fails the run with a per-cell diff. A group
+//! (`exact_scalar` and its `dpbook_`/`rv_`/`exp_`/`retr_` siblings for
+//! SVT, `em_peel` for EM) is the denominator, so machine speed cancels
+//! and only a change in the *relative* cost of a pipeline trips the
+//! gate. Any engine whose ratio grows more than [`CHECK_TOLERANCE`] vs
+//! the committed baseline fails the run with a per-cell diff. A group
 //! without its reference is not ratio-gated: peeling is not timed at
 //! AOL scale, so that scale's EM cell is guarded by CI's check of its
 //! recorded budget instead.
@@ -146,6 +153,8 @@ fn reference_engine(algorithm: &str) -> &'static str {
         "rv_exact_scalar"
     } else if algorithm.starts_with("SVT-Exp") {
         "exp_exact_scalar"
+    } else if algorithm.starts_with("SVT-ReTr") {
+        "retr_exact_scalar"
     } else {
         "exact_scalar"
     }
@@ -328,13 +337,15 @@ fn bench_size(
     });
     out.push(cell(svt_label, "exact_batched_vectorized", runs, timing));
 
-    // The other SVT groups: SVT-DPBook (Alg. 2, the Figure-4 baseline)
-    // and the post-2017 reference-suite variants, SVT-Revisited and the
-    // exponential-noise SVT, each through the scalar reference and the
-    // streaming path — under both kernels for SVT-Exp, the same split
-    // as the SVT-S group above. SVT-Revisited's skip-ahead draws no
-    // batched noise, so its group has no vectorized cell; SVT-DPBook's
-    // walk is SVT-S's, so its group times the reference kernel only.
+    // The other SVT groups: SVT-DPBook (Alg. 2, the Figure-4 baseline),
+    // the post-2017 reference-suite variants, SVT-Revisited and the
+    // exponential-noise SVT, and SVT-ReTr at 3D (the §5 remedy, whose
+    // walks pass the densify point), each through the scalar reference
+    // and the streaming path — under both kernels for SVT-Exp, the same
+    // split as the SVT-S group above. SVT-Revisited's skip-ahead draws
+    // no batched noise, so its group has no vectorized cell; the
+    // SVT-DPBook and SVT-ReTr walks are SVT-S's, so their groups time
+    // the reference kernel only.
     let groups = [
         (
             AlgorithmSpec::DpBook,
@@ -358,6 +369,14 @@ fn bench_size(
                 "exp_exact_batched",
                 Some("exp_exact_batched_vectorized"),
             ),
+        ),
+        (
+            AlgorithmSpec::Retraversal {
+                ratio: BudgetRatio::OneToCTwoThirds,
+                increment_d: 3.0,
+            },
+            "SVT-ReTr-1:c^(2/3)-3D",
+            ("retr_exact_scalar", "retr_exact_batched", None),
         ),
     ];
     for (spec, label, (scalar_engine, batched_engine, batched_vec)) in groups {
@@ -431,6 +450,11 @@ fn bench_size(
 ///   1.8–1.9× scalar) still trips it. SVT-DPBook's walk, SVT-RV's
 ///   skip-ahead and the grouped EM route, which have no vectorized
 ///   sibling, are held to the strict tier.
+///
+/// The SVT-ReTr group is held to neither tier: at the mid scale, where
+/// the scores fit in cache, its walk read 0.92–1.20× its scalar
+/// reference over nine runs on a 2-core VM, so either tier would flake.
+/// The ratio gate of `--check` still covers it.
 fn assert_batched_beats_scalar(cells: &[CellTiming]) {
     // (strict vectorized cell, reference-kernel cell, scalar reference)
     let pairs = [
@@ -593,6 +617,8 @@ fn parse_baseline(text: &str) -> Vec<BaselineCell> {
             "exp_exact_scalar",
             "exp_exact_batched",
             "exp_exact_batched_vectorized",
+            "retr_exact_scalar",
+            "retr_exact_batched",
             "em_peel",
             "em_grouped_exact",
         ];
