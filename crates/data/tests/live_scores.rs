@@ -7,7 +7,10 @@
 //! levels, including signed zeros) and on occasional large jumps; with
 //! `n < 28` the ⌈√n⌉ fold threshold is at most 6, so most cases cross
 //! several folds. A third property drives the owner with hostile
-//! inputs: every rejected call changes nothing.
+//! inputs: every rejected call changes nothing. A fourth holds and
+//! releases snapshots at random, so folds take all three paths (reuse
+//! the spare, copy because the spare is held, write in place), and
+//! checks every held snapshot bit for bit after every step.
 
 use std::sync::Arc;
 
@@ -173,6 +176,78 @@ proptest! {
                 GroupedSnapshot::from_scores(&values(snap)).unwrap(),
                 GroupedSnapshot::from_scores(scores_then).unwrap()
             );
+        }
+    }
+
+    #[test]
+    fn held_snapshots_survive_every_fold_path(
+        seed in any::<u64>(),
+        n in 1usize..200,
+        steps in 1usize..120,
+    ) {
+        // Each step writes a burst of 1–4 updates, then pins a fresh
+        // publish, releases a pin, swaps its newest pin for a fresh
+        // publish (as the server's registry does), publishes without
+        // keeping it, or publishes nothing. A fold therefore finds the
+        // spare free or held by an old pin, or the base itself unpinned.
+        let mut mix = Mix(seed);
+        let initial: Vec<f64> = (0..n).map(|_| mix.score(5)).collect();
+        let mut live = LiveScores::from_scores(&initial).unwrap();
+        let mut mirror = initial;
+        let mut pinned: Vec<(Arc<ScoreSnapshot>, Vec<f64>)> = Vec::new();
+        for step in 0..steps {
+            for _ in 0..=mix.below(4) {
+                let item = mix.below(n as u64) as usize;
+                let new = if mix.below(2) == 0 {
+                    let value = mix.score(5);
+                    live.set_score(item, value).unwrap();
+                    value
+                } else {
+                    let delta = (mix.below(5) as f64) - 2.0;
+                    live.increment(item, delta).unwrap()
+                };
+                // A write that compares equal (a ±0 flip included)
+                // changes nothing, so the mirror keeps its bits too.
+                if new != mirror[item] {
+                    mirror[item] = new;
+                }
+            }
+            match mix.below(5) {
+                0 if pinned.len() < 6 => pinned.push((live.snapshot(), mirror.clone())),
+                1 if !pinned.is_empty() => {
+                    let k = mix.below(pinned.len() as u64) as usize;
+                    pinned.swap_remove(k);
+                }
+                2 if !pinned.is_empty() => {
+                    let newest = pinned.len() - 1;
+                    pinned[newest] = (live.snapshot(), mirror.clone());
+                }
+                3 => {
+                    live.snapshot();
+                }
+                _ => {}
+            }
+            for (item, want) in mirror.iter().enumerate() {
+                prop_assert_eq!(
+                    live.score(item).unwrap().to_bits(),
+                    want.to_bits(),
+                    "step {} item {}",
+                    step,
+                    item
+                );
+            }
+            for (snap, want) in &pinned {
+                for (item, want) in want.iter().enumerate() {
+                    prop_assert_eq!(
+                        snap.score_of_item(item).to_bits(),
+                        want.to_bits(),
+                        "step {} epoch {} item {}",
+                        step,
+                        snap.epoch(),
+                        item
+                    );
+                }
+            }
         }
     }
 

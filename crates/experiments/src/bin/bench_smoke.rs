@@ -54,11 +54,13 @@
 //! Schema 8 splits `context_setup` into columns:
 //! `context_setup_cold_ns` (building the shared `SweepContext` from raw
 //! scores — the sweep's single grouping) and `score_update_ns` (one
-//! `LiveScores` increment plus the publish that follows it, sustained
-//! over a deterministic update storm — what a one-item `update_scores`
-//! batch pays; 256 rounds stay below the ⌈√n⌉ overlay fold at both
-//! scales). Context lines still carry no `engine` field, so the ratio
-//! gate skips them.
+//! `LiveScores` increment plus the publish that follows it, in the
+//! steady state of a served dataset — what a one-item `update_scores`
+//! batch pays: two ⌈√n⌉ overlay folds of warm-up, then 4·⌈√n⌉ timed
+//! rounds, each a fresh item, with the last publish held as the
+//! server's registry holds it, so four folds land in the timing).
+//! Context lines still carry no `engine` field, so the ratio gate
+//! skips them.
 //!
 //! Schema 9 adds the kernel-policy dimension. Every batched cell above
 //! is now explicitly pinned to `NoiseKernel::Reference` (the libm path
@@ -266,22 +268,27 @@ fn bench_size(
         cold_ns = cold_ns.min(ns);
         assert_eq!(built, sweep, "every build must equal the first");
     }
-    // The *update* column: sustained increment + publish rounds
-    // through `LiveScores` — what a one-item `update_scores` batch pays.
+    // The *update* column: one-item increment + publish rounds through
+    // `LiveScores` in a served dataset's steady state — what a one-item
+    // `update_scores` batch pays. The last publish stays held, as the
+    // server's registry holds it. Round `k` changes item `k·A mod n`
+    // (`A` a prime above `n`, so no item repeats within `n` rounds), so
+    // the overlay folds every ⌈√n⌉ rounds: two folds of warm-up, then
+    // four timed.
+    let fold = n.isqrt() + usize::from(n.isqrt().pow(2) < n);
     let mut live = LiveScores::from_scores(scores.as_slice()).expect("finite scores");
-    let update_rounds = 256u64;
-    let mut x = seed | 1;
-    let update_start = Instant::now();
-    for round in 0..update_rounds {
-        x = x
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let item = (x >> 33) as usize % n;
-        let delta = if round % 2 == 0 { 1.0 } else { -1.0 } * ((round % 7) as f64 + 0.5);
+    let mut held = live.snapshot();
+    let mut update = |k: usize| {
+        let item = (k as u64 * 0x9e37_79b1 % n as u64) as usize;
+        let delta = if k % 2 == 0 { 1.0 } else { -1.0 } * ((k % 7) as f64 + 0.5);
         live.increment(item, delta).expect("in-range finite update");
-        std::hint::black_box(live.snapshot());
-    }
-    let score_update_ns = update_start.elapsed().as_nanos() / u128::from(update_rounds);
+        held = live.snapshot();
+    };
+    (0..2 * fold).for_each(&mut update);
+    let update_start = Instant::now();
+    (2 * fold..6 * fold).for_each(&mut update);
+    let score_update_ns = update_start.elapsed().as_nanos() / (4 * fold) as u128;
+    std::hint::black_box(&held);
     setups.push(ContextSetup {
         dataset: name.to_owned(),
         n,
