@@ -19,11 +19,9 @@
 //!   consumes an externally supplied noise value `ν` and applies lines
 //!   4–9 of Algorithm 7.
 //! - [`SessionDriver`] is the **thin I/O layer**: it owns a forked
-//!   noise generator and a [`NoiseBuffer`], draws `ν` through the
-//!   batched fill path, and feeds the state machine. Because batched
-//!   fills are stream-equivalent to scalar draws (the `BatchSample`
-//!   contract), a driver answering a prefetched batch of queries is
-//!   bit-identical to one answering them one at a time.
+//!   noise generator, draws one scalar `ν` per answered query, and
+//!   feeds the state machine. A session asks one query at a time, as
+//!   Algorithm 7 does, so it draws no noise ahead of its queries.
 //!
 //! ## Draw protocol (pinned)
 //!
@@ -50,7 +48,7 @@ use crate::response::SvtAnswer;
 use crate::streaming::SvtNoise;
 use crate::{Result, SvtError};
 use dp_mechanisms::laplace::Laplace;
-use dp_mechanisms::{DpRng, NoiseBuffer};
+use dp_mechanisms::DpRng;
 
 /// The pure SVT session state machine: Algorithm 7 minus the noise
 /// source.
@@ -190,8 +188,7 @@ impl SessionState {
 }
 
 /// The thin I/O layer over [`SessionState`]: owns the forked noise
-/// generators and the prefetch buffer, so the state machine itself
-/// stays pure.
+/// generators, so the state machine itself stays pure.
 ///
 /// ```
 /// use dp_mechanisms::{DpRng, SvtBudget};
@@ -220,7 +217,6 @@ pub struct SessionDriver {
     noise_rng: DpRng,
     /// The numeric phase's noise and its own fork, when `ε₃ > 0`.
     numeric: Option<(Laplace, DpRng)>,
-    noise: NoiseBuffer,
     asked: usize,
 }
 
@@ -247,7 +243,6 @@ impl SessionDriver {
             query_noise,
             noise_rng,
             numeric,
-            noise: NoiseBuffer::new(),
             asked: 0,
         })
     }
@@ -270,9 +265,9 @@ impl SessionDriver {
         self.state.is_halted()
     }
 
-    /// Asks one query: draws `ν` through the buffered batch path, feeds
-    /// the state machine, and renders the answer (numeric-phase answers
-    /// draw from the dedicated numeric fork).
+    /// Asks one query: draws `ν` from the query fork, feeds the state
+    /// machine, and renders the answer (numeric-phase answers draw from
+    /// the dedicated numeric fork).
     ///
     /// # Errors
     /// [`SvtError::Halted`] once the session's `c` positives are spent;
@@ -280,7 +275,7 @@ impl SessionDriver {
     /// and the query is not counted on error.
     pub fn ask(&mut self, query_answer: f64, threshold: f64) -> Result<SvtAnswer> {
         self.state.check(query_answer, threshold)?;
-        let nu = self.noise.next(&self.query_noise, &mut self.noise_rng);
+        let nu = self.query_noise.sample(&mut self.noise_rng);
         self.asked += 1;
         if !self.state.observe_unchecked(query_answer, threshold, nu) {
             return Ok(SvtAnswer::Below);
@@ -289,19 +284,6 @@ impl SessionDriver {
             Some((noise, rng)) => SvtAnswer::Numeric(query_answer + noise.sample(rng)),
             None => SvtAnswer::Above,
         })
-    }
-
-    /// Ensures `n` query-noise values are buffered using a single
-    /// batched generator fill — the serving layer's way to answer a
-    /// batch of queries with one fill per session per batch.
-    ///
-    /// Prefetching never changes the answers (see
-    /// [`NoiseBuffer::prefetch`]); over-prefetching for queries that end
-    /// up rejected is harmless.
-    #[inline]
-    pub fn prefetch_noise(&mut self, n: usize) {
-        self.noise
-            .prefetch(&self.query_noise, &mut self.noise_rng, n);
     }
 }
 
@@ -373,32 +355,6 @@ mod tests {
         assert_eq!(answers_a, answers_b);
         assert_eq!(a.queries_asked(), 50);
         assert_eq!(b.queries_asked(), 50);
-    }
-
-    #[test]
-    fn driver_prefetch_does_not_change_answers() {
-        let queries: Vec<(f64, f64)> = (0..200)
-            .map(|i| (if i % 7 == 0 { 1e6 } else { -1e6 }, 0.0))
-            .collect();
-        let cfg = config(usize::MAX >> 1, 0.5);
-
-        let mut rng = DpRng::seed_from_u64(23);
-        let mut plain = SessionDriver::open(cfg, &mut rng).unwrap();
-        let reference: Vec<_> = queries
-            .iter()
-            .map(|&(q, t)| plain.ask(q, t).unwrap())
-            .collect();
-
-        let mut rng = DpRng::seed_from_u64(23);
-        let mut batched = SessionDriver::open(cfg, &mut rng).unwrap();
-        let mut got = Vec::new();
-        for chunk in queries.chunks(17) {
-            batched.prefetch_noise(chunk.len());
-            for &(q, t) in chunk {
-                got.push(batched.ask(q, t).unwrap());
-            }
-        }
-        assert_eq!(got, reference);
     }
 
     #[test]

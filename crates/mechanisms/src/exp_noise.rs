@@ -217,7 +217,7 @@ impl BatchSample for Exponential {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::laplace::NoiseBuffer;
+    use crate::laplace::tests::buffer_stream_bits;
 
     fn exp(b: f64) -> Exponential {
         Exponential::new(b).unwrap()
@@ -367,37 +367,12 @@ mod tests {
             (0..draws).map(|_| e.sample(&mut rng).to_bits()).collect()
         };
         for batch in [1usize, 2, 17, 256, 1024] {
-            let mut rng = DpRng::seed_from_u64(991);
-            let mut buf = NoiseBuffer::with_batch(batch);
-            let got: Vec<u64> = (0..draws)
-                .map(|_| buf.next(&e, &mut rng).to_bits())
-                .collect();
-            assert_eq!(got, reference, "batch {batch}");
+            assert_eq!(
+                buffer_stream_bits(&e, 991, batch, draws),
+                reference,
+                "batch {batch}"
+            );
         }
-    }
-
-    #[test]
-    fn noise_buffer_prefetch_preserves_the_stream() {
-        let e = exp(2.0);
-        let draws = 500;
-        let reference: Vec<u64> = {
-            let mut rng = DpRng::seed_from_u64(991);
-            (0..draws).map(|_| e.sample(&mut rng).to_bits()).collect()
-        };
-        let mut rng = DpRng::seed_from_u64(991);
-        let mut buf = NoiseBuffer::with_batch(16);
-        let mut got = Vec::with_capacity(draws);
-        let mut i = 0usize;
-        for (k, take) in [(0usize, 3usize), (40, 10), (5, 60), (1, 7), (300, 420)] {
-            buf.prefetch(&e, &mut rng, k);
-            assert!(buf.buffered() >= k);
-            for _ in 0..take {
-                got.push(buf.next(&e, &mut rng).to_bits());
-                i += 1;
-            }
-        }
-        assert_eq!(i, draws);
-        assert_eq!(got, reference);
     }
 
     #[test]

@@ -383,12 +383,11 @@ mod tests {
             (0..draws).map(|_| g.sample(&mut rng).to_bits()).collect()
         };
         for batch in [1usize, 2, 17, 256, 1024] {
-            let mut rng = DpRng::seed_from_u64(1879);
-            let mut buf = crate::NoiseBuffer::with_batch(batch);
-            let got: Vec<u64> = (0..draws)
-                .map(|_| buf.next(&g, &mut rng).to_bits())
-                .collect();
-            assert_eq!(got, reference, "batch {batch}");
+            assert_eq!(
+                crate::laplace::tests::buffer_stream_bits(&g, 1879, batch, draws),
+                reference,
+                "batch {batch}"
+            );
         }
     }
 

@@ -224,18 +224,18 @@ impl BatchSample for Laplace {
     }
 }
 
-/// A reusable scratch buffer of prefetched noise from any
-/// [`BatchSample`] distribution.
+/// A reusable scratch buffer of noise from any [`BatchSample`]
+/// distribution, filled a block at a time.
 ///
-/// The simulation engines draw one noise value per examined item; doing
-/// that a block at a time through `sample_into` (e.g.
+/// The item walks draw one noise value per examined item; drawing them
+/// a block at a time through `sample_into` (e.g.
 /// [`Laplace::sample_into`] or [`Gumbel::sample_into`](crate::Gumbel::sample_into))
 /// keeps the RNG on its bulk path. Because `sample_into` is
 /// stream-equivalent to scalar sampling (the [`BatchSample`] contract),
-/// the sequence of values handed out by [`next`](NoiseBuffer::next) is
-/// independent of the batch size — only how far ahead of the consumer
-/// the generator has run differs, so a dedicated (forked) noise
-/// generator sees no observable difference.
+/// the values [`take_into`](NoiseBuffer::take_into) hands out do not
+/// depend on the batch size or on how the takes are split — only how far
+/// ahead of the consumer the generator has run differs, so a dedicated
+/// (forked) noise generator sees no observable difference.
 ///
 /// The buffer caches raw samples of *one* distribution drawn from *one*
 /// generator; call [`reset`](NoiseBuffer::reset) before switching either.
@@ -243,11 +243,10 @@ impl BatchSample for Laplace {
 /// ## Kernel policy
 ///
 /// Every refill is dispatched through the [`NoiseKernel`] fixed at
-/// construction (default [`NoiseKernel::Reference`], preserving the
-/// historical bit-identical-to-scalar contract). Building with
-/// [`NoiseKernel::Vectorized`] changes only the transform applied to
-/// the batched uniforms — the generator consumes the identical word
-/// sequence either way.
+/// construction. [`NoiseKernel::Reference`] keeps the values
+/// bit-identical to scalar draws; [`NoiseKernel::Vectorized`] changes
+/// only the transform applied to the batched uniforms — the generator
+/// consumes the identical word sequence either way.
 #[derive(Debug, Clone)]
 pub struct NoiseBuffer {
     buf: Vec<f64>,
@@ -259,22 +258,11 @@ pub struct NoiseBuffer {
 impl NoiseBuffer {
     /// Default batch size: big enough to amortize per-call overhead,
     /// small enough that a typical early-aborting SVT run wastes little
-    /// prefetched noise.
+    /// buffered noise.
     pub const DEFAULT_BATCH: usize = 256;
 
-    /// Creates an empty buffer with the default batch size.
-    pub fn new() -> Self {
-        Self::with_batch(Self::DEFAULT_BATCH)
-    }
-
     /// Creates an empty buffer that refills `batch` samples at a time
-    /// (clamped to at least 1).
-    pub fn with_batch(batch: usize) -> Self {
-        Self::with_kernel(batch, NoiseKernel::Reference)
-    }
-
-    /// Creates an empty buffer with an explicit refill batch size and
-    /// transform kernel.
+    /// (clamped to at least 1) through `kernel`.
     pub fn with_kernel(batch: usize, kernel: NoiseKernel) -> Self {
         Self {
             buf: Vec::new(),
@@ -290,23 +278,12 @@ impl NoiseBuffer {
         self.kernel
     }
 
-    /// Discards any prefetched noise; the next [`next`](Self::next)
-    /// refills from the generator it is handed.
+    /// Discards any buffered noise; the next
+    /// [`take_into`](Self::take_into) refills from the generator it is
+    /// handed.
     #[inline]
     pub fn reset(&mut self) {
         self.cursor = self.buf.len();
-    }
-
-    /// The next prefetched sample of `dist`, refilling from `rng` when
-    /// the buffer is exhausted.
-    #[inline]
-    pub fn next<D: BatchSample>(&mut self, dist: &D, rng: &mut DpRng) -> f64 {
-        if self.cursor >= self.buf.len() {
-            self.refill(dist, rng);
-        }
-        let v = self.buf[self.cursor];
-        self.cursor += 1;
-        v
     }
 
     fn refill<D: BatchSample>(&mut self, dist: &D, rng: &mut DpRng) {
@@ -315,11 +292,11 @@ impl NoiseBuffer {
         self.cursor = 0;
     }
 
-    /// Copies the next `out.len()` samples of `dist` into `out` —
-    /// exactly the values that many successive [`next`](Self::next)
-    /// calls would return, consuming the same generator draws — with
-    /// the per-draw cursor check and bounds bookkeeping hoisted out to
-    /// one `memcpy` per buffered span.
+    /// Copies the next `out.len()` buffered samples of `dist` into
+    /// `out`, refilling a batch from `rng` whenever the buffer runs dry:
+    /// one `memcpy` per buffered span. Under [`NoiseKernel::Reference`]
+    /// the takes hand out `rng`'s scalar draws of `dist` in order, less
+    /// only what a [`reset`](Self::reset) discarded.
     pub fn take_into<D: BatchSample>(&mut self, dist: &D, rng: &mut DpRng, out: &mut [f64]) {
         let mut filled = 0;
         while filled < out.len() {
@@ -331,45 +308,6 @@ impl NoiseBuffer {
             self.cursor += take;
             filled += take;
         }
-    }
-
-    /// Ensures at least `n` unconsumed samples of `dist` are buffered,
-    /// topping up the shortfall with **one** batched fill from `rng`.
-    ///
-    /// This is how a batch of `n` queries against one session costs one
-    /// generator fill instead of up to `n`: prefetch `n`, then call
-    /// [`next`](Self::next) per query. Because batched fills are
-    /// stream-equivalent to scalar draws (the [`BatchSample`] contract),
-    /// prefetching changes only how far ahead of the consumer the
-    /// generator runs — never the values handed out — so prefetching
-    /// more than is ultimately consumed (e.g. a session halts mid-batch)
-    /// is harmless: the surplus is served to later calls unchanged.
-    pub fn prefetch<D: BatchSample>(&mut self, dist: &D, rng: &mut DpRng, n: usize) {
-        let available = self.buf.len() - self.cursor;
-        if available >= n {
-            return;
-        }
-        let deficit = n - available;
-        // Compact the unconsumed tail to the front, then append the
-        // shortfall in a single fill.
-        self.buf.drain(..self.cursor);
-        self.cursor = 0;
-        let old_len = self.buf.len();
-        self.buf.resize(old_len + deficit, 0.0);
-        dist.sample_into_kernel(rng, &mut self.buf[old_len..], self.kernel);
-    }
-
-    /// How many prefetched samples are currently buffered and unconsumed.
-    #[inline]
-    #[must_use]
-    pub fn buffered(&self) -> usize {
-        self.buf.len() - self.cursor
-    }
-}
-
-impl Default for NoiseBuffer {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -391,7 +329,7 @@ pub fn laplace_mechanism(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn lap(b: f64) -> Laplace {
@@ -524,6 +462,28 @@ mod tests {
         }
     }
 
+    /// The first `draws` values a reference-kernel buffer of `batch`
+    /// hands out of `dist` on a generator seeded with `seed`, taken in
+    /// chunks of varying length, as bits.
+    pub(crate) fn buffer_stream_bits<D: BatchSample>(
+        dist: &D,
+        seed: u64,
+        batch: usize,
+        draws: usize,
+    ) -> Vec<u64> {
+        let mut rng = DpRng::seed_from_u64(seed);
+        let mut buf = NoiseBuffer::with_kernel(batch, NoiseKernel::Reference);
+        let mut out = vec![0.0; draws];
+        let mut chunks = [1usize, 5, 2, 33, 7, 300, 3].into_iter().cycle();
+        let mut start = 0;
+        while start < draws {
+            let end = (start + chunks.next().unwrap()).min(draws);
+            buf.take_into(dist, &mut rng, &mut out[start..end]);
+            start = end;
+        }
+        out.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn noise_buffer_stream_is_independent_of_batch_size() {
         let l = lap(2.0);
@@ -533,54 +493,36 @@ mod tests {
             (0..draws).map(|_| l.sample(&mut rng).to_bits()).collect()
         };
         for batch in [1usize, 2, 17, 256, 1024] {
-            let mut rng = DpRng::seed_from_u64(991);
-            let mut buf = NoiseBuffer::with_batch(batch);
-            let got: Vec<u64> = (0..draws)
-                .map(|_| buf.next(&l, &mut rng).to_bits())
-                .collect();
-            assert_eq!(got, reference, "batch {batch}");
+            assert_eq!(
+                buffer_stream_bits(&l, 991, batch, draws),
+                reference,
+                "batch {batch}"
+            );
         }
-    }
-
-    #[test]
-    fn noise_buffer_prefetch_preserves_the_stream() {
-        let l = lap(2.0);
-        let draws = 500;
-        let reference: Vec<u64> = {
-            let mut rng = DpRng::seed_from_u64(991);
-            (0..draws).map(|_| l.sample(&mut rng).to_bits()).collect()
-        };
-        // Interleave prefetches of varying sizes (including ones smaller
-        // than what is already buffered) with consumption; the handed-out
-        // stream must be untouched.
-        let mut rng = DpRng::seed_from_u64(991);
-        let mut buf = NoiseBuffer::with_batch(16);
-        let mut got = Vec::with_capacity(draws);
-        let mut i = 0usize;
-        for (k, take) in [(0usize, 3usize), (40, 10), (5, 60), (1, 7), (300, 420)] {
-            buf.prefetch(&l, &mut rng, k);
-            assert!(buf.buffered() >= k);
-            for _ in 0..take {
-                got.push(buf.next(&l, &mut rng).to_bits());
-                i += 1;
-            }
-        }
-        assert_eq!(i, draws);
-        assert_eq!(got, reference);
     }
 
     #[test]
     fn noise_buffer_reset_discards_prefetched_noise() {
+        // After a reset the buffer refills from the generator where its
+        // last refill left it: the rest of the first batch is never
+        // handed out.
         let l = lap(1.0);
+        let batch = NoiseBuffer::DEFAULT_BATCH;
+        let reference: Vec<u64> = {
+            let mut rng = DpRng::seed_from_u64(997);
+            (0..2 * batch + 50)
+                .map(|_| l.sample(&mut rng).to_bits())
+                .collect()
+        };
         let mut rng = DpRng::seed_from_u64(997);
-        let mut buf = NoiseBuffer::new();
-        let first = buf.next(&l, &mut rng);
+        let mut buf = NoiseBuffer::with_kernel(batch, NoiseKernel::Reference);
+        let (mut first, mut second) = ([0.0; 3], vec![0.0; batch + 50]);
+        buf.take_into(&l, &mut rng, &mut first);
         buf.reset();
-        // After a reset the buffer refills from the (advanced) rng; the
-        // draw must differ from replaying the prefetched value.
-        let second = buf.next(&l, &mut rng);
-        assert!(first.is_finite() && second.is_finite());
-        assert_ne!(first.to_bits(), second.to_bits());
+        buf.take_into(&l, &mut rng, &mut second);
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&first), reference[..3]);
+        assert_eq!(bits(&second), reference[batch..]);
     }
 
     #[test]

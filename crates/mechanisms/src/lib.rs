@@ -39,8 +39,8 @@
 //!   in the workspace is reproducible from a single `u64` seed, with
 //!   block-wise batched fills (`fill_u64s`/`fill_uniform`/
 //!   `fill_open_uniform`) that are bit-identical to the scalar draws.
-//! - [`NoiseBuffer`] — reusable prefetched-noise scratch feeding the
-//!   simulation engines from any [`BatchSample`] distribution
+//! - [`NoiseBuffer`] — reusable block-filled noise scratch feeding the
+//!   engines' item walks from any [`BatchSample`] distribution
 //!   ([`Laplace::sample_into`], [`Gumbel::sample_into`]).
 //! - [`Binomial`] — an exact binomial sampler (inversion for small
 //!   means, Hörmann's BTRS otherwise; no normal approximation), which

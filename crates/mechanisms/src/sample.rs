@@ -6,8 +6,8 @@
 //! block-wise path. [`BatchSample`] is the contract that makes this
 //! safe: a distribution's batched fill must be **bit-identical** to the
 //! equivalent sequence of scalar draws, including the RNG words
-//! consumed, so prefetching more or less noise can never change an
-//! experiment's output. [`Laplace`](crate::Laplace),
+//! consumed, so drawing a block ahead of the consumer can never change
+//! an experiment's output. [`Laplace`](crate::Laplace),
 //! [`Gumbel`](crate::Gumbel) and [`Exponential`](crate::Exponential)
 //! all implement it, each backed by [`DpRng::fill_open_uniform`] (which
 //! upholds the same contract at the uniform level) and property-tested
@@ -28,7 +28,8 @@ use crate::rng::DpRng;
 ///   **bit-identical to scalar sampling** ([`BatchSample::sample_one`]
 ///   in a loop). This is the pinned contract every bitwise test builds
 ///   on, and the default everywhere correctness is compared against
-///   scalar history (serving sessions, batch-size-invariance pins).
+///   scalar history (the batch-size-invariance pins, scratch built
+///   with an explicit noise batch size).
 /// * [`Vectorized`](NoiseKernel::Vectorized) — the auto-vectorizable
 ///   [`crate::fastmath`] polynomial transform: same uniforms, same
 ///   words consumed, same distribution, values within the documented
@@ -59,7 +60,7 @@ pub enum NoiseKernel {
 /// [`sample_into`](Self::sample_into) must produce the same `n` values
 /// (bit for bit) and leave the generator in the same state as `n` calls
 /// to [`sample_one`](Self::sample_one). This is what lets
-/// [`NoiseBuffer`](crate::NoiseBuffer) hand out prefetched noise whose
+/// [`NoiseBuffer`](crate::NoiseBuffer) hand out block-filled noise whose
 /// stream is independent of the batch size.
 ///
 /// [`sample_into_vectorized`](Self::sample_into_vectorized) relaxes

@@ -9,11 +9,33 @@ use dp_mechanisms::exponential::ExponentialMechanism;
 use dp_mechanisms::gumbel::Gumbel;
 use dp_mechanisms::laplace::Laplace;
 use dp_mechanisms::sample::BatchSample;
-use dp_mechanisms::{fastmath, DpRng, NoiseKernel, SvtBudget};
+use dp_mechanisms::{fastmath, DpRng, NoiseBuffer, NoiseKernel, SvtBudget};
 use proptest::prelude::*;
 
 fn scale_strategy() -> impl Strategy<Value = f64> {
     (0.01f64..1000.0).prop_map(|x| x)
+}
+
+/// Takes `chunks` of `dist`'s noise from a reference-kernel buffer that
+/// refills `batch` at a time, and checks each value against the scalar
+/// draws of a twin generator: the handed-out stream is a pure function
+/// of the generator, whatever the batch size and however it is taken.
+fn buffer_matches_scalar_draws<D: BatchSample>(
+    dist: &D,
+    seed: u64,
+    batch: usize,
+    chunks: &[usize],
+) {
+    let mut scalar_rng = DpRng::seed_from_u64(seed);
+    let mut buffered_rng = DpRng::seed_from_u64(seed);
+    let mut buf = NoiseBuffer::with_kernel(batch, NoiseKernel::Reference);
+    for &len in chunks {
+        let mut got = vec![0.0; len];
+        buf.take_into(dist, &mut buffered_rng, &mut got);
+        for x in got {
+            assert_eq!(x.to_bits(), dist.sample_one(&mut scalar_rng).to_bits());
+        }
+    }
 }
 
 proptest! {
@@ -74,18 +96,9 @@ proptest! {
     fn noise_buffer_is_batch_size_invariant(
         seed in any::<u64>(),
         batch in 1usize..64,
-        draws in 1usize..200,
+        chunks in prop::collection::vec(0usize..40, 1..12),
     ) {
-        let l = Laplace::new(1.5).unwrap();
-        let mut scalar_rng = DpRng::seed_from_u64(seed);
-        let mut buffered_rng = DpRng::seed_from_u64(seed);
-        let mut buf = dp_mechanisms::NoiseBuffer::with_batch(batch);
-        for _ in 0..draws {
-            prop_assert_eq!(
-                buf.next(&l, &mut buffered_rng).to_bits(),
-                l.sample(&mut scalar_rng).to_bits()
-            );
-        }
+        buffer_matches_scalar_draws(&Laplace::new(1.5).unwrap(), seed, batch, &chunks);
     }
 
     #[test]
@@ -161,18 +174,9 @@ proptest! {
     fn exponential_noise_buffer_is_batch_size_invariant(
         seed in any::<u64>(),
         batch in 1usize..64,
-        draws in 1usize..200,
+        chunks in prop::collection::vec(0usize..40, 1..12),
     ) {
-        let e = Exponential::new(1.5).unwrap();
-        let mut scalar_rng = DpRng::seed_from_u64(seed);
-        let mut buffered_rng = DpRng::seed_from_u64(seed);
-        let mut buf = dp_mechanisms::NoiseBuffer::with_batch(batch);
-        for _ in 0..draws {
-            prop_assert_eq!(
-                buf.next(&e, &mut buffered_rng).to_bits(),
-                e.sample(&mut scalar_rng).to_bits()
-            );
-        }
+        buffer_matches_scalar_draws(&Exponential::new(1.5).unwrap(), seed, batch, &chunks);
     }
 
     #[test]
@@ -215,21 +219,9 @@ proptest! {
     fn gumbel_noise_buffer_is_batch_size_invariant(
         seed in any::<u64>(),
         batch in 1usize..64,
-        draws in 1usize..200,
+        chunks in prop::collection::vec(0usize..40, 1..12),
     ) {
-        // The generic NoiseBuffer upholds the BatchSample contract for
-        // Gumbel exactly as it does for Laplace: the handed-out stream
-        // is a pure function of the generator, whatever the batch size.
-        let g = Gumbel::standard();
-        let mut scalar_rng = DpRng::seed_from_u64(seed);
-        let mut buffered_rng = DpRng::seed_from_u64(seed);
-        let mut buf = dp_mechanisms::NoiseBuffer::with_batch(batch);
-        for _ in 0..draws {
-            prop_assert_eq!(
-                buf.next(&g, &mut buffered_rng).to_bits(),
-                g.sample(&mut scalar_rng).to_bits()
-            );
-        }
+        buffer_matches_scalar_draws(&Gumbel::standard(), seed, batch, &chunks);
     }
 
     #[test]

@@ -77,12 +77,14 @@
 //!
 //! A session's answers are a pure function of `(config, seed)`: the
 //! driver is opened from `DpRng::seed_from_u64(seed)` and owns its
-//! forked noise generators thereafter. The batched
-//! [`submit_batch`](SessionStore::submit_batch) path prefetches each
-//! session's noise with one buffered fill per shard visit, which by the
-//! `BatchSample` stream-equivalence contract cannot change any answer —
-//! so batching, batch composition, and thread interleaving across
-//! *different* sessions are all observationally irrelevant. Only the
+//! forked noise generators thereafter, drawing one `ν` per answered
+//! query. Every query — through [`submit`](SessionStore::submit),
+//! [`submit_item`](SessionStore::submit_item) or
+//! [`submit_batch`](SessionStore::submit_batch) — takes the one
+//! per-query path on its shard (admission, lookup, ask), and a batch
+//! runs it query by query in input order, so batching and batch
+//! composition are observationally irrelevant, and thread interleaving
+//! across *different* sessions touches no session's answers. Only the
 //! per-session order of queries matters, exactly as in the
 //! single-session API. The logical clock makes TTL/LRU/rate-limit
 //! behavior deterministic for any single-threaded call sequence.
@@ -271,7 +273,8 @@ impl ShardState {
     /// advances the logical clock (each admitted operation occupies one
     /// tick) and, under `rate_limit`, takes one token from the tenant's
     /// bucket, refilled for the ticks since its last admission. Returns
-    /// the tick.
+    /// the tick. A tenant with no ledger on this shard takes no token
+    /// and keeps no bucket: its call fails at the lookup that follows.
     ///
     /// # Errors
     /// [`ServerError::Overloaded`] with
@@ -280,7 +283,7 @@ impl ShardState {
     fn admit(&mut self, tenant: TenantId, rate_limit: Option<RateLimit>) -> Result<u64> {
         self.clock += 1;
         let now = self.clock;
-        let Some(limit) = rate_limit else {
+        let Some(limit) = rate_limit.filter(|_| self.ledgers.contains_key(&tenant)) else {
             return Ok(now);
         };
         let bucket = self.buckets.entry(tenant).or_insert(TokenBucket {
@@ -357,14 +360,28 @@ impl ShardState {
         Ok(self.sessions.get_mut(&session).expect("checked above"))
     }
 
-    /// Looks `session` up at tick `now` and, if alive, stamps it with
-    /// `now` (refreshing its LRU position).
-    fn admit_session(&mut self, session: SessionId, ttl: Option<u64>, now: u64) -> Result<()> {
-        let entry = self.live_session(session, ttl, now)?;
+    /// One query's whole path on a locked shard, the same for
+    /// [`submit`](SessionStore::submit),
+    /// [`submit_item`](SessionStore::submit_item) and every query of
+    /// [`submit_batch`](SessionStore::submit_batch): the admission tick
+    /// and token, the session lookup with its lazy TTL expiry, the LRU
+    /// stamp, then one ask of the true answer that `answer_of` reads
+    /// from the session's entry.
+    fn ask(
+        &mut self,
+        session: SessionId,
+        threshold: f64,
+        config: &ServerConfig,
+        answer_of: impl FnOnce(&SessionEntry) -> Result<f64>,
+    ) -> Result<SvtAnswer> {
+        let now = self.admit(session.tenant, config.rate_limit)?;
+        let entry = self.live_session(session, config.session_ttl, now)?;
         let last_touch = std::mem::replace(&mut entry.last_touch, now);
         self.lru.remove(&last_touch);
         self.lru.insert(now, session);
-        Ok(())
+        let entry = self.sessions.get_mut(&session).expect("live above");
+        let query_answer = answer_of(entry)?;
+        Ok(entry.driver.ask(query_answer, threshold)?)
     }
 }
 
@@ -816,27 +833,10 @@ impl SessionStore {
         query_answer: f64,
         threshold: f64,
     ) -> Result<SvtAnswer> {
-        self.submit_one(session, threshold, |_| Ok(query_answer))
-    }
-
-    /// The one-query path of [`submit`](Self::submit) and
-    /// [`submit_item`](Self::submit_item): the shed gate, the admission
-    /// step and the session lookup, then one ask of the true answer that
-    /// `answer_of` reads from the admitted session's entry.
-    fn submit_one(
-        &self,
-        session: SessionId,
-        threshold: f64,
-        answer_of: impl FnOnce(&SessionEntry) -> Result<f64>,
-    ) -> Result<SvtAnswer> {
         let index = self.shard_of(session.tenant);
         let _permit = self.admit_shard(index)?;
-        let mut shard = self.lock_shard(index);
-        let now = shard.admit(session.tenant, self.config.rate_limit)?;
-        shard.admit_session(session, self.config.session_ttl, now)?;
-        let entry = shard.sessions.get_mut(&session).expect("admitted above");
-        let query_answer = answer_of(entry)?;
-        Ok(entry.driver.ask(query_answer, threshold)?)
+        self.lock_shard(index)
+            .ask(session, threshold, &self.config, |_| Ok(query_answer))
     }
 
     /// Registers `tenant`'s dataset: validates and copies the scores
@@ -933,30 +933,34 @@ impl SessionStore {
         item: usize,
         threshold: f64,
     ) -> Result<SvtAnswer> {
-        self.submit_one(session, threshold, |entry| {
-            let snapshot = entry
-                .dataset
-                .as_ref()
-                .ok_or(ServerError::NoDataset(session.tenant))?;
-            if item >= snapshot.len_items() {
-                return Err(ServerError::ItemOutOfRange {
-                    item,
-                    len: snapshot.len_items(),
-                });
-            }
-            Ok(snapshot.score_of_item(item))
-        })
+        let index = self.shard_of(session.tenant);
+        let _permit = self.admit_shard(index)?;
+        self.lock_shard(index)
+            .ask(session, threshold, &self.config, |entry| {
+                let snapshot = entry
+                    .dataset
+                    .as_ref()
+                    .ok_or(ServerError::NoDataset(session.tenant))?;
+                if item >= snapshot.len_items() {
+                    return Err(ServerError::ItemOutOfRange {
+                        item,
+                        len: snapshot.len_items(),
+                    });
+                }
+                Ok(snapshot.score_of_item(item))
+            })
     }
 
     /// Answers a batch of queries, possibly spanning many sessions and
     /// tenants. Results are returned in input order, one per query.
     ///
-    /// Queries are grouped by shard so each shard is locked once, and
-    /// within a shard visit each session's noise is prefetched with a
-    /// single buffered fill — the serving-layer payoff of the
-    /// `BatchSample` stream-equivalence contract. Answers are
-    /// bit-identical to issuing the same per-session query sequences
-    /// through [`submit`](Self::submit) one at a time (pinned by test).
+    /// Queries are grouped by shard so each shard is locked once; within
+    /// a shard visit each query is admitted and answered before the next
+    /// one, in input order. So each query is answered exactly as
+    /// [`submit`](Self::submit) would answer it at that point — including
+    /// a session that expires under its TTL between two of its queries
+    /// in one batch — and the answers are bit-identical to issuing the
+    /// queries through `submit` one at a time (pinned by test).
     ///
     /// Per-query failures (shed, evicted, unknown session, halted
     /// session, bad input) land in that query's result slot; they do
@@ -971,13 +975,11 @@ impl SessionStore {
         for (i, q) in queries.iter().enumerate() {
             by_shard[self.shard_of(q.session.tenant)].push(i);
         }
-        let mut pending: HashMap<SessionId, usize> = HashMap::new();
-        let mut admitted: Vec<usize> = Vec::new();
         for (shard_index, indices) in by_shard.iter().enumerate() {
             if indices.is_empty() {
                 continue;
             }
-            let permit = match self.admit_shard(shard_index) {
+            let _permit = match self.admit_shard(shard_index) {
                 Ok(p) => p,
                 Err(e) => {
                     for &i in indices {
@@ -987,41 +989,11 @@ impl SessionStore {
                 }
             };
             let mut shard = self.lock_shard(shard_index);
-            // Pass 1: admission + lifecycle checks, in input order.
-            pending.clear();
-            admitted.clear();
             for &i in indices {
                 let q = &queries[i];
-                let admission = shard.admit(q.session.tenant, self.config.rate_limit);
-                match admission
-                    .and_then(|now| shard.admit_session(q.session, self.config.session_ttl, now))
-                {
-                    Ok(()) => {
-                        *pending.entry(q.session).or_insert(0) += 1;
-                        admitted.push(i);
-                    }
-                    Err(e) => results[i] = Some(Err(e)),
-                }
+                results[i] =
+                    Some(shard.ask(q.session, q.threshold, &self.config, |_| Ok(q.query_answer)));
             }
-            // Pass 2: one batched noise fill per session per visit.
-            for (&session, &count) in pending.iter() {
-                if let Some(entry) = shard.sessions.get_mut(&session) {
-                    entry.driver.prefetch_noise(count);
-                }
-            }
-            // Pass 3: answer the admitted queries in input order.
-            for &i in &admitted {
-                let q = &queries[i];
-                results[i] = Some(match shard.sessions.get_mut(&q.session) {
-                    Some(entry) => entry
-                        .driver
-                        .ask(q.query_answer, q.threshold)
-                        .map_err(ServerError::from),
-                    None => Err(ServerError::UnknownSession(q.session)),
-                });
-            }
-            drop(shard);
-            drop(permit);
         }
         results
             .into_iter()
@@ -1551,6 +1523,125 @@ mod tests {
     }
 
     #[test]
+    fn unregistered_tenants_keep_no_bucket_and_are_never_rate_limited() {
+        // Calls on a tenant with no ledger tick the clock and fail their
+        // lookup, but take no token: they leave no bucket behind, and a
+        // burst of one never turns their errors into `Overloaded`.
+        let store = SessionStore::new(one_shard(ServerConfig {
+            rate_limit: Some(RateLimit {
+                rate_per_tick: 0.0,
+                burst: 1.0,
+            }),
+            ..Default::default()
+        }));
+        store.register_tenant(TenantId(0), 10.0).unwrap();
+        let tenants = 500;
+        for t in 1..=tenants {
+            let tenant = TenantId(t);
+            let ghost = SessionId { tenant, nonce: 0 };
+            let unknown = ServerError::UnknownSession(ghost);
+            for _ in 0..2 {
+                assert_eq!(store.submit(ghost, 0.0, 0.0), Err(unknown.clone()));
+                assert_eq!(store.submit_item(ghost, 0, 0.0), Err(unknown.clone()));
+                let query = BatchQuery {
+                    session: ghost,
+                    query_answer: 0.0,
+                    threshold: 0.0,
+                };
+                assert_eq!(store.submit_batch(&[query]), [Err(unknown.clone())]);
+                assert_eq!(
+                    store.open_session(tenant, config(1), 0),
+                    Err(ServerError::UnknownTenant(tenant))
+                );
+            }
+        }
+        {
+            let shard = store.lock_shard(0);
+            assert!(shard.buckets.is_empty());
+            assert_eq!(shard.clock, 8 * tenants);
+        }
+        // The registered tenant keeps its limit: its open takes the one
+        // token, and its next call is shed.
+        let session = store.open_session(TenantId(0), config(1), 0).unwrap();
+        assert_eq!(
+            store.submit(session, 0.0, 0.0),
+            Err(ServerError::Overloaded(OverloadCause::TenantRateLimited(
+                TenantId(0)
+            )))
+        );
+    }
+
+    /// One step of the store script that
+    /// `submit_paths_admit_and_answer_alike` and
+    /// `batched_runs_answer_like_submit` drive.
+    #[derive(Clone, Copy)]
+    enum Step {
+        /// Open a session of the tenant with the seed.
+        Open(TenantId, u64),
+        /// Ask the `session`-th id opened so far about `item`.
+        Ask { session: usize, item: usize },
+    }
+
+    /// The scores of both script tenants' datasets, and the script's
+    /// true answers.
+    const SCRIPT_SCORES: [f64; 4] = [1e9, -1e9, 0.5, -0.5];
+    const SCRIPT_TENANTS: [TenantId; 2] = [TenantId(60), TenantId(61)];
+
+    /// 240 opens and asks on two tenants, from a fixed stream.
+    fn script() -> Vec<Step> {
+        let mut mix = Mix(17);
+        let mut opened = 0;
+        (0..240u64)
+            .map(|step| {
+                let tenant = SCRIPT_TENANTS[mix.below(2) as usize];
+                if opened == 0 || mix.below(6) == 0 {
+                    opened += 1;
+                    Step::Open(tenant, step)
+                } else {
+                    let session = mix.below(opened) as usize;
+                    let item = mix.below(SCRIPT_SCORES.len() as u64) as usize;
+                    Step::Ask { session, item }
+                }
+            })
+            .collect()
+    }
+
+    /// The one-shard store the script runs on: a rate limit, a session
+    /// cap of 3 and the TTL `ttl`.
+    fn script_store(ttl: u64) -> SessionStore {
+        let store = SessionStore::new(one_shard(ServerConfig {
+            session_ttl: Some(ttl),
+            session_cap: Some(3),
+            rate_limit: Some(RateLimit {
+                rate_per_tick: 0.75,
+                burst: 2.0,
+            }),
+            ..Default::default()
+        }));
+        for tenant in SCRIPT_TENANTS {
+            store.register_tenant(tenant, 100.0).unwrap();
+            store.register_dataset(tenant, &SCRIPT_SCORES).unwrap();
+        }
+        store
+    }
+
+    /// Runs a script open, recording the id later steps ask: a shed open
+    /// leaves an id that no session has.
+    fn script_open(
+        store: &SessionStore,
+        sessions: &mut Vec<SessionId>,
+        tenant: TenantId,
+        seed: u64,
+    ) -> Result<SessionId> {
+        let opened = store.open_session(tenant, config(3), seed);
+        sessions.push(*opened.as_ref().unwrap_or(&SessionId {
+            tenant,
+            nonce: u64::MAX - seed,
+        }));
+        opened
+    }
+
+    #[test]
     fn submit_paths_admit_and_answer_alike() {
         // One script of opens and asks under a rate limit, a session cap
         // and a TTL, driven through `submit`, through `submit_item` (the
@@ -1563,50 +1654,30 @@ mod tests {
             Item,
             Batch,
         }
-        const SCORES: [f64; 4] = [1e9, -1e9, 0.5, -0.5];
         let drive = |path: Path| {
-            let store = SessionStore::new(one_shard(ServerConfig {
-                session_ttl: Some(8),
-                session_cap: Some(3),
-                rate_limit: Some(RateLimit {
-                    rate_per_tick: 0.75,
-                    burst: 2.0,
-                }),
-                ..Default::default()
-            }));
-            let tenants = [TenantId(60), TenantId(61)];
-            for tenant in tenants {
-                store.register_tenant(tenant, 100.0).unwrap();
-                store.register_dataset(tenant, &SCORES).unwrap();
-            }
-            let mut mix = Mix(17);
+            let store = script_store(8);
             let mut sessions: Vec<SessionId> = Vec::new();
             let mut trace = Vec::new();
-            for step in 0..240u64 {
-                let tenant = tenants[mix.below(2) as usize];
-                let outcome = if sessions.is_empty() || mix.below(6) == 0 {
-                    // A shed open leaves an id that no session has.
-                    let opened = store.open_session(tenant, config(3), step);
-                    sessions.push(*opened.as_ref().unwrap_or(&SessionId {
-                        tenant,
-                        nonce: u64::MAX - step,
-                    }));
-                    opened.map(|_| None)
-                } else {
-                    let session = sessions[mix.below(sessions.len() as u64) as usize];
-                    let item = mix.below(SCORES.len() as u64) as usize;
-                    let answer = match path {
-                        Path::Submit => store.submit(session, SCORES[item], 0.0),
-                        Path::Item => store.submit_item(session, item, 0.0),
-                        Path::Batch => store
-                            .submit_batch(&[BatchQuery {
-                                session,
-                                query_answer: SCORES[item],
-                                threshold: 0.0,
-                            }])
-                            .remove(0),
-                    };
-                    answer.map(Some)
+            for step in script() {
+                let outcome = match step {
+                    Step::Open(tenant, seed) => {
+                        script_open(&store, &mut sessions, tenant, seed).map(|_| None)
+                    }
+                    Step::Ask { session, item } => {
+                        let session = sessions[session];
+                        let answer = match path {
+                            Path::Submit => store.submit(session, SCRIPT_SCORES[item], 0.0),
+                            Path::Item => store.submit_item(session, item, 0.0),
+                            Path::Batch => store
+                                .submit_batch(&[BatchQuery {
+                                    session,
+                                    query_answer: SCRIPT_SCORES[item],
+                                    threshold: 0.0,
+                                }])
+                                .remove(0),
+                        };
+                        answer.map(Some)
+                    }
                 };
                 let statuses: Vec<_> = sessions.iter().map(|&s| store.session_status(s)).collect();
                 trace.push((outcome, statuses));
@@ -1636,6 +1707,142 @@ mod tests {
         for answer in [SvtAnswer::Above, SvtAnswer::Below] {
             assert!(outcomes.iter().any(|o| o.as_ref() == Ok(&Some(answer))));
         }
+    }
+
+    #[test]
+    fn a_batch_answers_each_query_as_submit_would() {
+        // Under a TTL of 3 the batch [s, u, u, s] answers s, then leaves
+        // it idle for three ticks: its second query finds it expired, as
+        // the last of four `submit` calls does, and its first query
+        // still gets its answer.
+        let drive = |batched: bool| {
+            let store = SessionStore::new(one_shard(ServerConfig {
+                session_ttl: Some(3),
+                ..Default::default()
+            }));
+            let tenant = TenantId(62);
+            store.register_tenant(tenant, 10.0).unwrap();
+            let s = store.open_session(tenant, config(9), 1).unwrap();
+            let u = store.open_session(tenant, config(9), 2).unwrap();
+            let batch = [s, u, u, s].map(|session| BatchQuery {
+                session,
+                query_answer: -1e9,
+                threshold: 0.0,
+            });
+            let results = if batched {
+                store.submit_batch(&batch)
+            } else {
+                batch
+                    .iter()
+                    .map(|q| store.submit(q.session, q.query_answer, q.threshold))
+                    .collect()
+            };
+            (s, results)
+        };
+        let (s, submitted) = drive(false);
+        let expired = ServerError::SessionEvicted {
+            session: s,
+            reason: EvictionReason::Expired,
+        };
+        let below = Ok(SvtAnswer::Below);
+        assert_eq!(
+            submitted,
+            [below.clone(), below.clone(), below, Err(expired)]
+        );
+        assert_eq!(drive(true).1, submitted);
+    }
+
+    #[test]
+    fn batched_runs_answer_like_submit() {
+        // The script of `submit_paths_admit_and_answer_alike`, under a
+        // TTL short enough for a session to expire between two of its
+        // queries in one batch. Each run of consecutive asks (1–8 of
+        // them, cut short at every open) goes out as one `submit_batch`,
+        // or as one `submit` per query: each query must get the same
+        // result, and every session the same status after each run.
+        type Answered = (SessionId, Result<Option<SvtAnswer>>);
+        let expires_mid_run = |results: &[Answered]| {
+            results.iter().enumerate().any(|(i, (session, first))| {
+                first.is_ok()
+                    && results[i + 1..].iter().any(|(later, result)| {
+                        let expired = ServerError::SessionEvicted {
+                            session: *session,
+                            reason: EvictionReason::Expired,
+                        };
+                        later == session && *result == Err(expired)
+                    })
+            })
+        };
+        let mut mid_run_expiries = 0;
+        for seed in 0..4 {
+            let mut lengths = Mix(seed);
+            let mut visits: Vec<Vec<Step>> = Vec::new();
+            let mut room = 0;
+            for step in script() {
+                if matches!(step, Step::Open(..)) {
+                    visits.push(vec![step]);
+                    room = 0;
+                    continue;
+                }
+                if room == 0 {
+                    visits.push(Vec::new());
+                    room = 1 + lengths.below(8);
+                }
+                visits.last_mut().unwrap().push(step);
+                room -= 1;
+            }
+            let drive = |batched: bool| {
+                let store = script_store(3);
+                let mut sessions: Vec<SessionId> = Vec::new();
+                let mut trace = Vec::new();
+                for visit in &visits {
+                    let results: Vec<Answered> = match visit[..] {
+                        [Step::Open(tenant, seed)] => {
+                            let opened = script_open(&store, &mut sessions, tenant, seed);
+                            vec![(*sessions.last().unwrap(), opened.map(|_| None))]
+                        }
+                        _ => {
+                            let queries: Vec<BatchQuery> = visit
+                                .iter()
+                                .map(|step| match *step {
+                                    Step::Ask { session, item } => BatchQuery {
+                                        session: sessions[session],
+                                        query_answer: SCRIPT_SCORES[item],
+                                        threshold: 0.0,
+                                    },
+                                    Step::Open(..) => unreachable!("opens run alone"),
+                                })
+                                .collect();
+                            let answers = if batched {
+                                store.submit_batch(&queries)
+                            } else {
+                                queries
+                                    .iter()
+                                    .map(|q| store.submit(q.session, q.query_answer, q.threshold))
+                                    .collect()
+                            };
+                            let ids = queries.iter().map(|q| q.session);
+                            ids.zip(answers.into_iter().map(|a| a.map(Some))).collect()
+                        }
+                    };
+                    let statuses: Vec<_> =
+                        sessions.iter().map(|&s| store.session_status(s)).collect();
+                    trace.push((results, statuses));
+                }
+                trace
+            };
+            let submitted = drive(false);
+            for (visit, (want, got)) in submitted.iter().zip(&drive(true)).enumerate() {
+                assert_eq!(want, got, "seed {seed}, visit {visit}");
+            }
+            mid_run_expiries += submitted
+                .iter()
+                .filter(|(results, _)| expires_mid_run(results))
+                .count();
+        }
+        // The runs reach what a batch can get wrong: one run answers a
+        // session, and a later query of the same run finds it expired.
+        assert!(mid_run_expiries > 0);
     }
 
     // ----- durability: WAL write-through + recovery ---------------------

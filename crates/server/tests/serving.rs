@@ -134,8 +134,8 @@ fn concurrent_tenants_stay_deterministic_and_auditable() {
                             let seed = (tenant.0 << 8) | s as u64;
                             let cfg = config(50, 0.0);
                             let session = store.open_session(tenant, cfg, seed).unwrap();
-                            // Submit in small batches to exercise the
-                            // prefetch path under contention.
+                            // Submit in batches, so queries of many
+                            // tenants meet on each shard's lock.
                             for chunk in 0..queries_per_session / 50 {
                                 let batch: Vec<BatchQuery> = (0..50)
                                     .map(|j| BatchQuery {
