@@ -13,45 +13,25 @@
 //! | Theorem 7 (App. 10.2) | Alg. 6 | ratio ≥ `e^{mε/2}` → ∞ |
 //! | Lemma 1 / §3.3 | Alg. 1 | ratio ≤ `e^{ε/2}` for **all** `t` — the GPTT proof's logic would predict divergence, and is therefore wrong |
 //!
-//! The post-2017 variants get the same treatment: for each of
-//! [`svt_core::alg::SvtRevisited`] and [`svt_core::alg::ExpNoiseSvt`]
-//! this module carries a witness against the *natural broken
-//! budget-allocation misreading* of the algorithm, mirroring how
-//! Algs. 3–6 are refuted above, while the correct formulations survive
-//! the identical witness (see the tests, and the acquitting output-grid
-//! sweeps in [`crate::sweep`]):
+//! The post-2017 variants get the same treatment: each of
+//! [`SvtRevisited`] and [`ExpNoiseSvt`] is run under the *natural
+//! misreading* of its budget — the real algorithm, handed the budget a
+//! careless reading of its paper would give it — mirroring how Algs.
+//! 3–6 are refuted above, while the same types under their correct
+//! budgets survive the identical witness (see the tests, and the
+//! acquitting output-grid sweeps in [`crate::sweep`]):
 //!
 //! | Witness | Target | Result |
 //! |---|---|---|
-//! | `(⊥^m ⊤)^c` blocks | full-`ε`-per-instance SVT-Revisited | ratio → `e^{cε}` (claim `ε`) |
-//! | `⊤^c` | exp-noise SVT without the `c` factor | ratio = `e^{cε/4}` **exactly** (claim `ε`) |
+//! | `(⊥^m ⊤)^c` blocks | `SvtRevisited` given `cε`: the full `ε` per instance | ratio → `e^{cε}` (claim `ε`) |
+//! | `⊤^c` | `ExpNoiseSvt` given `cε₂`: no `c` factor in `ν` | ratio = `e^{cε/4}` **exactly** (claim `ε`) |
 
 use crate::auditor::{audit_event, RatioAudit};
-use dp_mechanisms::{DpRng, Exponential, Laplace};
-use svt_core::alg::{Alg1, Alg3, Alg4, Alg5, Alg6, SparseVector};
+use dp_mechanisms::{DpRng, SvtBudget};
+use svt_core::alg::{
+    Alg1, Alg3, Alg4, Alg5, Alg6, ExpNoiseSvt, SparseVector, StandardSvtConfig, SvtRevisited,
+};
 use svt_core::{Result, SvtAnswer};
-
-/// Drives `alg` over `queries` (threshold 0 everywhere, the witnesses'
-/// convention) and reports whether the produced answers match `pattern`.
-fn matches_pattern<A: SparseVector>(
-    alg: &mut A,
-    queries: &[f64],
-    pattern: &[Expected],
-    rng: &mut DpRng,
-) -> bool {
-    for (q, expected) in queries.iter().zip(pattern) {
-        if alg.is_halted() {
-            return false;
-        }
-        let answer = alg
-            .respond(*q, 0.0, rng)
-            .expect("witness inputs are finite and within budget");
-        if !expected.matches(&answer) {
-            return false;
-        }
-    }
-    true
-}
 
 /// Expected answer in a witness output pattern.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,6 +60,56 @@ impl Expected {
     }
 }
 
+/// A witness: the query answers on `D` and on `D′` (threshold 0
+/// everywhere, the witnesses' convention) and the output pattern whose
+/// probability the audit compares across them.
+#[derive(Debug, Default)]
+struct Witness {
+    queries_d: Vec<f64>,
+    queries_d_prime: Vec<f64>,
+    pattern: Vec<Expected>,
+}
+
+impl Witness {
+    /// Appends `n` queries answering `d` on `D` and `d_prime` on `D′`,
+    /// each expected to come out as `expected`.
+    fn then(mut self, n: usize, d: f64, d_prime: f64, expected: Expected) -> Self {
+        self.queries_d.extend(std::iter::repeat_n(d, n));
+        self.queries_d_prime.extend(std::iter::repeat_n(d_prime, n));
+        self.pattern.extend(std::iter::repeat_n(expected, n));
+        self
+    }
+
+    /// Opens a fresh mechanism with `open` for every trial, drives it
+    /// over each input until the answers leave the pattern, and audits
+    /// how often the whole pattern comes out on `D` against `D′`.
+    fn audit<A: SparseVector>(
+        &self,
+        open: impl Fn(&mut DpRng) -> Result<A>,
+        trials: u64,
+        confidence: f64,
+        rng: &mut DpRng,
+    ) -> RatioAudit {
+        let fires = |queries: &[f64], r: &mut DpRng| -> bool {
+            let mut alg = open(r).expect("witness parameters are valid");
+            queries.iter().zip(&self.pattern).all(|(&q, expected)| {
+                !alg.is_halted()
+                    && expected.matches(
+                        &alg.respond(q, 0.0, r)
+                            .expect("witness inputs are finite and within budget"),
+                    )
+            })
+        };
+        audit_event(
+            |r| fires(&self.queries_d, r),
+            |r| fires(&self.queries_d_prime, r),
+            trials,
+            confidence,
+            rng,
+        )
+    }
+}
+
 /// Theorem 3 witness against **Algorithm 5**: `T = 0`, `Δ = 1`,
 /// `q(D) = ⟨0, 1⟩`, `q(D′) = ⟨1, 0⟩`, output `a = ⟨⊥, ⊤⟩`.
 ///
@@ -92,20 +122,10 @@ pub fn audit_alg5_theorem3(
     confidence: f64,
     rng: &mut DpRng,
 ) -> RatioAudit {
-    let pattern = [Expected::Below, Expected::Above];
-    audit_event(
-        |r| {
-            let mut alg = Alg5::new(epsilon, 1.0, r).expect("valid parameters");
-            matches_pattern(&mut alg, &[0.0, 1.0], &pattern, r)
-        },
-        |r| {
-            let mut alg = Alg5::new(epsilon, 1.0, r).expect("valid parameters");
-            matches_pattern(&mut alg, &[1.0, 0.0], &pattern, r)
-        },
-        trials,
-        confidence,
-        rng,
-    )
+    Witness::default()
+        .then(1, 0.0, 1.0, Expected::Below)
+        .then(1, 1.0, 0.0, Expected::Above)
+        .audit(|r| Alg5::new(epsilon, 1.0, r), trials, confidence, rng)
 }
 
 /// The exact probability of the Theorem 3 event on `D`:
@@ -136,28 +156,14 @@ pub fn audit_alg3_theorem6(
     confidence: f64,
     rng: &mut DpRng,
 ) -> RatioAudit {
-    let mut pattern = vec![Expected::Below; m];
-    pattern.push(Expected::NumericNear {
+    let numeric = Expected::NumericNear {
         center: 0.0,
         window,
-    });
-    let mut queries_d = vec![0.0; m];
-    queries_d.push(1.0);
-    let mut queries_d_prime = vec![1.0; m];
-    queries_d_prime.push(0.0);
-    audit_event(
-        |r| {
-            let mut alg = Alg3::new(epsilon, 1.0, 1, r).expect("valid parameters");
-            matches_pattern(&mut alg, &queries_d, &pattern, r)
-        },
-        |r| {
-            let mut alg = Alg3::new(epsilon, 1.0, 1, r).expect("valid parameters");
-            matches_pattern(&mut alg, &queries_d_prime, &pattern, r)
-        },
-        trials,
-        confidence,
-        rng,
-    )
+    };
+    Witness::default()
+        .then(m, 0.0, 1.0, Expected::Below)
+        .then(1, 1.0, 0.0, numeric)
+        .audit(|r| Alg3::new(epsilon, 1.0, 1, r), trials, confidence, rng)
 }
 
 /// The Theorem 6 closed-form ratio `e^{(m−1)ε/2}`.
@@ -176,24 +182,10 @@ pub fn audit_alg6_theorem7(
     confidence: f64,
     rng: &mut DpRng,
 ) -> RatioAudit {
-    let mut pattern = vec![Expected::Below; m];
-    pattern.extend(std::iter::repeat_n(Expected::Above, m));
-    let queries_d = vec![0.0; 2 * m];
-    let mut queries_d_prime = vec![1.0; m];
-    queries_d_prime.extend(std::iter::repeat_n(-1.0, m));
-    audit_event(
-        |r| {
-            let mut alg = Alg6::new(epsilon, 1.0, r).expect("valid parameters");
-            matches_pattern(&mut alg, &queries_d, &pattern, r)
-        },
-        |r| {
-            let mut alg = Alg6::new(epsilon, 1.0, r).expect("valid parameters");
-            matches_pattern(&mut alg, &queries_d_prime, &pattern, r)
-        },
-        trials,
-        confidence,
-        rng,
-    )
+    Witness::default()
+        .then(m, 0.0, 1.0, Expected::Below)
+        .then(m, 0.0, -1.0, Expected::Above)
+        .audit(|r| Alg6::new(epsilon, 1.0, r), trials, confidence, rng)
 }
 
 /// The Theorem 7 closed-form lower bound `e^{mε/2}`.
@@ -219,24 +211,10 @@ pub fn audit_alg4_exceeds_nominal(
     confidence: f64,
     rng: &mut DpRng,
 ) -> RatioAudit {
-    let mut pattern = vec![Expected::Below; m];
-    pattern.extend(std::iter::repeat_n(Expected::Above, c));
-    let queries_d = vec![0.0; m + c];
-    let mut queries_d_prime = vec![1.0; m];
-    queries_d_prime.extend(std::iter::repeat_n(-1.0, c));
-    audit_event(
-        |r| {
-            let mut alg = Alg4::new(epsilon, 1.0, c, r).expect("valid parameters");
-            matches_pattern(&mut alg, &queries_d, &pattern, r)
-        },
-        |r| {
-            let mut alg = Alg4::new(epsilon, 1.0, c, r).expect("valid parameters");
-            matches_pattern(&mut alg, &queries_d_prime, &pattern, r)
-        },
-        trials,
-        confidence,
-        rng,
-    )
+    Witness::default()
+        .then(m, 0.0, 1.0, Expected::Below)
+        .then(c, 0.0, -1.0, Expected::Above)
+        .audit(|r| Alg4::new(epsilon, 1.0, c, r), trials, confidence, rng)
 }
 
 /// Alg. 4's corrected privacy bound for general queries,
@@ -264,18 +242,8 @@ pub fn audit_alg1_gptt_logic(
     confidence: f64,
     rng: &mut DpRng,
 ) -> RatioAudit {
-    let pattern = vec![Expected::Below; t];
-    let queries_d = vec![0.0; t];
-    let queries_d_prime = vec![1.0; t];
-    audit_event(
-        |r| {
-            let mut alg = Alg1::new(epsilon, 1.0, 1, r).expect("valid parameters");
-            matches_pattern(&mut alg, &queries_d, &pattern, r)
-        },
-        |r| {
-            let mut alg = Alg1::new(epsilon, 1.0, 1, r).expect("valid parameters");
-            matches_pattern(&mut alg, &queries_d_prime, &pattern, r)
-        },
+    Witness::default().then(t, 0.0, 1.0, Expected::Below).audit(
+        |r| Alg1::new(epsilon, 1.0, 1, r),
         trials,
         confidence,
         rng,
@@ -287,80 +255,40 @@ pub fn alg1_lemma1_bound(epsilon: f64) -> f64 {
     (epsilon / 2.0).exp()
 }
 
-/// A *broken* SVT-Revisited: ⊤-only charging done wrong.
+/// SVT-Revisited's budget misread per instance: ⊤-only charging done
+/// wrong.
 ///
-/// The correct algorithm (arXiv:2010.00917, `svt_core::alg::SvtRevisited`)
-/// chains `c` cutoff-1 instances of budget `ε/c` each — the noise scales
-/// carry the factor `c` precisely because the threshold noise is redrawn
-/// after every positive. This variant keeps the refresh-per-⊤ structure
-/// but runs every instance at the **full** `ε` (`ε₁ = ε₂ = ε/2`,
-/// `ρ ~ Lap(Δ/ε₁)`, `ν ~ Lap(2Δ/ε₂)`) — the "⊥ answers are free, so
-/// the refreshes must be free too" misreading. Each instance alone is
-/// `ε`-DP; `c` of them compose to `cε` while the mechanism still
-/// claims `ε`.
-struct BrokenRevisited {
-    rho: f64,
-    threshold_noise: Laplace,
-    query_noise: Laplace,
-    c: usize,
-    count: usize,
-}
-
-impl BrokenRevisited {
-    fn new(epsilon: f64, c: usize, rng: &mut DpRng) -> Self {
-        let half = epsilon / 2.0;
-        let threshold_noise = Laplace::new(1.0 / half).expect("valid scale");
-        let query_noise = Laplace::new(2.0 / half).expect("valid scale");
-        let rho = threshold_noise.sample(rng);
-        Self {
-            rho,
-            threshold_noise,
-            query_noise,
-            c,
-            count: 0,
-        }
+/// The correct algorithm (arXiv:2010.00917) chains `c` cutoff-1
+/// instances of budget `ε/c` each — the noise scales carry the factor
+/// `c` precisely because the threshold noise is redrawn after every
+/// positive. This config hands [`SvtRevisited`] `cε` as its session
+/// budget, so every instance runs at the **full** `ε` (`ε₁ = ε₂ = ε/2`,
+/// `ρ ~ Lap(Δ/ε₁) = Lap(2Δ/ε)`, `ν ~ Lap(2Δ/ε₂) = Lap(4Δ/ε)`) — the
+/// "⊥ answers are free, so the refreshes must be free too" misreading.
+/// Each instance alone is `ε`-DP; `c` of them compose to `cε` while the
+/// mechanism still claims `ε`.
+fn revisited_full_epsilon_per_instance(epsilon: f64, c: usize) -> StandardSvtConfig {
+    StandardSvtConfig {
+        budget: SvtBudget::halves(c as f64 * epsilon).expect("the audited ε is positive"),
+        sensitivity: 1.0,
+        c,
+        monotonic: false,
     }
 }
 
-impl SparseVector for BrokenRevisited {
-    fn respond(&mut self, query_answer: f64, threshold: f64, rng: &mut DpRng) -> Result<SvtAnswer> {
-        let nu = self.query_noise.sample(rng);
-        if query_answer + nu >= threshold + self.rho {
-            self.count += 1;
-            if self.count < self.c {
-                self.rho = self.threshold_noise.sample(rng);
-            }
-            Ok(SvtAnswer::Above)
-        } else {
-            Ok(SvtAnswer::Below)
-        }
-    }
-
-    fn is_halted(&self) -> bool {
-        self.count >= self.c
-    }
-
-    fn positives(&self) -> usize {
-        self.count
-    }
-
-    fn name(&self) -> &'static str {
-        "Broken SVT-Revisited (full ε per instance)"
-    }
-}
-
-/// Witness against `BrokenRevisited`'s nominal `ε` claim: `c` blocks
-/// of `m` queries at the threshold followed by one above it, with
-/// `q(D)` blocks `0^m·1` and `q(D′)` blocks `1^m·0`, output
-/// `(⊥^m ⊤)^c`.
+/// Witness against SVT-Revisited's nominal `ε` claim under the
+/// per-instance misreading of its budget: `c` blocks of `m` queries at
+/// the threshold followed by one above it, with `q(D)` blocks `0^m·1`
+/// and `q(D′)` blocks `1^m·0`, output `(⊥^m ⊤)^c`.
 ///
 /// Each block replays the tight cutoff-1 witness against one full-`ε`
 /// instance (per-block ratio → `e^ε` as `m` grows), and the per-⊤
 /// threshold refresh makes the blocks independent, so the total ratio
 /// approaches `e^{cε}` while every measurement stays below the
 /// composition ceiling [`broken_revisited_composition_bound`]. The
-/// correct [`svt_core::alg::SvtRevisited`] survives this exact witness
-/// (see the tests): its factor-`c` scales cap the total at `e^ε`.
+/// same [`SvtRevisited`] under its correct budget survives this exact
+/// witness (see the tests): its factor-`c` scales cap the total at
+/// `e^ε`.
 pub fn audit_broken_revisited(
     epsilon: f64,
     m: usize,
@@ -369,100 +297,50 @@ pub fn audit_broken_revisited(
     confidence: f64,
     rng: &mut DpRng,
 ) -> RatioAudit {
-    let (pattern, queries_d, queries_d_prime) = revisited_witness(m, c);
-    audit_event(
-        |r| {
-            let mut alg = BrokenRevisited::new(epsilon, c, r);
-            matches_pattern(&mut alg, &queries_d, &pattern, r)
-        },
-        |r| {
-            let mut alg = BrokenRevisited::new(epsilon, c, r);
-            matches_pattern(&mut alg, &queries_d_prime, &pattern, r)
-        },
-        trials,
-        confidence,
-        rng,
-    )
+    let config = revisited_full_epsilon_per_instance(epsilon, c);
+    revisited_witness(m, c).audit(|r| SvtRevisited::new(config, r), trials, confidence, rng)
 }
 
-/// The `(⊥^m ⊤)^c` witness shape shared by the broken and correct
+/// The `(⊥^m ⊤)^c` witness shape shared by the misread and correct
 /// SVT-Revisited audits.
-fn revisited_witness(m: usize, c: usize) -> (Vec<Expected>, Vec<f64>, Vec<f64>) {
-    let mut pattern = Vec::with_capacity(c * (m + 1));
-    let mut queries_d = Vec::with_capacity(c * (m + 1));
-    let mut queries_d_prime = Vec::with_capacity(c * (m + 1));
-    for _ in 0..c {
-        pattern.extend(std::iter::repeat_n(Expected::Below, m));
-        pattern.push(Expected::Above);
-        queries_d.extend(std::iter::repeat_n(0.0, m));
-        queries_d.push(1.0);
-        queries_d_prime.extend(std::iter::repeat_n(1.0, m));
-        queries_d_prime.push(0.0);
-    }
-    (pattern, queries_d, queries_d_prime)
+fn revisited_witness(m: usize, c: usize) -> Witness {
+    (0..c).fold(Witness::default(), |witness, _| {
+        witness
+            .then(m, 0.0, 1.0, Expected::Below)
+            .then(1, 1.0, 0.0, Expected::Above)
+    })
 }
 
-/// What `BrokenRevisited` actually spends: `c` composed full-`ε`
-/// instances, i.e. `cε` — the ceiling its measured loss cannot exceed.
+/// What SVT-Revisited spends under the per-instance misreading: `c`
+/// composed full-`ε` instances, i.e. `cε` — the ceiling its measured
+/// loss cannot exceed.
 pub fn broken_revisited_composition_bound(epsilon: f64, c: usize) -> f64 {
     c as f64 * epsilon
 }
 
-/// A *broken* exponential-noise SVT: the scales forget the cutoff.
+/// The exponential-noise SVT's `ε₂` misread without its `c`: the
+/// scales forget the cutoff.
 ///
-/// The correct algorithm (arXiv:2407.20068, `svt_core::alg::ExpNoiseSvt`)
-/// draws `ν ~ Exp(2cΔ/ε₂)` — one-sided noise at the Laplace scales,
-/// `c` factor included. This variant drops the `c`: `ν ~ Exp(2Δ/ε₂)`,
-/// the same mistake that breaks Algs. 4 and 6, so each of its `c`
-/// positive answers leaks a full `ε₂/2` instead of `ε₂/(2c)`.
-struct BrokenExpNoise {
-    rho: f64,
-    query_noise: Exponential,
-    c: usize,
-    count: usize,
-}
-
-impl BrokenExpNoise {
-    fn new(epsilon: f64, c: usize, rng: &mut DpRng) -> Self {
-        let half = epsilon / 2.0;
-        let threshold_noise = Exponential::new(1.0 / half).expect("valid scale");
-        let query_noise = Exponential::new(2.0 / half).expect("valid scale");
-        let rho = threshold_noise.sample(rng);
-        Self {
-            rho,
-            query_noise,
-            c,
-            count: 0,
-        }
+/// The correct algorithm (arXiv:2407.20068) draws `ν ~ Exp(2cΔ/ε₂)` —
+/// one-sided noise at the Laplace scales, `c` factor included. This
+/// config hands [`ExpNoiseSvt`] `cε₂` for `ε₂ = ε/2`, which cancels the
+/// `c`: `ρ ~ Exp(Δ/ε₁) = Exp(2Δ/ε)` as before, but
+/// `ν ~ Exp(2Δ/ε₂) = Exp(4Δ/ε)` — the same mistake that breaks Algs. 4
+/// and 6, so each of its `c` positive answers leaks a full `ε₂/2`
+/// instead of `ε₂/(2c)`.
+fn exp_noise_without_c(epsilon: f64, c: usize) -> StandardSvtConfig {
+    StandardSvtConfig {
+        budget: SvtBudget::new(epsilon / 2.0, c as f64 * epsilon / 2.0, 0.0)
+            .expect("the audited ε is positive"),
+        sensitivity: 1.0,
+        c,
+        monotonic: false,
     }
 }
 
-impl SparseVector for BrokenExpNoise {
-    fn respond(&mut self, query_answer: f64, threshold: f64, rng: &mut DpRng) -> Result<SvtAnswer> {
-        let nu = self.query_noise.sample(rng);
-        if query_answer + nu >= threshold + self.rho {
-            self.count += 1;
-            Ok(SvtAnswer::Above)
-        } else {
-            Ok(SvtAnswer::Below)
-        }
-    }
-
-    fn is_halted(&self) -> bool {
-        self.count >= self.c
-    }
-
-    fn positives(&self) -> usize {
-        self.count
-    }
-
-    fn name(&self) -> &'static str {
-        "Broken exp-noise SVT (no c factor)"
-    }
-}
-
-/// Witness against `BrokenExpNoise`'s nominal `ε` claim: `c` queries
-/// with `q(D) = 0^c`, `q(D′) = (−1)^c`, output `⊤^c`.
+/// Witness against the exponential-noise SVT's nominal `ε` claim with
+/// `ε₂` misread without its `c`: `c` queries with `q(D) = 0^c`,
+/// `q(D′) = (−1)^c`, output `⊤^c`.
 ///
 /// One-sided noise makes this witness *exactly* computable: both `ρ`
 /// and every `ν` are non-negative, so conditioned on any `ρ` the ratio
@@ -478,26 +356,15 @@ pub fn audit_broken_exp_noise(
     confidence: f64,
     rng: &mut DpRng,
 ) -> RatioAudit {
-    let pattern = vec![Expected::Above; c];
-    let queries_d = vec![0.0; c];
-    let queries_d_prime = vec![-1.0; c];
-    audit_event(
-        |r| {
-            let mut alg = BrokenExpNoise::new(epsilon, c, r);
-            matches_pattern(&mut alg, &queries_d, &pattern, r)
-        },
-        |r| {
-            let mut alg = BrokenExpNoise::new(epsilon, c, r);
-            matches_pattern(&mut alg, &queries_d_prime, &pattern, r)
-        },
-        trials,
-        confidence,
-        rng,
-    )
+    let config = exp_noise_without_c(epsilon, c);
+    Witness::default()
+        .then(c, 0.0, -1.0, Expected::Above)
+        .audit(|r| ExpNoiseSvt::new(config, r), trials, confidence, rng)
 }
 
-/// The exact `⊤^c` witness ratio for `BrokenExpNoise`: `e^{cε/4}`
-/// (query scale `2Δ/ε₂` with `ε₂ = ε/2`, one `Δ` shift per positive).
+/// The exact `⊤^c` witness ratio for the exponential-noise SVT without
+/// its `c` factor: `e^{cε/4}` (query scale `2Δ/ε₂` with `ε₂ = ε/2`, one
+/// `Δ` shift per positive).
 pub fn broken_exp_noise_theoretical_ratio(epsilon: f64, c: usize) -> f64 {
     (c as f64 * epsilon / 4.0).exp()
 }
@@ -661,27 +528,14 @@ mod tests {
 
     #[test]
     fn correct_revisited_survives_the_broken_witness() {
-        // The identical (⊥^m ⊤)^c witness run against the *correct*
-        // SvtRevisited (factor-c scales): the measured ratio must stay
-        // consistent with its ε-DP claim.
-        use svt_core::alg::{StandardSvtConfig, SvtRevisited};
+        // The identical (⊥^m ⊤)^c witness run against SvtRevisited under
+        // its correct budget (factor-c scales): the measured ratio must
+        // stay consistent with its ε-DP claim.
         let (eps, m, c) = (1.0, 4usize, 2usize);
-        let (pattern, queries_d, queries_d_prime) = revisited_witness(m, c);
         let cfg = StandardSvtConfig::from_ratio(eps, 1.0, 1.0, c, false).unwrap();
         let mut rng = DpRng::seed_from_u64(911);
-        let audit = audit_event(
-            |r| {
-                let mut alg = SvtRevisited::new(cfg, r).unwrap();
-                matches_pattern(&mut alg, &queries_d, &pattern, r)
-            },
-            |r| {
-                let mut alg = SvtRevisited::new(cfg, r).unwrap();
-                matches_pattern(&mut alg, &queries_d_prime, &pattern, r)
-            },
-            400_000,
-            0.95,
-            &mut rng,
-        );
+        let audit =
+            revisited_witness(m, c).audit(|r| SvtRevisited::new(cfg, r), 400_000, 0.95, &mut rng);
         assert!(audit.on_d.successes > 100, "need signal on D");
         assert!(
             !audit.refutes_epsilon_dp(eps),
@@ -716,35 +570,37 @@ mod tests {
 
     #[test]
     fn correct_exp_noise_survives_the_broken_witness() {
-        // Same ⊤^c witness against the correct ExpNoiseSvt: with the c
-        // factor in place the exact ratio is e^{ε/4} ≈ 1.28 total, far
-        // inside the ε-DP envelope, however large c grows.
-        use svt_core::alg::{ExpNoiseSvt, StandardSvtConfig};
+        // Same ⊤^c witness against ExpNoiseSvt under its correct budget:
+        // with the c factor in place the exact ratio is e^{ε/4} ≈ 1.28
+        // total, far inside the ε-DP envelope, however large c grows.
         let (eps, c) = (1.0, 8usize);
-        let pattern = vec![Expected::Above; c];
-        let queries_d = vec![0.0; c];
-        let queries_d_prime = vec![-1.0; c];
         let cfg = StandardSvtConfig::from_ratio(eps, 1.0, 1.0, c, false).unwrap();
         let mut rng = DpRng::seed_from_u64(929);
-        let audit = audit_event(
-            |r| {
-                let mut alg = ExpNoiseSvt::new(cfg, r).unwrap();
-                matches_pattern(&mut alg, &queries_d, &pattern, r)
-            },
-            |r| {
-                let mut alg = ExpNoiseSvt::new(cfg, r).unwrap();
-                matches_pattern(&mut alg, &queries_d_prime, &pattern, r)
-            },
-            60_000,
-            0.95,
-            &mut rng,
-        );
+        let audit = Witness::default()
+            .then(c, 0.0, -1.0, Expected::Above)
+            .audit(|r| ExpNoiseSvt::new(cfg, r), 60_000, 0.95, &mut rng);
         assert!(audit.on_d.successes > 1_000, "need signal on D");
         assert!(
             !audit.refutes_epsilon_dp(eps),
             "correct exp-noise SVT wrongly convicted: bound {}",
             audit.epsilon_lower_bound()
         );
+    }
+
+    #[test]
+    fn misread_budgets_give_the_documented_scales() {
+        // At Δ = 1 both misreadings draw their threshold noise at 2/ε and
+        // their query noise at 4/ε, whatever c is: bit for bit at the
+        // tests' (ε, c), within an ulp elsewhere.
+        for (eps, c, ulps) in [(1.0, 2usize, 0.0), (1.0, 8, 0.0), (0.3, 7, 1.0)] {
+            let near = |got: f64, want: f64| (got - want).abs() <= ulps * f64::EPSILON * want;
+            let revisited = revisited_full_epsilon_per_instance(eps, c);
+            assert!(near(revisited.revisited_threshold_noise_scale(), 2.0 / eps));
+            assert!(near(revisited.query_noise_scale(), 4.0 / eps));
+            let exp_noise = exp_noise_without_c(eps, c);
+            assert!(near(exp_noise.threshold_noise_scale(), 2.0 / eps));
+            assert!(near(exp_noise.query_noise_scale(), 4.0 / eps));
+        }
     }
 
     #[test]

@@ -120,7 +120,7 @@
 //! [--check BASELINE]` (default `--out BENCH_svt.json`, `--runs 40`).
 
 use dp_data::{LiveScores, ScoreVector};
-use dp_mechanisms::{DpRng, NoiseBuffer, NoiseKernel};
+use dp_mechanisms::{counter_seed, DpRng, NoiseBuffer, NoiseKernel};
 use std::fmt::Write as _;
 use std::time::Instant;
 use svt_core::allocation::BudgetRatio;
@@ -172,13 +172,8 @@ fn powerlaw_scores(n: usize) -> ScoreVector {
         .collect();
     // SplitMix64-driven Fisher–Yates, fixed seed: the same permutation
     // on every machine and run.
-    let mut x = 0x0dd5_ba11_5eed_f00d_u64;
-    for i in (1..n).rev() {
-        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = x;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
+    for (k, i) in (1..n).rev().enumerate() {
+        let z = counter_seed(0x0dd5_ba11_5eed_f00d, k as u64);
         v.swap(i, (z % (i as u64 + 1)) as usize);
     }
     ScoreVector::new(v).expect("nonempty finite scores")

@@ -460,6 +460,15 @@ pub fn nonprivacy_table(trials: u64, seed: u64) -> Table {
     );
 
     let fmt_p = |e: &dp_auditor::BernoulliEstimate| format!("{:.2e}", e.point());
+    // An event that never fired on D′ has an unbounded point ratio.
+    let ratio = |audit: &dp_auditor::RatioAudit, digits: usize| -> String {
+        let point = audit.point_epsilon().exp();
+        if point == f64::INFINITY {
+            "∞ (0 hits on D′)".into()
+        } else {
+            format!("{point:.digits$}")
+        }
+    };
     let verdict = |audit: &dp_auditor::RatioAudit, claimed: f64| -> String {
         if audit.refutes_epsilon_dp(claimed) {
             format!("REFUTES {claimed}-DP")
@@ -477,11 +486,7 @@ pub fn nonprivacy_table(trials: u64, seed: u64) -> Table {
         format!("ε={eps}"),
         fmt_p(&audit.on_d),
         fmt_p(&audit.on_d_prime),
-        if audit.on_d_prime.successes == 0 {
-            "∞ (0 hits on D′)".into()
-        } else {
-            format!("{:.1}", audit.point_epsilon().exp())
-        },
+        ratio(&audit, 1),
         "∞".into(),
         format!("{:.2}", audit.epsilon_lower_bound()),
         verdict(&audit, eps),
@@ -497,7 +502,7 @@ pub fn nonprivacy_table(trials: u64, seed: u64) -> Table {
             format!("ε={eps}, m={m}"),
             fmt_p(&audit.on_d),
             fmt_p(&audit.on_d_prime),
-            format!("{:.1}", audit.point_epsilon().exp()),
+            ratio(&audit, 1),
             format!("{:.1}", cx::alg3_theorem6_theoretical_ratio(eps, m)),
             format!("{:.2}", audit.epsilon_lower_bound()),
             verdict(&audit, eps),
@@ -514,7 +519,7 @@ pub fn nonprivacy_table(trials: u64, seed: u64) -> Table {
             format!("ε={eps}, m={m}"),
             fmt_p(&audit.on_d),
             fmt_p(&audit.on_d_prime),
-            format!("{:.1}", audit.point_epsilon().exp()),
+            ratio(&audit, 1),
             format!("≥{:.1}", cx::alg6_theorem7_theoretical_lower_bound(eps, m)),
             format!("{:.2}", audit.epsilon_lower_bound()),
             verdict(&audit, eps),
@@ -531,7 +536,7 @@ pub fn nonprivacy_table(trials: u64, seed: u64) -> Table {
             format!("ε={eps}, t={t_len}"),
             fmt_p(&audit.on_d),
             fmt_p(&audit.on_d_prime),
-            format!("{:.2}", audit.point_epsilon().exp()),
+            ratio(&audit, 2),
             format!("≤{:.2}", cx::alg1_lemma1_bound(eps)),
             format!("{:.2}", audit.epsilon_lower_bound()),
             verdict(&audit, eps),

@@ -34,6 +34,7 @@
 
 use std::fmt;
 
+use crate::rng::counter_seed;
 use crate::wal::{WalError, WalSink, RECORD_SIZE};
 
 /// What the injected fault does at the chosen append.
@@ -63,35 +64,19 @@ pub struct FaultPlan {
     pub mode: FaultMode,
 }
 
-/// SplitMix64 step — the workspace's standard seed-expansion hash.
-fn splitmix64(state: &mut u64) {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-}
-
-fn mix(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 impl FaultPlan {
     /// Derives a plan from `seed`: the fault hits one of the first
-    /// `max_op` appends, in a mode (and torn byte) chosen by the seed.
+    /// `max_op` appends, in a mode (and torn byte) chosen by the seed's
+    /// first three [`counter_seed`] draws.
     #[must_use]
     pub fn from_seed(seed: u64, max_op: u64) -> Self {
-        let mut s = seed;
-        splitmix64(&mut s);
-        let fail_op = mix(s) % max_op.max(1);
-        splitmix64(&mut s);
-        let mode = match mix(s) % 4 {
+        let fail_op = counter_seed(seed, 0) % max_op.max(1);
+        let mode = match counter_seed(seed, 1) % 4 {
             0 => FaultMode::WriteError,
-            1 => {
-                splitmix64(&mut s);
-                FaultMode::TornWrite {
-                    // A strict, nonempty prefix: 1..RECORD_SIZE.
-                    keep: 1 + (mix(s) as usize % (RECORD_SIZE - 1)),
-                }
-            }
+            1 => FaultMode::TornWrite {
+                // A strict, nonempty prefix: 1..RECORD_SIZE.
+                keep: 1 + (counter_seed(seed, 2) as usize % (RECORD_SIZE - 1)),
+            },
             2 => FaultMode::CrashAfterWrite,
             _ => FaultMode::CrashAfterSync,
         };
@@ -256,6 +241,37 @@ mod tests {
             points.insert((plan.fail_op, tag, keep));
         }
         assert!(points.len() >= 25, "only {} distinct plans", points.len());
+    }
+
+    #[test]
+    fn plans_match_the_splitmix64_draws_they_were_defined_by() {
+        // The seeded matrices (here and in the server's recovery tests)
+        // must keep injecting the same faults: pin `from_seed` against
+        // the SplitMix64 stream it was first written as.
+        fn old_plan(seed: u64, max_op: u64) -> FaultPlan {
+            let mut s = seed;
+            let mut next = || {
+                s = s.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = (s ^ (s >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^ (z >> 31)
+            };
+            let fail_op = next() % max_op.max(1);
+            let mode = match next() % 4 {
+                0 => FaultMode::WriteError,
+                1 => FaultMode::TornWrite {
+                    keep: 1 + (next() as usize % (RECORD_SIZE - 1)),
+                },
+                2 => FaultMode::CrashAfterWrite,
+                _ => FaultMode::CrashAfterSync,
+            };
+            FaultPlan { fail_op, mode }
+        }
+        for seed in (0..300).chain([u64::MAX - 1, u64::MAX]) {
+            for max_op in [0, 1, 10, 97] {
+                assert_eq!(FaultPlan::from_seed(seed, max_op), old_plan(seed, max_op));
+            }
+        }
     }
 
     #[test]

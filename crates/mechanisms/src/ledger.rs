@@ -17,6 +17,12 @@
 //! fields, and broken chain links are all distinguishable, which is what
 //! lets an auditor report *what* went wrong rather than just "invalid".
 //!
+//! One receipt rule serves every path that accepts a receipt: appending
+//! ([`BudgetLedger::apply_prepared`]), auditing ([`audit_receipts`]) and
+//! write-ahead-log replay ([`replay_records`](crate::wal::replay_records),
+//! which appends each logged receipt). A receipt therefore gets the same
+//! verdict, and the same error, on all three.
+//!
 //! The hash is a 128-bit FNV-1a over a canonical field encoding. It is
 //! **not cryptographic** — the workspace is dependency-free by design —
 //! so the chain is tamper-*evident* against accidental corruption and
@@ -272,6 +278,20 @@ impl BudgetLedger {
         &self.receipts
     }
 
+    /// Where the chain stands: what the next receipt must extend.
+    fn head(&self) -> ChainHead {
+        ChainHead {
+            tenant: self.tenant,
+            total: self.total,
+            spent: self.spent,
+            seq: self.receipts.len() as u64,
+            prev_hash: self
+                .receipts
+                .last()
+                .map_or_else(|| genesis_hash(self.tenant, self.total), |prev| prev.hash),
+        }
+    }
+
     /// Derives the receipt the next [`charge`](Self::charge) with these
     /// arguments would append, **without** appending it.
     ///
@@ -292,18 +312,9 @@ impl BudgetLedger {
         label: &str,
         epsilon: f64,
     ) -> Result<ChargeReceipt, LedgerError> {
-        crate::error::check_epsilon(epsilon).map_err(LedgerError::InvalidCharge)?;
-        if !charge_fits(self.total, self.spent, epsilon) {
-            return Err(LedgerError::BudgetExhausted {
-                requested: epsilon,
-                remaining: self.remaining(),
-            });
-        }
-        let seq = self.receipts.len() as u64;
-        let prev_hash = match self.receipts.last() {
-            Some(prev) => prev.hash,
-            None => genesis_hash(self.tenant, self.total),
-        };
+        let head = self.head();
+        head.admit(epsilon)?;
+        let ChainHead { seq, prev_hash, .. } = head;
         let hash = chain_hash(prev_hash, self.tenant, session, seq, label, epsilon);
         Ok(ChargeReceipt {
             tenant: self.tenant,
@@ -318,60 +329,17 @@ impl BudgetLedger {
 
     /// Appends a receipt previously produced by
     /// [`prepare_charge`](Self::prepare_charge) (or replayed from a
-    /// durable log), re-validating it against the current chain head.
+    /// durable log), re-validating it against the current chain head
+    /// under the same rule [`audit_receipts`] applies to each receipt.
     ///
     /// # Errors
-    /// The usual audit taxonomy: [`LedgerError::WrongTenant`],
-    /// [`LedgerError::ReplayedReceipt`] / [`LedgerError::OutOfOrderSequence`]
-    /// on a sequence mismatch, [`LedgerError::BrokenChain`] on a stale
-    /// `prev_hash`, [`LedgerError::TamperedReceipt`] when the stored
-    /// hash does not re-derive, and [`LedgerError::BudgetExhausted`]
-    /// when the charge no longer fits.
+    /// The first failure of [`audit_receipts`]'s taxonomy, checked in its
+    /// order; a rejected receipt appends nothing.
     pub fn apply_prepared(
         &mut self,
         receipt: ChargeReceipt,
     ) -> Result<&ChargeReceipt, LedgerError> {
-        if receipt.tenant != self.tenant {
-            return Err(LedgerError::WrongTenant {
-                expected: self.tenant,
-                found: receipt.tenant,
-            });
-        }
-        let expected_seq = self.receipts.len() as u64;
-        if receipt.seq < expected_seq {
-            return Err(LedgerError::ReplayedReceipt { seq: receipt.seq });
-        }
-        if receipt.seq > expected_seq {
-            return Err(LedgerError::OutOfOrderSequence {
-                expected: expected_seq,
-                found: receipt.seq,
-            });
-        }
-        let expected_prev = match self.receipts.last() {
-            Some(prev) => prev.hash,
-            None => genesis_hash(self.tenant, self.total),
-        };
-        if receipt.prev_hash != expected_prev {
-            return Err(LedgerError::BrokenChain { seq: receipt.seq });
-        }
-        let derived = chain_hash(
-            receipt.prev_hash,
-            receipt.tenant,
-            receipt.session,
-            receipt.seq,
-            &receipt.label,
-            receipt.epsilon,
-        );
-        if derived != receipt.hash {
-            return Err(LedgerError::TamperedReceipt { seq: receipt.seq });
-        }
-        crate::error::check_epsilon(receipt.epsilon).map_err(LedgerError::InvalidCharge)?;
-        if !charge_fits(self.total, self.spent, receipt.epsilon) {
-            return Err(LedgerError::BudgetExhausted {
-                requested: receipt.epsilon,
-                remaining: self.remaining(),
-            });
-        }
+        self.head().check(&receipt)?;
         self.spent += receipt.epsilon;
         self.receipts.push(receipt);
         Ok(self.receipts.last().expect("receipt just pushed"))
@@ -418,60 +386,97 @@ impl BudgetLedger {
 ///
 /// This is the regulator's entry point: it takes the receipts alone (no
 /// live ledger required) and re-derives every link from the genesis
-/// hash.
+/// hash, holding each receipt to the rule
+/// [`BudgetLedger::apply_prepared`] holds an appended one to.
 ///
 /// # Errors
+/// The first failure, checking each receipt in this order:
 /// - [`LedgerError::WrongTenant`] — a receipt names another tenant.
 /// - [`LedgerError::ReplayedReceipt`] — a sequence number repeats or
 ///   goes backwards (a receipt was injected twice).
 /// - [`LedgerError::OutOfOrderSequence`] — a sequence number skips
 ///   ahead (receipts dropped or reordered).
-/// - [`LedgerError::TamperedReceipt`] — a receipt's stored hash does
-///   not match the hash re-derived from its fields.
 /// - [`LedgerError::BrokenChain`] — a receipt's `prev_hash` does not
 ///   match its predecessor's hash.
+/// - [`LedgerError::TamperedReceipt`] — a receipt's stored hash does
+///   not match the hash re-derived from its fields.
+/// - [`LedgerError::InvalidCharge`] — a receipt charges a non-positive
+///   or non-finite `ε`.
 /// - [`LedgerError::BudgetExhausted`] — the chain sums past the total.
 pub fn audit_receipts(
     tenant: u64,
     total_epsilon: f64,
     receipts: &[ChargeReceipt],
 ) -> Result<f64, LedgerError> {
-    let mut expected_prev = genesis_hash(tenant, total_epsilon);
-    let mut spent = 0.0_f64;
-    for (i, r) in receipts.iter().enumerate() {
-        let expected_seq = i as u64;
-        if r.tenant != tenant {
+    let mut head = ChainHead {
+        tenant,
+        total: total_epsilon,
+        spent: 0.0,
+        seq: 0,
+        prev_hash: genesis_hash(tenant, total_epsilon),
+    };
+    for r in receipts {
+        head.check(r)?;
+        head.spent += r.epsilon;
+        head.seq += 1;
+        head.prev_hash = r.hash;
+    }
+    Ok(head.spent)
+}
+
+/// The chain state a receipt must extend: the tenant and total the
+/// chain is anchored to, the spend so far, and the sequence number and
+/// back-link the next receipt must carry.
+struct ChainHead {
+    tenant: u64,
+    total: f64,
+    spent: f64,
+    seq: u64,
+    prev_hash: u128,
+}
+
+impl ChainHead {
+    /// Whether a charge of `epsilon` is a valid `ε` that fits what is
+    /// left (within the [`charge_fits`] tolerance).
+    fn admit(&self, epsilon: f64) -> Result<(), LedgerError> {
+        crate::error::check_epsilon(epsilon).map_err(LedgerError::InvalidCharge)?;
+        if !charge_fits(self.total, self.spent, epsilon) {
+            return Err(LedgerError::BudgetExhausted {
+                requested: epsilon,
+                remaining: (self.total - self.spent).max(0.0),
+            });
+        }
+        Ok(())
+    }
+
+    /// The receipt rule, for appending, auditing and replaying alike.
+    /// Checks, in this order: tenant, sequence number, back-link, hash
+    /// re-derivation, then [`admit`](Self::admit) — so a receipt both
+    /// mis-linked and mis-hashed reports the broken link.
+    fn check(&self, r: &ChargeReceipt) -> Result<(), LedgerError> {
+        if r.tenant != self.tenant {
             return Err(LedgerError::WrongTenant {
-                expected: tenant,
+                expected: self.tenant,
                 found: r.tenant,
             });
         }
-        if r.seq < expected_seq {
+        if r.seq < self.seq {
             return Err(LedgerError::ReplayedReceipt { seq: r.seq });
         }
-        if r.seq > expected_seq {
+        if r.seq > self.seq {
             return Err(LedgerError::OutOfOrderSequence {
-                expected: expected_seq,
+                expected: self.seq,
                 found: r.seq,
             });
         }
-        let derived = chain_hash(r.prev_hash, r.tenant, r.session, r.seq, &r.label, r.epsilon);
-        if derived != r.hash {
-            return Err(LedgerError::TamperedReceipt { seq: r.seq });
-        }
-        if r.prev_hash != expected_prev {
+        if r.prev_hash != self.prev_hash {
             return Err(LedgerError::BrokenChain { seq: r.seq });
         }
-        if !charge_fits(total_epsilon, spent, r.epsilon) {
-            return Err(LedgerError::BudgetExhausted {
-                requested: r.epsilon,
-                remaining: (total_epsilon - spent).max(0.0),
-            });
+        if chain_hash(r.prev_hash, r.tenant, r.session, r.seq, &r.label, r.epsilon) != r.hash {
+            return Err(LedgerError::TamperedReceipt { seq: r.seq });
         }
-        spent += r.epsilon;
-        expected_prev = r.hash;
+        self.admit(r.epsilon)
     }
-    Ok(spent)
 }
 
 #[cfg(test)]
@@ -665,6 +670,59 @@ mod tests {
             LedgerError::BrokenChain { seq: 1 }
         );
         ledger.verify_chain().unwrap();
+    }
+
+    /// A ledger holding one 0.5 charge, and a receipt that links and
+    /// hashes consistently onto it but charges `epsilon`.
+    fn ledger_and_next_receipt(epsilon: f64) -> (BudgetLedger, ChargeReceipt) {
+        let mut ledger = BudgetLedger::new(7, 1.0).unwrap();
+        let prev_hash = ledger.charge(100, "svt session open", 0.5).unwrap().hash;
+        let next = ChargeReceipt {
+            tenant: 7,
+            session: 101,
+            seq: 1,
+            label: "svt session open".to_owned(),
+            epsilon,
+            prev_hash,
+            hash: chain_hash(prev_hash, 7, 101, 1, "svt session open", epsilon),
+        };
+        (ledger, next)
+    }
+
+    #[test]
+    fn audit_rejects_an_invalid_epsilon_like_append() {
+        for eps in [-0.5, 0.0, f64::NEG_INFINITY, f64::NAN, f64::INFINITY] {
+            let (mut ledger, next) = ledger_and_next_receipt(eps);
+            let mut run = ledger.receipts().to_vec();
+            run.push(next.clone());
+            assert!(
+                matches!(
+                    audit_receipts(7, 1.0, &run),
+                    Err(LedgerError::InvalidCharge(_))
+                ),
+                "audit of ε = {eps}"
+            );
+            assert!(
+                matches!(
+                    ledger.apply_prepared(next),
+                    Err(LedgerError::InvalidCharge(_))
+                ),
+                "append of ε = {eps}"
+            );
+        }
+    }
+
+    #[test]
+    fn append_and_audit_agree_on_a_mislinked_and_mishashed_receipt() {
+        let (mut ledger, mut next) = ledger_and_next_receipt(0.25);
+        next.prev_hash ^= 1;
+        let rehash = chain_hash(next.prev_hash, 7, 101, 1, &next.label, 0.25);
+        assert_ne!(rehash, next.hash, "the stored hash no longer re-derives");
+        let mut run = ledger.receipts().to_vec();
+        run.push(next.clone());
+        let audited = audit_receipts(7, 1.0, &run).unwrap_err();
+        assert_eq!(audited, LedgerError::BrokenChain { seq: 1 });
+        assert_eq!(ledger.apply_prepared(next).unwrap_err(), audited);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! registration and every accepted charge is appended to an append-only
 //! binary log **before** the caller acknowledges it, and
 //! [`replay`](replay_records) reconstructs the per-tenant
-//! [`BudgetLedger`]s from the log alone.
+//! [`BudgetLedger`]s from the log alone, appending each logged receipt
+//! under the same rule that accepted it the first time.
 //!
 //! ## Record format
 //!
@@ -172,8 +173,8 @@ pub enum WalError {
         /// Record index of the mismatch.
         index: usize,
     },
-    /// Replaying a record was rejected by the ledger itself (e.g. the
-    /// chain's charges overflow the registered total budget).
+    /// Replaying a record was rejected by the ledger itself: an invalid
+    /// total or `ε`, or charges that overflow the registered total budget.
     Ledger {
         /// The tenant whose ledger rejected the record.
         tenant: u64,
@@ -604,11 +605,11 @@ pub struct WalReplay {
 
 /// Replays an encoded log, rebuilding every tenant's [`BudgetLedger`].
 ///
-/// Each charge record is re-charged through
-/// [`BudgetLedger::prepare_charge`] and the *re-derived* receipt is
-/// compared field-for-field with the logged one, so a log that
-/// replays is by construction a log whose chains re-derive; a final
-/// [`BudgetLedger::verify_chain`] over every ledger re-checks the
+/// Each charge record is appended once through
+/// [`BudgetLedger::apply_prepared`], which holds it to the receipt rule
+/// [`audit_receipts`](crate::ledger::audit_receipts) applies, so a log
+/// that replays is by construction a log whose chains re-derive; a
+/// final [`BudgetLedger::verify_chain`] over every ledger re-checks the
 /// invariant end-to-end. A torn tail — a trailing partial record, or a
 /// trailing CRC-failing region shorter than two records — is dropped
 /// and reported, not an error (see the module docs for why this is the
@@ -617,9 +618,11 @@ pub struct WalReplay {
 /// # Errors
 /// [`WalError::CorruptRecord`] (mid-log damage, with the exact record
 /// index and byte offset), [`WalError::DuplicateTenant`],
-/// [`WalError::UnknownTenant`], [`WalError::ChainMismatch`],
-/// [`WalError::Ledger`] — all hard: recovery must not guess around
-/// them, because every guess risks under-counting spent `ε`.
+/// [`WalError::UnknownTenant`], [`WalError::ChainMismatch`] (a record
+/// whose sequence number, back-link or hash breaks its tenant's chain),
+/// [`WalError::Ledger`] (an invalid `ε`, or a charge past the total) —
+/// all hard: recovery must not guess around them, because every guess
+/// risks under-counting spent `ε`.
 pub fn replay_records(bytes: &[u8]) -> Result<WalReplay, WalError> {
     let mut ledgers: BTreeMap<u64, BudgetLedger> = BTreeMap::new();
     let mut index = 0usize;
@@ -671,27 +674,17 @@ pub fn replay_records(bytes: &[u8]) -> Result<WalReplay, WalError> {
                 let Some(ledger) = ledgers.get_mut(&tenant) else {
                     return Err(WalError::UnknownTenant { tenant, index });
                 };
-                let derived = ledger
-                    .prepare_charge(logged.session, &logged.label, logged.epsilon)
-                    .map_err(|error| WalError::Ledger {
-                        tenant,
-                        index,
-                        error,
-                    })?;
-                if derived != logged {
-                    return Err(WalError::ChainMismatch {
-                        tenant,
-                        seq: logged.seq,
-                        index,
-                    });
-                }
-                ledger
-                    .apply_prepared(derived)
-                    .map_err(|error| WalError::Ledger {
-                        tenant,
-                        index,
-                        error,
-                    })?;
+                let seq = logged.seq;
+                ledger.apply_prepared(logged).map_err(|error| match error {
+                    LedgerError::InvalidCharge(_) | LedgerError::BudgetExhausted { .. } => {
+                        WalError::Ledger {
+                            tenant,
+                            index,
+                            error,
+                        }
+                    }
+                    _ => WalError::ChainMismatch { tenant, seq, index },
+                })?;
             }
         }
         index += 1;
@@ -926,6 +919,40 @@ mod tests {
                     tenant: 2,
                     index: 3,
                     error: LedgerError::BudgetExhausted { .. },
+                }
+            ),
+            "got {err:?}"
+        );
+    }
+
+    #[test]
+    fn negative_charge_record_is_a_ledger_error() {
+        // A CRC-valid record that links and hashes onto the chain but
+        // charges a negative ε (a refund) is the ledger's to reject.
+        let sink = MemSink::new();
+        let mut wal = LedgerWal::with_sink(Box::new(sink.clone()), FsyncPolicy::Manual);
+        wal.append_tenant(2, 10.0).unwrap();
+        let mut ledger = BudgetLedger::new(2, 10.0).unwrap();
+        let head = ledger.charge(0, "svt session open", 4.0).unwrap().clone();
+        wal.append_charge(&head).unwrap();
+        let refund = ChargeReceipt {
+            tenant: 2,
+            session: 1,
+            seq: 1,
+            label: "svt session open".to_owned(),
+            epsilon: -0.5,
+            prev_hash: head.hash,
+            hash: crate::ledger::chain_hash(head.hash, 2, 1, 1, "svt session open", -0.5),
+        };
+        wal.append_charge(&refund).unwrap();
+        let err = replay_records(&sink.bytes()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                WalError::Ledger {
+                    tenant: 2,
+                    index: 2,
+                    error: LedgerError::InvalidCharge(_),
                 }
             ),
             "got {err:?}"

@@ -16,10 +16,10 @@
 //!   in their noise [`SessionDriver`](svt_core::session::SessionDriver),
 //!   so parking them in shared maps is safe by construction.
 //! - [`SessionStore::submit_batch`] — answers a mixed-tenant batch with
-//!   one lock acquisition per shard and one batched noise fill per
-//!   session per visit, bit-identical to sequential per-session
-//!   submission (the `BatchSample` stream-equivalence contract, pinned
-//!   by test).
+//!   one lock acquisition per shard, each query asked in input order
+//!   exactly as [`SessionStore::submit`] asks it (one scalar `ν` draw
+//!   per query), so the answers are bit-identical to submitting the
+//!   queries one at a time (pinned by test).
 //! - Per-tenant [`BudgetLedger`](dp_mechanisms::BudgetLedger)s — every
 //!   session open appends a hash-chained charge receipt;
 //!   [`SessionStore::verify_tenant`] / [`SessionStore::verify_all`]

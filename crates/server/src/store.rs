@@ -98,7 +98,7 @@ use std::sync::Arc;
 
 use dp_data::ScoreSnapshot;
 use dp_mechanisms::wal::{replay_records, FsyncPolicy, LedgerWal, WalError, WalSink, RECORD_SIZE};
-use dp_mechanisms::{BudgetLedger, ChargeReceipt, DpRng};
+use dp_mechanisms::{counter_seed, BudgetLedger, ChargeReceipt, DpRng};
 use svt_core::alg::StandardSvtConfig;
 use svt_core::session::SessionDriver;
 use svt_core::SvtAnswer;
@@ -407,14 +407,12 @@ impl Drop for ShardPermit<'_> {
     }
 }
 
-/// SplitMix64 finalizer: tenant ids are often small sequential
-/// integers, so the raw id would pile every tenant onto shard 0.
+/// The shard, of `mask + 1`, that `tenant` lives on. The id is hashed
+/// because tenant ids are often small sequential integers, and the raw
+/// id would pile every tenant onto shard 0.
 #[inline]
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
+fn home_shard(tenant: u64, mask: u64) -> usize {
+    (counter_seed(tenant, 0) & mask) as usize
 }
 
 /// The WAL filename for shard `index` inside a WAL directory.
@@ -645,7 +643,7 @@ impl SessionStore {
             report.torn_tail_bytes += replay.torn_tail_bytes;
             let mut state = ShardState::default();
             for (tenant, ledger) in replay.ledgers {
-                let home = (mix64(tenant) & mask) as usize;
+                let home = home_shard(tenant, mask);
                 if home != i {
                     return Err(ServerError::Durability(WalError::Io {
                         op: "recover",
@@ -693,7 +691,7 @@ impl SessionStore {
     /// The shard index a tenant (and all its sessions) lives on.
     #[inline]
     fn shard_of(&self, tenant: TenantId) -> usize {
-        (mix64(tenant.0) & self.mask) as usize
+        home_shard(tenant.0, self.mask)
     }
 
     fn lock_shard(&self, index: usize) -> std::sync::MutexGuard<'_, ShardState> {
@@ -1918,6 +1916,27 @@ mod tests {
     }
 
     #[test]
+    fn shard_routing_matches_the_splitmix64_finalizer_it_was_defined_by() {
+        // Recovery refuses a tenant found in another shard's log, so a
+        // store written before the routing moved could not reopen: pin
+        // `home_shard` against the formula the logs were written under.
+        fn old_mix64(mut x: u64) -> u64 {
+            x = x.wrapping_add(0x9e3779b97f4a7c15);
+            x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+            x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
+            x ^ (x >> 31)
+        }
+        for tenant in (0..5000).chain([u64::MAX - 1, u64::MAX]) {
+            for mask in [0, 1, 15, 255] {
+                assert_eq!(
+                    home_shard(tenant, mask),
+                    (old_mix64(tenant) & mask) as usize
+                );
+            }
+        }
+    }
+
+    #[test]
     fn recovery_rejects_a_wrong_shard_count() {
         let sink = MemSink::new();
         let store = SessionStore::with_wal_sinks(
@@ -1929,7 +1948,7 @@ mod tests {
         // in shard 0's log betrays the count mismatch.
         let tenant = (0..64)
             .map(TenantId)
-            .find(|t| (mix64(t.0) & 1) == 1)
+            .find(|t| home_shard(t.0, 1) == 1)
             .expect("some tenant hashes to shard 1");
         store.register_tenant(tenant, 1.0).unwrap();
         let two_shards = ServerConfig {
