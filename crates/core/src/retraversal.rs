@@ -103,7 +103,8 @@ pub fn svt_retraversal(
     let mut order: Vec<u32> = (0..scores.len() as u32).collect();
     rng.shuffle(&mut order);
 
-    let mut selected = Vec::with_capacity(c);
+    // `c` is the caller's: at most `n` items can be picked.
+    let mut selected = Vec::with_capacity(c.min(scores.len()));
     let mut passes = 0;
     while selected.len() < c && passes < config.max_passes && !alg.is_halted() {
         passes += 1;

@@ -75,11 +75,13 @@ pub enum ServerError {
     /// The tenant is already registered; budgets cannot be silently
     /// replaced.
     TenantAlreadyRegistered(TenantId),
-    /// No live session with this id (never opened, or already closed).
+    /// No live session with this id: never opened, already closed, or
+    /// evicted before the shard's newest 4,096 evictions.
     UnknownSession(SessionId),
     /// The store evicted this session (TTL or capacity). Its noise
-    /// state is gone; the id will keep reporting this error. Not
-    /// retryable — open a new session.
+    /// state is gone. The id reports this error while its tombstone is
+    /// among the shard's newest 4,096, and [`ServerError::UnknownSession`]
+    /// after that. Neither is retryable — open a new session.
     SessionEvicted {
         /// The evicted session.
         session: SessionId,

@@ -60,8 +60,9 @@
 //!
 //! - **TTL** ([`ServerConfig::session_ttl`]): a session idle for that
 //!   many ticks is evicted lazily — at its next access or at the next
-//!   `open_session` sweep — and its id keeps reporting
-//!   [`ServerError::SessionEvicted`] (reason `Expired`).
+//!   `open_session` sweep — and its id reports
+//!   [`ServerError::SessionEvicted`] (reason `Expired`) while its
+//!   tombstone is among the shard's newest 4,096.
 //! - **Cap** ([`ServerConfig::session_cap`]): opening past the
 //!   per-shard live-session cap reclaims the least-recently-used
 //!   session (reason `Capacity`). Closing a session releases its LRU
@@ -72,6 +73,13 @@
 //!   checked *before* the lock. Both shed with the retryable
 //!   [`ServerError::Overloaded`]; nothing is charged or ticked for a
 //!   shed request beyond the admission check itself.
+//!
+//! The shard's LRU index is kept only under a TTL or a cap, the two
+//! knobs that read it: on a store with neither, a query stamps its
+//! session's last touch and re-files nothing. Each shard keeps the
+//! tombstones of its newest 4,096 evictions; an id evicted before them
+//! reads [`ServerError::UnknownSession`], which is no more retryable
+//! than `SessionEvicted`.
 //!
 //! ## Determinism
 //!
@@ -89,7 +97,7 @@
 //! single-session API. The logical clock makes TTL/LRU/rate-limit
 //! behavior deterministic for any single-threaded call sequence.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -227,7 +235,7 @@ pub struct RecoveryReport {
 struct SessionEntry {
     driver: SessionDriver,
     /// The shard tick of this session's last admitted operation; also
-    /// its key in the shard's LRU map.
+    /// its key in the shard's LRU map, when the store keeps one.
     last_touch: u64,
     /// The tenant's dataset snapshot pinned at open time. Every
     /// item-level query of this session resolves scores against this
@@ -252,15 +260,31 @@ struct TokenBucket {
     last_refill: u64,
 }
 
+/// Eviction tombstones kept per shard; the oldest is dropped first.
+const TOMBSTONES_PER_SHARD: usize = 4096;
+
+/// Whether a store under `config` keeps its shards' LRU index: only
+/// the TTL sweep and the cap's victim search read it, and both knobs
+/// are fixed for the store's life.
+fn keeps_lru(config: &ServerConfig) -> bool {
+    config.session_ttl.is_some() || config.session_cap.is_some()
+}
+
 #[derive(Debug, Default)]
 struct ShardState {
     sessions: HashMap<SessionId, SessionEntry>,
     ledgers: HashMap<TenantId, BudgetLedger>,
-    /// Eviction tombstones: evicted ids keep reporting *why* they died
-    /// instead of degrading to `UnknownSession`.
+    /// Eviction tombstones: a recently evicted id reports *why* it died
+    /// instead of degrading to `UnknownSession`. Only the newest
+    /// [`TOMBSTONES_PER_SHARD`] are kept, in `tombstone_order`; an id
+    /// evicted before them reads `UnknownSession`, which is no more
+    /// retryable than `SessionEvicted`.
     evicted: HashMap<SessionId, EvictionReason>,
+    /// The ids in `evicted`, oldest first.
+    tombstone_order: VecDeque<SessionId>,
     /// last-touch tick → session; the leftmost entry is the LRU victim.
-    /// Ticks are unique per shard, so this is collision-free.
+    /// Ticks are unique per shard, so this is collision-free. Empty
+    /// unless [`keeps_lru`].
     lru: BTreeMap<u64, SessionId>,
     buckets: HashMap<TenantId, TokenBucket>,
     wal: Option<LedgerWal>,
@@ -303,10 +327,17 @@ impl ShardState {
         }
     }
 
-    /// Removes `session` from the live set and tombstones it.
+    /// Removes `session` from the live set and tombstones it, dropping
+    /// the oldest tombstone once the shard holds
+    /// [`TOMBSTONES_PER_SHARD`].
     fn evict(&mut self, session: SessionId, reason: EvictionReason) {
         if let Some(entry) = self.sessions.remove(&session) {
             self.lru.remove(&entry.last_touch);
+            if self.tombstone_order.len() == TOMBSTONES_PER_SHARD {
+                let oldest = self.tombstone_order.pop_front().expect("the queue is full");
+                self.evicted.remove(&oldest);
+            }
+            self.tombstone_order.push_back(session);
             self.evicted.insert(session, reason);
         }
     }
@@ -333,22 +364,25 @@ impl ShardState {
         }
     }
 
-    /// The live entry of `session` at tick `now`. A tombstoned id
-    /// reports why it was evicted, an unknown one
-    /// [`ServerError::UnknownSession`]; a session idle for `ttl` ticks
-    /// or more is evicted and tombstoned here (reason `Expired`), the
-    /// lazy expiry every session lookup applies.
-    fn live_session(
+    /// Runs `f` on the live entry of `session` at tick `now`. A live id
+    /// costs one probe: the tombstones are read only on a miss, since
+    /// `evict` removes an id before tombstoning it and nonces never
+    /// repeat. A tombstoned id reports why it was evicted, an unknown
+    /// one [`ServerError::UnknownSession`]; a session idle for `ttl`
+    /// ticks or more is evicted and tombstoned here (reason `Expired`),
+    /// the lazy expiry every session lookup applies.
+    fn live_session<T>(
         &mut self,
         session: SessionId,
         ttl: Option<u64>,
         now: u64,
-    ) -> Result<&mut SessionEntry> {
-        if let Some(&reason) = self.evicted.get(&session) {
-            return Err(ServerError::SessionEvicted { session, reason });
-        }
-        let Some(entry) = self.sessions.get(&session) else {
-            return Err(ServerError::UnknownSession(session));
+        f: impl FnOnce(&mut SessionEntry) -> Result<T>,
+    ) -> Result<T> {
+        let Some(entry) = self.sessions.get_mut(&session) else {
+            return Err(match self.evicted.get(&session) {
+                Some(&reason) => ServerError::SessionEvicted { session, reason },
+                None => ServerError::UnknownSession(session),
+            });
         };
         if ttl.is_some_and(|ttl| now.saturating_sub(entry.last_touch) >= ttl) {
             self.evict(session, EvictionReason::Expired);
@@ -357,7 +391,7 @@ impl ShardState {
                 reason: EvictionReason::Expired,
             });
         }
-        Ok(self.sessions.get_mut(&session).expect("checked above"))
+        f(entry)
     }
 
     /// One query's whole path on a locked shard, the same for
@@ -375,13 +409,18 @@ impl ShardState {
         answer_of: impl FnOnce(&SessionEntry) -> Result<f64>,
     ) -> Result<SvtAnswer> {
         let now = self.admit(session.tenant, config.rate_limit)?;
-        let entry = self.live_session(session, config.session_ttl, now)?;
-        let last_touch = std::mem::replace(&mut entry.last_touch, now);
-        self.lru.remove(&last_touch);
-        self.lru.insert(now, session);
-        let entry = self.sessions.get_mut(&session).expect("live above");
-        let query_answer = answer_of(entry)?;
-        Ok(entry.driver.ask(query_answer, threshold)?)
+        let (last_touch, answer) =
+            self.live_session(session, config.session_ttl, now, |entry| {
+                let last_touch = std::mem::replace(&mut entry.last_touch, now);
+                let answer = answer_of(entry)
+                    .and_then(|query_answer| Ok(entry.driver.ask(query_answer, threshold)?));
+                Ok((last_touch, answer))
+            })?;
+        if keeps_lru(config) {
+            self.lru.remove(&last_touch);
+            self.lru.insert(now, session);
+        }
+        answer
     }
 }
 
@@ -813,7 +852,9 @@ impl SessionStore {
                 dataset,
             },
         );
-        shard.lru.insert(now, id);
+        if keeps_lru(&self.config) {
+            shard.lru.insert(now, id);
+        }
         Ok(id)
     }
 
@@ -906,12 +947,13 @@ impl SessionStore {
     pub fn session_dataset_epoch(&self, session: SessionId) -> Result<u64> {
         let mut shard = self.lock_shard(self.shard_of(session.tenant));
         let now = shard.clock;
-        shard
-            .live_session(session, self.config.session_ttl, now)?
-            .dataset
-            .as_ref()
-            .map(|s| s.epoch())
-            .ok_or(ServerError::NoDataset(session.tenant))
+        shard.live_session(session, self.config.session_ttl, now, |entry| {
+            entry
+                .dataset
+                .as_ref()
+                .map(|s| s.epoch())
+                .ok_or(ServerError::NoDataset(session.tenant))
+        })
     }
 
     /// Asks one query *by item*: the true answer is the item's score in
@@ -1008,8 +1050,9 @@ impl SessionStore {
     pub fn session_status(&self, session: SessionId) -> Result<SessionStatus> {
         let mut shard = self.lock_shard(self.shard_of(session.tenant));
         let now = shard.clock;
-        let entry = shard.live_session(session, self.config.session_ttl, now)?;
-        Ok(entry.status())
+        shard.live_session(session, self.config.session_ttl, now, |entry| {
+            Ok(entry.status())
+        })
     }
 
     /// Removes a session, returning its final status, and releases its
@@ -1028,7 +1071,7 @@ impl SessionStore {
     pub fn close_session(&self, session: SessionId) -> Result<SessionStatus> {
         let mut shard = self.lock_shard(self.shard_of(session.tenant));
         let now = shard.clock;
-        shard.live_session(session, self.config.session_ttl, now)?;
+        shard.live_session(session, self.config.session_ttl, now, |_| Ok(()))?;
         let entry = shard.sessions.remove(&session).expect("looked up above");
         shard.lru.remove(&entry.last_touch);
         Ok(entry.status())
@@ -1402,6 +1445,37 @@ mod tests {
             store.submit(a, 0.0, 0.0).unwrap_err(),
             ServerError::UnknownSession(a)
         );
+    }
+
+    #[test]
+    fn eviction_keeps_the_newest_tombstones_per_shard() {
+        // Under a cap of 1 every open evicts the one before it: 10,000
+        // opens evict 9,999 sessions, and only the newest 4,096 of them
+        // keep a tombstone.
+        let store = SessionStore::new(one_shard(ServerConfig {
+            session_cap: Some(1),
+            ..Default::default()
+        }));
+        let tenant = TenantId(34);
+        store.register_tenant(tenant, 1e4).unwrap();
+        let opened: Vec<SessionId> = (0..10_000)
+            .map(|seed| store.open_session(tenant, config(1), seed).unwrap())
+            .collect();
+        assert_eq!(store.lock_shard(0).evicted.len(), TOMBSTONES_PER_SHARD);
+        let evicted = |session| ServerError::SessionEvicted {
+            session,
+            reason: EvictionReason::Capacity,
+        };
+        let oldest_kept = opened.len() - 1 - TOMBSTONES_PER_SHARD;
+        for session in [opened[opened.len() - 2], opened[oldest_kept]] {
+            assert_eq!(store.session_status(session), Err(evicted(session)));
+        }
+        for session in [opened[0], opened[oldest_kept - 1]] {
+            let err = store.session_status(session).unwrap_err();
+            assert_eq!(err, ServerError::UnknownSession(session));
+            assert!(!err.is_retryable());
+        }
+        store.session_status(opened[opened.len() - 1]).unwrap();
     }
 
     // ----- admission: rate limiting + shedding --------------------------
@@ -2050,8 +2124,225 @@ mod tests {
         }
     }
 
+    /// One shard's session lifecycle without a rate limit, for
+    /// `sessions_live_and_die_as_a_reference_shard_says`: the lookup
+    /// reads the tombstones first, and every query re-files its session
+    /// under its exact last touch whatever the knobs, so the front of
+    /// `lru` is always the least recently used session.
+    #[derive(Default)]
+    struct ReferenceShard {
+        clock: u64,
+        next_nonce: u64,
+        /// Each live session's driver and last touch.
+        sessions: HashMap<SessionId, (SessionDriver, u64)>,
+        lru: BTreeMap<u64, SessionId>,
+        evicted: HashMap<SessionId, EvictionReason>,
+    }
+
+    impl ReferenceShard {
+        fn evict(&mut self, session: SessionId, reason: EvictionReason) {
+            let (_, touch) = self.sessions.remove(&session).expect("live");
+            self.lru.remove(&touch);
+            self.evicted.insert(session, reason);
+        }
+
+        /// The lookup every session operation makes at tick `now`.
+        fn live(&mut self, session: SessionId, ttl: Option<u64>, now: u64) -> Result<()> {
+            if let Some(&reason) = self.evicted.get(&session) {
+                return Err(ServerError::SessionEvicted { session, reason });
+            }
+            match self.sessions.get(&session) {
+                None => Err(ServerError::UnknownSession(session)),
+                Some(&(_, touch)) if ttl.is_some_and(|ttl| now - touch >= ttl) => {
+                    self.evict(session, EvictionReason::Expired);
+                    Err(ServerError::SessionEvicted {
+                        session,
+                        reason: EvictionReason::Expired,
+                    })
+                }
+                Some(_) => Ok(()),
+            }
+        }
+
+        fn open(
+            &mut self,
+            tenant: TenantId,
+            seed: u64,
+            ttl: Option<u64>,
+            cap: Option<usize>,
+        ) -> SessionId {
+            self.clock += 1;
+            while let Some((&touch, &session)) = self.lru.first_key_value() {
+                if ttl.is_none_or(|ttl| self.clock - touch < ttl) {
+                    break;
+                }
+                self.evict(session, EvictionReason::Expired);
+            }
+            while cap.is_some_and(|cap| self.sessions.len() >= cap) {
+                let (_, &session) = self.lru.first_key_value().expect("nonempty");
+                self.evict(session, EvictionReason::Capacity);
+            }
+            let driver = SessionDriver::open(config(2), &mut DpRng::seed_from_u64(seed)).unwrap();
+            let id = SessionId {
+                tenant,
+                nonce: self.next_nonce,
+            };
+            self.next_nonce += 1;
+            self.sessions.insert(id, (driver, self.clock));
+            self.lru.insert(self.clock, id);
+            id
+        }
+
+        fn ask(
+            &mut self,
+            session: SessionId,
+            answer: Result<f64>,
+            ttl: Option<u64>,
+        ) -> Result<SvtAnswer> {
+            self.clock += 1;
+            self.live(session, ttl, self.clock)?;
+            let (driver, touch) = self.sessions.get_mut(&session).expect("live");
+            self.lru.remove(touch);
+            *touch = self.clock;
+            self.lru.insert(self.clock, session);
+            Ok(driver.ask(answer?, 0.0)?)
+        }
+
+        fn status(&mut self, session: SessionId, ttl: Option<u64>) -> Result<SessionStatus> {
+            self.live(session, ttl, self.clock)?;
+            let (driver, _) = &self.sessions[&session];
+            Ok(SessionStatus {
+                queries_asked: driver.queries_asked(),
+                positives: driver.state().positives(),
+                exhausted: driver.is_exhausted(),
+            })
+        }
+
+        fn close(&mut self, session: SessionId, ttl: Option<u64>) -> Result<SessionStatus> {
+            let status = self.status(session, ttl)?;
+            let (_, touch) = self.sessions.remove(&session).expect("live");
+            self.lru.remove(&touch);
+            Ok(status)
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn sessions_live_and_die_as_a_reference_shard_says(seed in any::<u64>()) {
+            // Random opens, asks by every path, status reads and closes
+            // on one shard with a small TTL, a small cap, both or
+            // neither: every result, its error kind and eviction reason
+            // included, must match the reference, and so must the
+            // number of sessions and tombstones the shard holds and
+            // every session's final status. With neither knob the store
+            // keeps no LRU index, which must change nothing.
+            let mut mix = Mix(seed);
+            let (ttl, cap) = match mix.below(4) {
+                0 => (None, Some(1 + mix.below(4) as usize)),
+                1 => (Some(2 + mix.below(14)), None),
+                2 => (Some(2 + mix.below(14)), Some(1 + mix.below(4) as usize)),
+                _ => (None, None),
+            };
+            let recent = 2 * cap.unwrap_or(3) + 2;
+            let store = SessionStore::new(one_shard(ServerConfig {
+                session_ttl: ttl,
+                session_cap: cap,
+                ..Default::default()
+            }));
+            for tenant in SCRIPT_TENANTS {
+                store.register_tenant(tenant, 1e6).unwrap();
+                store.register_dataset(tenant, &SCRIPT_SCORES).unwrap();
+            }
+            let mut reference = ReferenceShard::default();
+            let mut ids: Vec<SessionId> = Vec::new();
+            let len = SCRIPT_SCORES.len();
+            // Live sessions and tombstones held: an expired session
+            // nobody asks for again must still be swept at an open.
+            let held = |store: &SessionStore| {
+                let shard = store.lock_shard(0);
+                (shard.sessions.len(), shard.evicted.len())
+            };
+            for op in 0..300 {
+                prop_assert_eq!(
+                    held(&store),
+                    (reference.sessions.len(), reference.evicted.len()),
+                    "seed {}, before op {}", seed, op
+                );
+                // Mostly a recent id, sometimes any id or a forged one.
+                let pick = |mix: &mut Mix| match mix.below(16) {
+                    _ if ids.is_empty() => SessionId { tenant: SCRIPT_TENANTS[0], nonce: u64::MAX },
+                    0 => SessionId { tenant: SCRIPT_TENANTS[1], nonce: u64::MAX - mix.below(4) },
+                    1..=4 => ids[mix.below(ids.len() as u64) as usize],
+                    _ => ids[ids.len() - 1 - mix.below(ids.len().min(recent) as u64) as usize],
+                };
+                let (got, want) = match mix.below(12) {
+                    0 | 1 => {
+                        let tenant = SCRIPT_TENANTS[mix.below(2) as usize];
+                        let id = store.open_session(tenant, config(2), op).unwrap();
+                        ids.push(id);
+                        let want = reference.open(tenant, op, ttl, cap);
+                        prop_assert_eq!(id, want, "seed {}, op {}", seed, op);
+                        continue;
+                    }
+                    2..=4 => {
+                        let (session, answer) = (pick(&mut mix), mix.below(len as u64) as usize);
+                        let got = store.submit(session, SCRIPT_SCORES[answer], 0.0);
+                        (vec![got], vec![reference.ask(session, Ok(SCRIPT_SCORES[answer]), ttl)])
+                    }
+                    5 | 6 => {
+                        let (session, item) = (pick(&mut mix), mix.below(len as u64 + 1) as usize);
+                        let answer = SCRIPT_SCORES
+                            .get(item)
+                            .copied()
+                            .ok_or(ServerError::ItemOutOfRange { item, len });
+                        let got = store.submit_item(session, item, 0.0);
+                        (vec![got], vec![reference.ask(session, answer, ttl)])
+                    }
+                    7 | 8 => {
+                        let queries: Vec<BatchQuery> = (0..1 + mix.below(8))
+                            .map(|_| BatchQuery {
+                                session: pick(&mut mix),
+                                query_answer: SCRIPT_SCORES[mix.below(len as u64) as usize],
+                                threshold: 0.0,
+                            })
+                            .collect();
+                        let want = queries
+                            .iter()
+                            .map(|q| reference.ask(q.session, Ok(q.query_answer), ttl))
+                            .collect();
+                        (store.submit_batch(&queries), want)
+                    }
+                    9 | 10 => {
+                        let session = pick(&mut mix);
+                        prop_assert_eq!(
+                            store.session_status(session),
+                            reference.status(session, ttl),
+                            "seed {}, op {}", seed, op
+                        );
+                        continue;
+                    }
+                    _ => {
+                        let session = pick(&mut mix);
+                        prop_assert_eq!(
+                            store.close_session(session),
+                            reference.close(session, ttl),
+                            "seed {}, op {}", seed, op
+                        );
+                        continue;
+                    }
+                };
+                prop_assert_eq!(got, want, "seed {}, op {}", seed, op);
+            }
+            for &session in &ids {
+                prop_assert_eq!(
+                    store.session_status(session),
+                    reference.status(session, ttl),
+                    "seed {}, final status of {:?}", seed, session
+                );
+            }
+        }
 
         #[test]
         fn hostile_update_batches_are_rejected_without_changing_anything(

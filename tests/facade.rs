@@ -105,6 +105,20 @@ fn function_reexports_resolve_and_run() {
     assert!(run.positives() <= 3);
 }
 
+/// A caller's `c` far above `n` sizes no allocation: `svt_retraversal`
+/// returns at most `n` picks, where reserving `c` of them up front
+/// aborted the whole test process at `c = 2^40`.
+#[test]
+fn retraversal_with_a_huge_c_returns_at_most_n_picks() {
+    let scores = [3.0, 1.0, 2.0];
+    for c in [scores.len() + 1, 1 << 40, usize::MAX] {
+        let mut rng = DpRng::seed_from_u64(5);
+        let rcfg = RetraversalConfig::paper(0.1, c, 3.0);
+        let rt = svt_retraversal(&scores, 0.0, &rcfg, &mut rng).unwrap();
+        assert!(rt.selected.len() <= scores.len(), "c = {c}");
+    }
+}
+
 /// The crate-level Quickstart doctest, replayed as an integration test
 /// under a fixed seed with its results pinned down further.
 #[test]
